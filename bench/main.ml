@@ -8,6 +8,8 @@
      dune exec bench/main.exe table1 full     # include the K=12 row
      dune exec bench/main.exe table2 micro ablation
 
+   An unknown section name exits 2 and lists the valid ones.
+
    Sections: fig1a fig1b table1 table2 exact micro ablation smoke.  The
    "smoke" section is a seconds-scale scheduler check wired into
    [dune runtest] via the [bench-smoke] alias; any section that exercises
@@ -51,10 +53,21 @@ let sections =
       "keypop"; "keypopsmoke";
     ]
   in
-  let chosen =
-    List.filter (fun s -> List.mem s all || List.mem s extras) requested
-  in
-  if chosen = [] then all else chosen
+  (* "full" is a modifier, not a section.  A typo must not fall through
+     to a default run of every section, which includes the hours-long
+     table2. *)
+  (match
+     List.filter (fun s -> not (List.mem s ("full" :: all @ extras))) requested
+   with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "error: unknown section(s) %s; valid sections: %s (modifier: full)\n"
+        (String.concat ", " unknown)
+        (String.concat " " (all @ extras));
+      exit 2);
+  match List.filter (fun s -> s <> "full") requested with
+  | [] -> all
+  | chosen -> chosen
 
 let full_mode = List.mem "full" (Array.to_list Sys.argv |> List.map String.lowercase_ascii)
 
@@ -64,27 +77,33 @@ let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* ------------------------------------------------------------------ *)
-(* Split-attack scheduler comparison: serial vs static chunking vs     *)
-(* work stealing.  Records accumulate across sections and are written  *)
-(* to BENCH_split.json at exit.                                        *)
+(* Split-attack scheduler comparison: serial vs the work-stealing      *)
+(* pool.  Records accumulate across sections and are written to        *)
+(* BENCH_split.json at exit.                                           *)
 (* ------------------------------------------------------------------ *)
 
 let split_records : string list ref = ref []
 
 (* Per-task DIP-iteration trajectories out of a telemetry snapshot: for
-   each "split.task" span (a0 = task index), the durations of the
-   "attack.dip" spans nested inside it on the same domain, in iteration
-   order.  The last entry of each trajectory is the closing Unsat solve
-   that proves no DIP remains. *)
-let dip_trajectories snap num_tasks =
+   each "split.task" span, the durations of the "attack.dip" spans nested
+   inside it on the same domain, in iteration order.  A span's note is
+   its cofactor's condition, which maps it to its task index (its a0 is
+   the cube depth).  The last entry of each trajectory is the closing
+   Unsat solve that proves no DIP remains. *)
+let dip_trajectories snap (tasks : Split_attack.task array) =
   let spans = Tel.spans snap in
   let task_spans = List.filter (fun s -> s.Tel.sp_name = "split.task") spans in
   let dip_spans = List.filter (fun s -> s.Tel.sp_name = "attack.dip") spans in
-  let traj = Array.make num_tasks [||] in
+  let index =
+    Array.to_list
+      (Array.mapi (fun i (t : Split_attack.task) -> (LL.Attack.Cube_prep.condition_string t.condition, i)) tasks)
+  in
+  let traj = Array.make (Array.length tasks) [||] in
   List.iter
     (fun (t : Tel.span) ->
-      let i = t.Tel.sp_a0 in
-      if i >= 0 && i < num_tasks then begin
+      match List.assoc_opt t.Tel.sp_note index with
+      | None -> ()
+      | Some i -> begin
         let t_end = t.Tel.sp_start_ns + t.Tel.sp_dur_ns in
         let mine =
           List.filter
@@ -113,9 +132,9 @@ let json_int_array a =
 let split_sched_bench ~section ~name ~n locked ~oracle =
   (* Each run also reports its [Gc.quick_stat] allocation delta (words
      allocated by this domain), so scheduler and solver changes show their
-     allocation cost next to their wall time.  The three timed runs are
+     allocation cost next to their wall time.  The two timed runs are
      untraced — they are the numbers the <2% disabled-overhead criterion
-     is judged on; a fourth, traced stealing run supplies the solver
+     is judged on; a third, traced stealing run supplies the solver
      counters and per-iteration trajectories. *)
   let time f =
     let g0 = Gc.quick_stat () in
@@ -131,9 +150,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
   let domains = 4 in
   let serial, serial_wall, serial_minor, serial_major =
     time (fun () -> Split_attack.run ~n locked ~oracle)
-  in
-  let _static, static_wall, _, _ =
-    time (fun () -> Split_attack.run_parallel_static ~num_domains:domains ~n locked ~oracle)
   in
   let pool = LL.Runtime.Pool.create ~num_domains:domains () in
   let steal, steal_wall, _, _ =
@@ -152,7 +168,7 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
   let snap = Tel.snapshot () in
   Tel.disable ();
   let num_tasks = Array.length steal.Split_attack.tasks in
-  let traj = dip_trajectories snap num_tasks in
+  let traj = dip_trajectories snap steal.Split_attack.tasks in
   (* Batched-DIP sweep over the same workload: the serial runner with the
      pipeline pinned at each q.  The q = 1 run must be byte-identical to
      the plain serial run above (same DIP sequences per task) — that is
@@ -225,10 +241,10 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       serial.Split_attack.tasks steal.Split_attack.tasks
   in
   Printf.printf
-    "  %-16s serial %6.3f s | static(%d) %6.3f s | stealing(%d) %6.3f s, %d steals\n\
+    "  %-16s serial %6.3f s | stealing(%d) %6.3f s, %d steals\n\
     \  %-16s per task min %.3f / mean %.3f / max %.3f s, identical to serial: %b\n\
     \  %-16s traced %6.3f s, %d events, %d conflicts, %d propagations\n%!"
-    name serial_wall domains static_wall domains steal_wall stats.LL.Runtime.Pool.steals ""
+    name serial_wall domains steal_wall stats.LL.Runtime.Pool.steals ""
     (Split_attack.min_task_time steal)
     (Split_attack.mean_task_time steal)
     (Split_attack.max_task_time steal)
@@ -247,7 +263,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       \    \"num_tasks\": %d,\n\
       \    \"domains\": %d,\n\
       \    \"serial_wall_s\": %.6f,\n\
-      \    \"static_wall_s\": %.6f,\n\
       \    \"stealing_wall_s\": %.6f,\n\
       \    \"traced_wall_s\": %.6f,\n\
       \    \"task_min_s\": %.6f,\n\
@@ -275,7 +290,7 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       \    \"dip_batch_all_broken\": %b,\n\
       \    %s\n\
       \  }"
-      section name n num_tasks domains serial_wall static_wall steal_wall traced_wall
+      section name n num_tasks domains serial_wall steal_wall traced_wall
       (Split_attack.min_task_time steal)
       (Split_attack.mean_task_time steal)
       (Split_attack.max_task_time steal)

@@ -234,6 +234,12 @@ let attack_cmd =
       ring_size interval =
     let locked = load_design locked_spec in
     let original = load_design oracle_spec in
+    let num_inputs = Circuit.num_inputs locked in
+    if n < 0 || n > num_inputs then begin
+      Printf.eprintf "error: --split %d out of range: %s has %d inputs\n" n locked_spec
+        num_inputs;
+      exit 2
+    end;
     let oracle = LL.Attack.Oracle.of_circuit original in
     let config =
       { LL.Attack.Sat_attack.default_config with max_iterations = max_iters }

@@ -24,6 +24,11 @@
     {!Compose.build_cubes} turns into a variable-arity MUX tree
     (Fig. 1(b), generalized to non-uniform leaf depths).
 
+    With every budget off and [max_extra_depth = 0] no cube can re-split
+    and the engine is Algorithm 1 itself: {!Split_attack} is exactly that
+    preset, so a fixed split at [N] and a budgets-off run at [n0 = N]
+    return the same per-cofactor DIP sequences, keys and statuses.
+
     {b Determinism.} A cube's solver seed is a pure function of the root
     [seed] and its pin path; conflict/DIP budgets read deterministic
     solver counters; banks only flow parent to descendant.  Serial and
@@ -131,8 +136,7 @@ val run :
   t
 (** Serial reference runner (depth-first over the cube tree).  Raises
     [Invalid_argument] on an invalid configuration ([n0] outside
-    [0..6] or not leaving a free input, [growth < 1], non-positive
-    budgets). *)
+    [0..num_inputs], [growth < 1], non-positive budgets). *)
 
 val run_parallel :
   ?config:config ->
@@ -148,6 +152,7 @@ val run_parallel :
     the pool, so re-split work starts without waiting for a global
     barrier.  When [pool] is given it is used and left running;
     otherwise a private pool of [num_domains] workers (default
-    recommended count) is created and shut down around the call.
+    recommended count, capped at [2^(n0 + max_extra_depth)]) is created
+    and shut down around the call.
     Results are byte-identical to {!run} (see the determinism note
     above). *)

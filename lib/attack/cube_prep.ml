@@ -1,7 +1,4 @@
-module Circuit = Ll_netlist.Circuit
-module Prng = Ll_util.Prng
 module Timer = Ll_util.Timer
-module Pool = Ll_runtime.Pool
 module Tel = Ll_telemetry.Telemetry
 
 let m_subtasks = Tel.Metric.counter "split.tasks"
@@ -20,26 +17,17 @@ type task = {
   task_time : float;
 }
 
-(* Per-sub-task solver seeds, split from one root stream in task-index
-   order.  Both the serial and the pooled runner derive seeds this way, so
-   their results are byte-identical and independent of how tasks are
-   scheduled across domains. *)
-let task_seeds ~seed num_tasks =
-  let root = Prng.create seed in
-  Array.init num_tasks (fun _ -> Int64.to_int (Prng.bits64 (Prng.split root)))
-
-(* Seed for a cube identified by its pin path rather than a task index:
-   the adaptive engine creates cubes dynamically, so the seed must be a
-   pure function of (root seed, path) for serial == parallel determinism.
-   A simple avalanche fold over the (position, value) pins. *)
+(* Seed for a cube identified by its pin path: the engine creates cubes
+   dynamically, so the seed must be a pure function of (root seed, path)
+   for serial == parallel determinism, and a cube keeps its seed whether
+   it was a seed cube or the child of a re-split.  A simple avalanche
+   fold over the (position, value) pins. *)
 let cube_seed ~seed condition =
   let mix h v = (h lxor ((v + 0x9e3779b9 + (h lsl 6) + (h lsr 2)) * 0x01000193)) land max_int in
   List.fold_left
     (fun h (pos, b) -> mix h ((2 * pos) + if b then 1 else 0))
     (mix (seed land max_int) 0x5bd1e995)
     condition
-
-let base_config = function Some c -> c | None -> Sat_attack.default_config
 
 (* The attack pool must not double as the oracle-sweep pool: the sweep is
    awaited from inside a running task, and awaiting a task of the pool
@@ -58,18 +46,18 @@ let strip_own_pool base pool =
    synthesized, analysed and compiled exactly once per split attack (in
    {!Sat_attack.prepare}); each cube only pins its inputs as root units in
    a fresh solver. *)
-let run_task ?(index = -1) ~config ~prep ~oracle condition =
+let run_task ~config ~prep ~oracle condition =
   let t0 = Timer.monotonic () in
   let depth = List.length condition in
   if Tel.enabled () then
-    Tel.span_begin ~a0:index ~note:(condition_string condition) "split.task";
+    Tel.span_begin ~a0:depth ~note:(condition_string condition) "split.task";
   Tel.Metric.incr m_subtasks;
   Progress.cube_started ~depth;
   match
     let result = Sat_attack.run_prepared ~config prep ~condition ~oracle in
     {
       condition;
-      sub_inputs = Sat_attack.prep_inputs prep - List.length condition;
+      sub_inputs = Sat_attack.prep_inputs prep - depth;
       sub_gates = Sat_attack.prep_gates prep;
       result;
       task_time = Timer.monotonic () -. t0;
@@ -88,10 +76,10 @@ let run_task ?(index = -1) ~config ~prep ~oracle condition =
 
 (* A sub-task cancelled before it started: no cofactoring happened and no
    solver ran, only the shape of the record is filled in. *)
-let cancelled_task ~locked condition =
+let cancelled_task ~prep condition =
   {
     condition;
-    sub_inputs = Circuit.num_inputs locked - List.length condition;
+    sub_inputs = Sat_attack.prep_inputs prep - List.length condition;
     sub_gates = 0;
     result =
       {

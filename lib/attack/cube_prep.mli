@@ -1,12 +1,11 @@
-(** Shared per-cofactor machinery of the multi-cube attacks.
+(** Per-cofactor machinery of the cube engine.
 
-    Both the paper's fixed-N split attack ({!Split_attack}) and the
-    adaptive cube-and-conquer engine ({!Cube_attack}) run many
-    {!Sat_attack.run_prepared} sessions over one shared preparation, each
-    pinned to a cube of the primary-input space.  Everything a single
-    cube session needs — span/metric bookkeeping, deterministic seeding,
-    cancellation placeholders, failure classification — lives here so
-    the two paths cannot drift apart. *)
+    The engine behind {!Cube_attack} and its fixed-split preset
+    {!Split_attack} runs many {!Sat_attack.run_prepared} sessions over one
+    shared preparation, each pinned to a cube of the primary-input space.
+    What a single cube session needs — span/metric bookkeeping,
+    deterministic seeding, cancellation placeholders — and the
+    classification of merged results live here. *)
 
 type task = {
   condition : (int * bool) list;  (** pinned input positions and values *)
@@ -19,32 +18,26 @@ type task = {
 val condition_string : (int * bool) list -> string
 (** ["3=1,5=0"] — the trace-span note format for a cube. *)
 
-val task_seeds : seed:int -> int -> int array
-(** [task_seeds ~seed n] — one solver seed per task index, split from one
-    root PRNG stream in index order (fixed-N determinism contract). *)
-
 val cube_seed : seed:int -> (int * bool) list -> int
-(** Solver seed for a dynamically created cube: a pure function of the
-    root seed and the cube's pin path, so adaptive runs are reproducible
-    under any scheduling. *)
-
-val base_config : Sat_attack.config option -> Sat_attack.config
+(** Solver seed of a cube: a pure function of the root seed and the
+    cube's pin path, so runs are reproducible under any scheduling and a
+    fixed split at [N] seeds its cofactors exactly like a budgets-off
+    adaptive run at [n0 = N]. *)
 
 val strip_own_pool : Sat_attack.config -> Ll_runtime.Pool.t -> Sat_attack.config
 (** Drop [dip_batch.oracle_pool] when it is the pool the sub-attacks
     themselves run on (awaiting it from inside a task would deadlock). *)
 
 val run_task :
-  ?index:int ->
   config:Sat_attack.config ->
   prep:Sat_attack.prep ->
   oracle:Oracle.t ->
   (int * bool) list ->
   task
-(** Run one cube session under a ["split.task"] telemetry span tagged
-    with the condition. *)
+(** Run one cube session under a ["split.task"] telemetry span: [a0] is
+    the cube's depth, the note its {!condition_string}. *)
 
-val cancelled_task : locked:Ll_netlist.Circuit.t -> (int * bool) list -> task
+val cancelled_task : prep:Sat_attack.prep -> (int * bool) list -> task
 (** Placeholder for a sub-task cancelled before it started. *)
 
 val fatal : task -> bool

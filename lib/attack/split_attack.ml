@@ -1,13 +1,9 @@
 module Circuit = Ll_netlist.Circuit
 module Bitvec = Ll_util.Bitvec
-module Timer = Ll_util.Timer
-module Cofactor = Ll_synth.Cofactor
-module Pool = Ll_runtime.Pool
-module Tel = Ll_telemetry.Telemetry
 
-(* The per-cofactor machinery (spans, seeding, cancellation placeholders,
-   failure classification) is shared with the adaptive engine through
-   {!Cube_prep}, so the fixed-N path and the re-split path cannot drift. *)
+(* A thin preset over the cube engine: scheduling, seeding, pools and
+   cancellation all live in {!Cube_engine}, so the fixed split and the
+   adaptive attack cannot drift apart. *)
 type task = Cube_prep.task = {
   condition : (int * bool) list;
   sub_inputs : int;
@@ -59,178 +55,38 @@ let recommended_effort ?cores locked =
   let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   min (log2 cores) (max 0 (Circuit.num_inputs locked - 1))
 
-let task_seeds = Cube_prep.task_seeds
+(* Algorithm 1 is the engine with every budget off and no room to
+   re-split: each of the 2^n seed cubes runs to completion. *)
+let preset ?config n =
+  {
+    Cube_engine.n0 = n;
+    budget = { conflicts = None; dips = None; wall_s = None; growth = 1.0 };
+    max_extra_depth = 0;
+    share = false;
+    base = Option.value config ~default:Sat_attack.default_config;
+  }
 
-let base_config = Cube_prep.base_config
-
-let strip_own_pool = Cube_prep.strip_own_pool
-
-let run_task = Cube_prep.run_task
-
-let cancelled_task = Cube_prep.cancelled_task
-
-let fatal = Cube_prep.fatal
-
-let prepare ?inputs ~n locked =
-  let split_inputs =
-    match inputs with
-    | Some a ->
-        if Array.length a < n then invalid_arg "Split_attack: not enough split inputs";
-        Array.sub a 0 n
-    | None -> Fanout.select locked ~n
+(* The engine returns cubes in canonical (path-lexicographic) order, in
+   which the first split input is the most significant pin; [Compose.build]
+   wants condition-integer order, in which it is the least significant. *)
+let of_engine (e : Cube_engine.t) =
+  let index (task : task) =
+    List.fold_right (fun (_, b) acc -> (2 * acc) + Bool.to_int b) task.condition 0
   in
-  let conditions = Cofactor.conditions ~split_inputs n in
-  Array.iter (fun c -> Progress.cube_created ~depth:(List.length c)) conditions;
-  (split_inputs, conditions)
+  let tasks = Array.map (fun (c : Cube_engine.cube) -> c.task) e.cubes in
+  Array.sort (fun a b -> compare (index a) (index b)) tasks;
+  {
+    split_inputs = e.seed_inputs;
+    tasks;
+    wall_time = e.wall_time;
+    domains_used = e.domains_used;
+  }
 
-let run ?config ?inputs ?(seed = 0) ~n locked ~oracle =
-  let split_inputs, conditions = prepare ?inputs ~n locked in
-  let aprep = Sat_attack.prepare locked in
-  let base = base_config config in
-  let seeds = task_seeds ~seed (Array.length conditions) in
-  let t0 = Timer.monotonic () in
-  Tel.with_span ~a0:n ~note:"serial" "split.run" (fun () ->
-      let tasks =
-        Array.mapi
-          (fun i cond ->
-            run_task ~index:i
-              ~config:{ base with Sat_attack.solver_seed = seeds.(i) }
-              ~prep:aprep ~oracle cond)
-          conditions
-      in
-      { split_inputs; tasks; wall_time = Timer.monotonic () -. t0; domains_used = 1 })
-
-let run_parallel_core ?config ?inputs ?num_domains ?pool ?(seed = 0)
-    ?(cancel_on_failure = false) ~n locked ~oracle =
-  let split_inputs, conditions = prepare ?inputs ~n locked in
-  let aprep = Sat_attack.prepare locked in
-  let num_tasks = Array.length conditions in
-  let base = base_config config in
-  let seeds = task_seeds ~seed num_tasks in
-  let t0 = Timer.monotonic () in
-  let own_pool, pool =
-    match pool with
-    | Some p -> (false, p)
-    | None ->
-        let d =
-          match num_domains with
-          | Some d -> d
-          | None -> Domain.recommended_domain_count ()
-        in
-        (true, Pool.create ~num_domains:(max 1 (min d num_tasks)) ())
-  in
-  let base = strip_own_pool base pool in
-  (* Shared abort flag for [cancel_on_failure]: set by the first fatal
-     sub-task, observed both by pending tasks (which then return a
-     cancelled placeholder without running the solver) and by running
-     attacks through their [interrupt] hook. *)
-  let abort = Atomic.make false in
-  let handles_ref = ref [||] in
-  (* config.log data-race fix: concurrent domains must not interleave
-     through the caller's callback.  Each task appends to its own
-     {!Tel.Log_buffer} slot (no two tasks share a slot, so no lock is
-     needed) and the lines are flushed through the real callback in task
-     order after the join. *)
-  let log_buffers = Tel.Log_buffer.create num_tasks in
-  let submit i cond =
-    Pool.submit pool (fun ctx ->
-        if Atomic.get abort || Pool.cancel_requested ctx then cancelled_task ~locked cond
-        else begin
-          let log =
-            match base.Sat_attack.log with
-            | None -> None
-            | Some _ -> Some (Tel.Log_buffer.slot log_buffers i)
-          in
-          let interrupt () =
-            Atomic.get abort
-            || Pool.cancel_requested ctx
-            || (match base.Sat_attack.interrupt with Some f -> f () | None -> false)
-          in
-          let config =
-            { base with
-              Sat_attack.log;
-              interrupt = Some interrupt;
-              solver_seed = seeds.(i)
-            }
-          in
-          let task = run_task ~index:i ~config ~prep:aprep ~oracle cond in
-          if cancel_on_failure && fatal task then begin
-            Atomic.set abort true;
-            Array.iter Pool.cancel !handles_ref
-          end;
-          task
-        end)
-  in
-  let handles = Array.mapi submit conditions in
-  handles_ref := handles;
-  let tasks =
-    Array.mapi
-      (fun i handle ->
-        match Pool.await handle with
-        | Pool.Done task -> task
-        | Pool.Cancelled -> cancelled_task ~locked conditions.(i)
-        | Pool.Failed e -> raise e)
-      handles
-  in
-  (match base.Sat_attack.log with
-  | None -> ()
-  | Some log -> Tel.Log_buffer.flush log_buffers log);
-  let domains_used = Pool.num_domains pool in
-  if own_pool then Pool.shutdown pool;
-  { split_inputs; tasks; wall_time = Timer.monotonic () -. t0; domains_used }
+let run ?config ?inputs ?seed ~n locked ~oracle =
+  of_engine (Cube_engine.run ~config:(preset ?config n) ?rank:inputs ?seed locked ~oracle)
 
 let run_parallel ?config ?inputs ?num_domains ?pool ?seed ?cancel_on_failure ~n locked
     ~oracle =
-  Tel.with_span ~a0:n ~note:"steal" "split.run" (fun () ->
-      run_parallel_core ?config ?inputs ?num_domains ?pool ?seed ?cancel_on_failure ~n
-        locked ~oracle)
-
-let run_parallel_static ?config ?inputs ?num_domains ?(seed = 0) ~n locked ~oracle =
-  let split_inputs, conditions = prepare ?inputs ~n locked in
-  let aprep = Sat_attack.prepare locked in
-  let num_tasks = Array.length conditions in
-  let base = base_config config in
-  let seeds = task_seeds ~seed num_tasks in
-  let domains =
-    let d =
-      match num_domains with
-      | Some d -> d
-      | None -> Domain.recommended_domain_count ()
-    in
-    max 1 (min d num_tasks)
-  in
-  let t0 = Timer.monotonic () in
-  Tel.with_span ~a0:n ~note:"static" "split.run" (fun () ->
-      let results = Array.make num_tasks None in
-      let log_buffers = Tel.Log_buffer.create num_tasks in
-      (* Static round-robin chunking: domain d owns tasks d, d+domains, ...
-         No stealing — the historic scheduler, kept as the benchmark baseline
-         for the work-stealing pool.  Logs are buffered per task (same race
-         fix as the pooled runner). *)
-      let worker d () =
-        let rec go i =
-          if i < num_tasks then begin
-            let log =
-              match base.Sat_attack.log with
-              | None -> None
-              | Some _ -> Some (Tel.Log_buffer.slot log_buffers i)
-            in
-            results.(i) <-
-              Some
-                (run_task ~index:i
-                   ~config:{ base with Sat_attack.log; solver_seed = seeds.(i) }
-                   ~prep:aprep ~oracle conditions.(i));
-            go (i + domains)
-          end
-        in
-        go d
-      in
-      let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
-      Array.iter Domain.join handles;
-      (match base.Sat_attack.log with
-      | None -> ()
-      | Some log -> Tel.Log_buffer.flush log_buffers log);
-      let tasks =
-        Array.map (function Some t -> t | None -> assert false) results
-      in
-      { split_inputs; tasks; wall_time = Timer.monotonic () -. t0; domains_used = domains })
+  of_engine
+    (Cube_engine.run_parallel ~config:(preset ?config n) ?rank:inputs ?num_domains ?pool
+       ?seed ?cancel_on_failure locked ~oracle)

@@ -7,12 +7,15 @@
     full design — collectively unlock it through the key-selecting MUX of
     Fig. 1(b) (see {!Compose}).
 
-    Tasks are independent; {!run} executes them sequentially,
-    {!run_parallel} schedules them on a work-stealing domain pool
-    ({!Ll_runtime.Pool}, the paper's 16-core scenario).  Both derive one
-    solver seed per sub-task from a {!Ll_util.Prng.split} stream in task
-    order, so the serial and every parallel run return byte-identical
-    per-task results regardless of domain count or stealing. *)
+    This module is a preset of the cube engine behind {!Cube_attack}: one
+    run with [n0 = n], every budget off and [max_extra_depth = 0], so
+    each cofactor runs to completion.  {!run} executes the cofactors
+    sequentially, {!run_parallel} schedules them on a domain pool
+    ({!Ll_runtime.Pool}, the paper's 16-core scenario).  A cofactor's
+    solver seed is {!Cube_prep.cube_seed} of its pin path, so the serial
+    and every parallel run return byte-identical per-task results
+    regardless of domain count or stealing — and the same results as a
+    budgets-off {!Cube_attack} run at [n0 = n]. *)
 
 type task = Cube_prep.task = {
   condition : (int * bool) list;  (** pinned input positions and values *)
@@ -61,10 +64,12 @@ val run :
   oracle:Oracle.t ->
   t
 (** [run ~n locked ~oracle] — [inputs] overrides the fan-out-cone selection
-    of split inputs ({!Fanout.select}).  [n = 0] degenerates to the plain
-    SAT attack as a single task.  [seed] (default 0) is the root of the
-    per-task solver-seed stream; [config.solver_seed] is superseded by the
-    derived per-task seeds. *)
+    of split inputs ({!Fanout.select}); its first [n] entries are used.
+    [n = 0] degenerates to the plain SAT attack as a single task.  [seed]
+    (default 0) is the root of the per-cofactor solver seeds.  As in
+    {!Cube_attack.config}, [config.solver_seed], [stop], [share_out],
+    [share_in] and [log] are managed per cofactor.  Raises
+    [Invalid_argument] unless [0 <= n <= num_inputs]. *)
 
 val run_parallel :
   ?config:Sat_attack.config ->
@@ -94,23 +99,10 @@ val run_parallel :
     {e which} tasks get cancelled depends on scheduling; leave the flag
     off when reproducible per-task results matter.
 
-    Per-iteration [config.log] lines are buffered per task and flushed in
-    task order after the join, so concurrent domains never interleave
-    through the caller's callback. *)
-
-val run_parallel_static :
-  ?config:Sat_attack.config ->
-  ?inputs:int array ->
-  ?num_domains:int ->
-  ?seed:int ->
-  n:int ->
-  Ll_netlist.Circuit.t ->
-  oracle:Oracle.t ->
-  t
-(** The pre-pool scheduler: static round-robin chunking with one freshly
-    spawned domain per chunk and no stealing.  Wall time degenerates to
-    the unluckiest chunk; kept as the measured baseline for
-    [BENCH_split.json] and the scheduler ablation. *)
+    Per-iteration [config.log] lines are buffered per task and flushed
+    task by task, in the engine's canonical cube order, after the join,
+    so concurrent domains never interleave through the caller's
+    callback. *)
 
 val recommended_effort : ?cores:int -> Ll_netlist.Circuit.t -> int
 (** The paper's "adjust N to the computational resources": the largest [n]

@@ -13,6 +13,14 @@ module Cube_attack = LL.Attack.Cube_attack
 module Compose = LL.Attack.Compose
 module Equiv = LL.Attack.Equiv
 
+let status_name (r : Sat_attack.result) =
+  match r.Sat_attack.status with
+  | Sat_attack.Broken -> "broken"
+  | Sat_attack.Iteration_limit -> "iter"
+  | Sat_attack.Time_limit -> "time"
+  | Sat_attack.Cancelled -> "cancelled"
+  | Sat_attack.Stopped -> "stopped"
+
 (* One line per cube in canonical tree order:
    condition|status|#DIP|#imported|resplit-input. *)
 let fingerprint (t : Cube_attack.t) =
@@ -21,13 +29,7 @@ let fingerprint (t : Cube_attack.t) =
          let r = c.task.Cube_prep.result in
          Printf.sprintf "%s|%s|%d|%d|%s"
            (Cube_prep.condition_string c.task.condition)
-           (match r.Sat_attack.status with
-           | Sat_attack.Broken -> "broken"
-           | Sat_attack.Iteration_limit -> "iter"
-           | Sat_attack.Time_limit -> "time"
-           | Sat_attack.Cancelled -> "cancelled"
-           | Sat_attack.Stopped -> "stopped")
-           r.Sat_attack.num_dips r.Sat_attack.imported
+           (status_name r) r.Sat_attack.num_dips r.Sat_attack.imported
            (match c.resplit_input with Some i -> string_of_int i | None -> "-"))
   |> String.concat ";"
 
@@ -165,38 +167,65 @@ let test_parallel_log_canonical_order () =
   Alcotest.(check bool) "something was logged" true (serial <> []);
   Alcotest.(check (list string)) "identical log streams" serial par
 
+(* One line per cofactor, sorted by condition: condition|status|key|DIP
+   sequence. *)
+let cofactor_lines (tasks : Cube_prep.task list) =
+  List.map
+    (fun (t : Cube_prep.task) ->
+      let r = t.result in
+      Printf.sprintf "%s|%s|%s|%s"
+        (Cube_prep.condition_string t.condition)
+        (status_name r)
+        (match r.Sat_attack.key with Some k -> Bitvec.to_string k | None -> "-")
+        (r.Sat_attack.dips |> List.map Bitvec.to_string |> String.concat ","))
+    tasks
+  |> List.sort compare
+
 let test_no_budget_matches_split_attack () =
-  (* With every budget criterion off the engine degenerates to the fixed
-     2^n0 split: same cofactors, same per-cube DIP counts as
-     Split_attack at the same n (both pin the top fan-out-ranked
-     inputs). *)
-  let c = random_circuit ~seed:152 ~num_inputs:8 () in
-  let locked = (LL.Locking.Sarlock.lock ~key_size:5 c).circuit in
-  let oracle = Oracle.of_circuit c in
+  (* With every budget off the engine is Algorithm 1 (Split_attack is its
+     budgets-off preset), so a fixed split at N and a budgets-off run at
+     n0 = N must agree byte for byte per cofactor: DIP sequences, keys and
+     statuses, serial and pooled.  XOR and LUT locks are used because
+     their DIP sequences depend on the solver seed, so a difference in how
+     the two paths seed their cofactors shows here — sorted #DIP counts
+     on SARLock could not tell. *)
+  let n = 2 in
   let config =
     {
       Cube_attack.default_config with
-      n0 = 2;
+      n0 = n;
       budget =
         { Cube_attack.default_budget with conflicts = None; dips = None };
     }
   in
-  let t = Cube_attack.run ~config locked ~oracle in
-  Alcotest.(check int) "no resplits" 0 (Cube_attack.resplits t);
-  Alcotest.(check int) "2^n0 leaves" 4 (Array.length (Cube_attack.leaves t));
-  let s = Split_attack.run ~n:2 locked ~oracle in
-  let split_dips =
-    Array.map (fun t -> t.Split_attack.result.Sat_attack.num_dips) s.tasks
+  let fixture ~seed ~num_inputs ~gates lock =
+    let c = random_circuit ~seed ~num_inputs ~num_outputs:3 ~gates () in
+    (lock c, Oracle.of_circuit c)
   in
-  let cube_dips =
-    Array.map
-      (fun (c : Cube_attack.cube) ->
-        c.task.Cube_prep.result.Sat_attack.num_dips)
-      (Cube_attack.leaves t)
-  in
-  Array.sort compare split_dips;
-  Array.sort compare cube_dips;
-  Alcotest.(check (array int)) "same per-cofactor #DIP" split_dips cube_dips
+  List.iter
+    (fun (name, (locked, oracle)) ->
+      let split (s : Split_attack.t) = cofactor_lines (Array.to_list s.tasks) in
+      let cube (t : Cube_attack.t) =
+        Alcotest.(check int) (name ^ ": no resplits") 0 (Cube_attack.resplits t);
+        cofactor_lines
+          (Array.to_list (Array.map (fun (c : Cube_attack.cube) -> c.task) t.cubes))
+      in
+      let serial = split (Split_attack.run ~n locked ~oracle) in
+      let pooled = split (Split_attack.run_parallel ~num_domains:2 ~n locked ~oracle) in
+      Alcotest.(check int) (name ^ ": 2^n cofactors") (1 lsl n) (List.length serial);
+      Alcotest.(check (list string)) (name ^ ": serial") serial
+        (cube (Cube_attack.run ~config locked ~oracle));
+      Alcotest.(check (list string)) (name ^ ": pooled") pooled
+        (cube (Cube_attack.run_parallel ~config ~num_domains:2 locked ~oracle));
+      Alcotest.(check (list string)) (name ^ ": pooled == serial") serial pooled)
+    [
+      ( "xor",
+        fixture ~seed:153 ~num_inputs:10 ~gates:80 (fun c ->
+            (LL.Locking.Xor_lock.lock ~prng:(Prng.create 5) ~num_keys:16 c).circuit) );
+      ( "lut",
+        fixture ~seed:124 ~num_inputs:8 ~gates:60 (fun c ->
+            (LL.Locking.Lut_lock.lock ~stage1_luts:2 ~stage1_inputs:3 c).circuit) );
+    ]
 
 let test_share_off_still_correct () =
   let c, locked, oracle = sarlock_fixture () in
@@ -338,9 +367,13 @@ let test_shared_pool_reuse () =
 let test_invalid_configs_rejected () =
   let _, locked, oracle = sarlock_fixture () in
   let run config = ignore (Cube_attack.run ~config locked ~oracle) in
-  Alcotest.check_raises "n0 too large"
-    (Invalid_argument "Cube_attack: n0 must be in [0, 6]") (fun () ->
-      run { Cube_attack.default_config with n0 = 7 });
+  Alcotest.check_raises "n0 above the input count"
+    (Invalid_argument "Cube_attack: n0 must be in [0, num_inputs]") (fun () ->
+      run
+        {
+          Cube_attack.default_config with
+          n0 = LL.Netlist.Circuit.num_inputs locked + 1;
+        });
   Alcotest.check_raises "growth below 1"
     (Invalid_argument "Cube_attack: budget growth must be >= 1.0") (fun () ->
       run

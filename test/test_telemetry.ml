@@ -344,7 +344,7 @@ let test_split_trace_structure () =
   | Ok r -> Alcotest.(check bool) "nested spans" true (r.Trace_check.max_depth >= 2));
   let spans = Tel.spans snap in
   let count name = List.length (List.filter (fun s -> s.Tel.sp_name = name) spans) in
-  Alcotest.(check int) "one split.run span" 1 (count "split.run");
+  Alcotest.(check int) "one cube.run span" 1 (count "cube.run");
   Alcotest.(check int) "one split.task span per cofactor" 2 (count "split.task");
   Alcotest.(check bool) "attack.dip spans present" true (count "attack.dip" > 0);
   (* Each split.task span carries its fixed-input pattern as note. *)
