@@ -95,8 +95,9 @@ let dip_trajectories snap (tasks : Split_attack.task array) =
   let task_spans = List.filter (fun s -> s.Tel.sp_name = "split.task") spans in
   let dip_spans = List.filter (fun s -> s.Tel.sp_name = "attack.dip") spans in
   let index =
-    Array.to_list
-      (Array.mapi (fun i (t : Split_attack.task) -> (LL.Attack.Cube_prep.condition_string t.condition, i)) tasks)
+    List.mapi
+      (fun i (t : Split_attack.task) -> (LL.Attack.Cube_prep.condition_string t.condition, i))
+      (Array.to_list tasks)
   in
   let traj = Array.make (Array.length tasks) [||] in
   List.iter

@@ -323,49 +323,50 @@ let run_parallel ?(config = default_config) ?rank ?num_domains ?pool ?(seed = 0)
   let sh =
     { sh with sh_cfg = { config with base = Cube_prep.strip_own_pool config.base pool } }
   in
-  (* Cubes spawn their children from inside pool workers (submit never
-     blocks), so completion is tracked by an outstanding-cube counter
-     instead of handles: the caller sleeps on a condition variable until
-     the tree drains.  Workers never await anything — no pool
-     starvation. *)
+  (* Cubes submit their children from inside pool workers (submit never
+     blocks; workers never await, so no pool starvation) and list every
+     handle.  A cube submits its children before it finishes, so once all
+     handles listed so far have finished, any new ones are listed too:
+     the caller awaits batches until none is left.  Awaiting handles,
+     rather than counting finished cubes, also means every task is
+     settled in the pool's books when the call returns. *)
   let lock = Mutex.create () in
-  let drained = Condition.create () in
-  let outstanding = ref 0 in
-  let nodes = ref [] in
-  let first_exn = ref None in
+  let handles = ref [] in
   let rec submit_cube condition banks priority =
     Progress.cube_created ~depth:(List.length condition);
+    let handle =
+      Pool.submit ~priority pool (fun _ctx ->
+          let node, resplit = attack_cube sh ~condition ~banks ~priority in
+          (match resplit with
+          | None -> ()
+          | Some (input, child_banks, prio) ->
+              submit_cube (condition @ [ (input, false) ]) child_banks prio;
+              submit_cube (condition @ [ (input, true) ]) child_banks prio);
+          node)
+    in
     Mutex.lock lock;
-    incr outstanding;
-    Mutex.unlock lock;
-    ignore
-      (Pool.submit ~priority pool (fun _ctx ->
-           (try
-              let node, resplit = attack_cube sh ~condition ~banks ~priority in
-              (match resplit with
-              | None -> ()
-              | Some (input, child_banks, prio) ->
-                  submit_cube (condition @ [ (input, false) ]) child_banks prio;
-                  submit_cube (condition @ [ (input, true) ]) child_banks prio);
-              Mutex.lock lock;
-              nodes := node :: !nodes;
-              Mutex.unlock lock
-            with e ->
-              Mutex.lock lock;
-              if !first_exn = None then first_exn := Some e;
-              Mutex.unlock lock);
-           Mutex.lock lock;
-           decr outstanding;
-           if !outstanding = 0 then Condition.broadcast drained;
-           Mutex.unlock lock))
+    handles := handle :: !handles;
+    Mutex.unlock lock
   in
   Array.iter (fun cond -> submit_cube cond [] 0) (seed_conditions sh);
-  Mutex.lock lock;
-  while !outstanding > 0 do
-    Condition.wait drained lock
-  done;
-  Mutex.unlock lock;
+  let rec drain outcomes =
+    Mutex.lock lock;
+    let batch = !handles in
+    handles := [];
+    Mutex.unlock lock;
+    match batch with
+    | [] -> outcomes
+    | _ -> drain (List.rev_append (List.map Pool.await batch) outcomes)
+  in
+  let outcomes = drain [] in
   let domains_used = Pool.num_domains pool in
   if own_pool then Pool.shutdown pool;
-  (match !first_exn with Some e -> raise e | None -> ());
-  finish sh ~nodes:!nodes ~t0 ~domains_used
+  let nodes =
+    List.filter_map
+      (function
+        | Pool.Done node -> Some node
+        | Pool.Failed e -> raise e
+        | Pool.Cancelled -> None (* handles are never cancelled *))
+      outcomes
+  in
+  finish sh ~nodes ~t0 ~domains_used
