@@ -67,7 +67,8 @@ type config = {
   budget : budget;
   max_extra_depth : int;
       (** hard depth cap at [n0 + max_extra_depth] (clamped to leave one
-          free input): cubes at the cap run with no budget *)
+          free input, but never below [n0]): cubes at the cap run with
+          no budget *)
   share : bool;  (** cross-cofactor clause sharing (default on) *)
   base : Sat_attack.config;
       (** per-cube attack configuration.  [solver_seed], [stop],

@@ -285,19 +285,25 @@ let run ?(config = default_config) ?rank ?(seed = 0) locked ~oracle =
   let t0 = Timer.monotonic () in
   Tel.with_span ~a0:config.n0 ~note:"serial" "cube.run" (fun () ->
       let nodes = ref [] in
-      (* Depth-first worklist; order is irrelevant to the results (each
-         cube's seed, budget and banks depend only on its path). *)
-      let rec process (condition, banks, priority) =
-        Progress.cube_created ~depth:(List.length condition);
-        let node, resplit = attack_cube sh ~condition ~banks ~priority in
-        nodes := node :: !nodes;
-        match resplit with
-        | None -> ()
-        | Some (input, child_banks, prio) ->
-            process (condition @ [ (input, false) ], child_banks, prio);
-            process (condition @ [ (input, true) ], child_banks, prio)
+      (* Depth-first; order is irrelevant to the results (each cube's
+         seed, budget and banks depend only on its path).  Siblings are
+         announced to [Progress] together, so live coverage never reads
+         a region as done before its siblings exist. *)
+      let rec process conditions banks priority =
+        List.iter (fun c -> Progress.cube_created ~depth:(List.length c)) conditions;
+        List.iter
+          (fun condition ->
+            let node, resplit = attack_cube sh ~condition ~banks ~priority in
+            nodes := node :: !nodes;
+            match resplit with
+            | None -> ()
+            | Some (input, child_banks, prio) ->
+                process
+                  [ condition @ [ (input, false) ]; condition @ [ (input, true) ] ]
+                  child_banks prio)
+          conditions
       in
-      Array.iter (fun cond -> process (cond, [], 0)) (seed_conditions sh);
+      process (Array.to_list (seed_conditions sh)) [] 0;
       finish sh ~nodes:!nodes ~t0 ~domains_used:1)
 
 (* [cancel_on_failure] (internal, for the {!Split_attack} preset): once a
