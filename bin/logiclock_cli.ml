@@ -9,15 +9,38 @@ open Cmdliner
 
 (* --- shared helpers --- *)
 
+(* Bad input ends the command with one [error:] line and exit code 2. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 2)
+    fmt
+
 (* A design argument is either a bench-suite name (c17..c7552) or a .bench
    file path. *)
 let load_design spec =
-  if Sys.file_exists spec then Bench_io.parse_file spec
+  if Sys.file_exists spec then
+    try Bench_io.parse_file spec with
+    | Bench_io.Parse_error { line; message } -> fail "%s:%d: %s" spec line message
+    | Circuit.Ill_formed message -> fail "%s: %s" spec message
+    | Sys_error message -> fail "%s: %s" spec message
   else
     try LL.Bench_suite.Iscas.get spec
-    with Not_found ->
-      Printf.eprintf "error: %s is neither a file nor a known benchmark\n" spec;
-      exit 2
+    with Not_found -> fail "%s is neither a file nor a known benchmark" spec
+
+let bits_arg flag s =
+  try Bitvec.of_string s with Invalid_argument _ -> fail "%s %S is not a 0/1 string" flag s
+
+(* [a] and [b] must agree on their primary inputs and outputs. *)
+let check_signature ~what (name_a, a) (name_b, b) =
+  let ni = Circuit.num_inputs and no = Circuit.num_outputs in
+  if ni a <> ni b || no a <> no b then
+    fail "%s: %s has %d inputs and %d outputs, %s has %d and %d" what name_a (ni a) (no a)
+      name_b (ni b) (no b)
+
+let check_key_free ~what (name, c) =
+  if Circuit.num_keys c > 0 then fail "%s: %s has %d key inputs" what name (Circuit.num_keys c)
 
 let design_arg ~doc position =
   Arg.(required & pos position (some string) None & info [] ~docv:"DESIGN" ~doc)
@@ -183,9 +206,17 @@ let ec_cmd =
     let a =
       match key with
       | None -> a
-      | Some k -> LL.Netlist.Instantiate.bind_keys a (Bitvec.of_string k)
+      | Some k ->
+          let k = bits_arg "--key" k in
+          if Bitvec.length k <> Circuit.num_keys a then
+            fail "--key has %d bits, %s has %d key inputs" (Bitvec.length k) spec_a
+              (Circuit.num_keys a);
+          LL.Netlist.Instantiate.bind_keys a k
     in
     let b = load_design spec_b in
+    check_key_free ~what:"ec" (spec_a, a);
+    check_key_free ~what:"ec" (spec_b, b);
+    check_signature ~what:"ec" (spec_a, a) (spec_b, b);
     match LL.Attack.Equiv.check a b with
     | LL.Attack.Equiv.Equivalent ->
         Printf.printf "EQUIVALENT\n";
@@ -234,12 +265,12 @@ let attack_cmd =
       ring_size interval =
     let locked = load_design locked_spec in
     let original = load_design oracle_spec in
+    if Circuit.num_keys locked = 0 then fail "attack: %s has no key inputs" locked_spec;
+    check_key_free ~what:"attack" ("oracle " ^ oracle_spec, original);
+    check_signature ~what:"attack" (locked_spec, locked) (oracle_spec, original);
     let num_inputs = Circuit.num_inputs locked in
-    if n < 0 || n > num_inputs then begin
-      Printf.eprintf "error: --split %d out of range: %s has %d inputs\n" n locked_spec
-        num_inputs;
-      exit 2
-    end;
+    if n < 0 || n > num_inputs then
+      fail "--split %d out of range: %s has %d inputs" n locked_spec num_inputs;
     let oracle = LL.Attack.Oracle.of_circuit original in
     let config =
       { LL.Attack.Sat_attack.default_config with max_iterations = max_iters }
@@ -308,6 +339,9 @@ let attack_cmd =
         if metrics then print_string (LL.Telemetry.Export.summary snap)
       end
     in
+    let check a b =
+      LL.Telemetry.Telemetry.with_span "equiv.check" (fun () -> LL.Attack.Equiv.check a b)
+    in
     if n = 0 then begin
       let r = LL.Attack.Sat_attack.run ~config locked ~oracle in
       Printf.printf "status : %s\n"
@@ -323,7 +357,7 @@ let attack_cmd =
       | Some k -> (
           Printf.printf "key    : %s\n" (Bitvec.to_string k);
           match
-            LL.Attack.Equiv.check original (LL.Netlist.Instantiate.bind_keys locked k)
+            check original (LL.Netlist.Instantiate.bind_keys locked k)
           with
           | LL.Attack.Equiv.Equivalent -> Printf.printf "verify : functionally correct\n"
           | LL.Attack.Equiv.Counterexample _ -> Printf.printf "verify : WRONG key\n")
@@ -349,19 +383,25 @@ let attack_cmd =
         (LL.Attack.Split_attack.mean_task_time s)
         (LL.Attack.Split_attack.max_task_time s)
         s.wall_time;
+      let code =
+        match
+          LL.Telemetry.Telemetry.with_span "compose.build" (fun () ->
+              LL.Attack.Compose.of_attack locked s)
+        with
+        | None ->
+            Printf.printf "result : some task failed\n";
+            1
+        | Some composed -> (
+            match check original composed with
+            | LL.Attack.Equiv.Equivalent ->
+                Printf.printf "result : multi-key composition EQUIVALENT — design broken\n";
+                0
+            | LL.Attack.Equiv.Counterexample _ ->
+                Printf.printf "result : composition mismatch\n";
+                1)
+      in
       finish_telemetry ();
-      match LL.Attack.Compose.of_attack locked s with
-      | None ->
-          Printf.printf "result : some task failed\n";
-          1
-      | Some composed -> (
-          match LL.Attack.Equiv.check original composed with
-          | LL.Attack.Equiv.Equivalent ->
-              Printf.printf "result : multi-key composition EQUIVALENT — design broken\n";
-              0
-          | LL.Attack.Equiv.Counterexample _ ->
-              Printf.printf "result : composition mismatch\n";
-              1)
+      code
     end
   in
   let n =
