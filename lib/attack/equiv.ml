@@ -16,10 +16,12 @@ let m_refuted = Tel.Metric.counter "equiv.refuted"
 let m_solves = Tel.Metric.counter "equiv.solves"
 
 (* Conflicts the plain output miter may spend before the sweep takes
-   over.  Miters whose two encodings already share most of their logic
-   close well below it (the point-function compositions of c5315 and the
-   unoptimised cube compositions of c3540 need at most ~800); the ones
-   that need sweeping run to thousands (c880/xor16, c7552/SARLock). *)
+   over.  Miters whose two encodings share most of their logic close far
+   below it — the unoptimised c3540 cube compositions, whose cube copies
+   the encoder maps onto the original, need 20-40 conflicts, and
+   sweeping those 50k-gate formulas costs several times more.  Optimised
+   compositions need from ~350 (c5315/SARLock) to ~21k (c7552/SARLock)
+   conflicts and sweep faster. *)
 let miter_budget = 200
 
 (* Conflict cap of each of the two solves of one node-pair proof.  A pair

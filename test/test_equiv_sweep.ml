@@ -9,7 +9,6 @@ module Cube_attack = LL.Attack.Cube_attack
 module Compose = LL.Attack.Compose
 module Solver = LL.Sat.Solver
 module Tseitin = LL.Sat.Tseitin
-module Lit = LL.Sat.Lit
 module Tel = LL.Telemetry.Telemetry
 
 (* The plain miter: both circuits in one solver, one unbounded solve.
@@ -54,8 +53,9 @@ let agree name a b =
    output computed in complement and negated again. *)
 let rewrite c =
   let b = Builder.create ~name:(c.Circuit.name ^ "_rw") () in
-  let sig_ = Array.make (Circuit.num_nodes c) (Builder.const b false) in
-  Array.iter (fun j -> sig_.(j) <- Builder.input b (Circuit.node_name c j)) c.Circuit.inputs;
+  let inputs = Array.map (fun j -> Builder.input b (Circuit.node_name c j)) c.Circuit.inputs in
+  let sig_ = Array.make (Circuit.num_nodes c) inputs.(0) in
+  Array.iteri (fun k j -> sig_.(j) <- inputs.(k)) c.Circuit.inputs;
   let nand x y = Builder.nand2 b x y in
   let not_ x = nand x x in
   let xor x y =
@@ -63,7 +63,7 @@ let rewrite c =
     nand (nand x n) (nand y n)
   in
   let and_all xs = not_ (Builder.or_reduce b (Array.map not_ xs)) in
-  let or_all xs = Builder.gate b LL.Netlist.Gate.Nand (Array.map not_ xs) in
+  let or_all xs = Builder.gate b Gate.Nand (Array.map not_ xs) in
   Array.iteri
     (fun i nd ->
       match nd with
