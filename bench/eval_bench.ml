@@ -49,12 +49,11 @@ type record = {
 let records : record list ref = ref []
 
 let timed f =
-  let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   f ();
   let wall = Timer.monotonic () -. t0 in
-  let g1 = Gc.quick_stat () in
-  (wall, g1.Gc.minor_words -. g0.Gc.minor_words)
+  (wall, Gc.minor_words () -. m0)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation throughput                                               *)
@@ -216,7 +215,7 @@ let batched_constraint_generation ~dips locked =
 (* ------------------------------------------------------------------ *)
 
 let bench ~name ~reps ~dips locked =
-  let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let interp_ps, scalar_ps, packed_ps = sim_throughput ~reps locked in
   let rebuild_dps, kernel_dps, rebuild_wpd, kernel_wpd =
@@ -224,7 +223,7 @@ let bench ~name ~reps ~dips locked =
   in
   let batch_dps = batched_constraint_generation ~dips locked in
   let bench_wall = Timer.monotonic () -. t0 in
-  let g1 = Gc.quick_stat () in
+  let m1 = Gc.minor_words () in
   let last = Array.length batch_dps - 1 in
   let r =
     {
@@ -248,7 +247,7 @@ let bench ~name ~reps ~dips locked =
         (if batch_dps.(0) > 0.0 then batch_dps.(last) /. batch_dps.(0) else 0.0);
       gc_json =
         Bench_gc.json_fields
-          ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
+          ~minor_words:(m1 -. m0)
           ~wall_s:bench_wall;
     }
   in

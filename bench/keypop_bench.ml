@@ -141,7 +141,7 @@ let float_counts_equal exact sim =
   && Array.for_all2 (fun e s -> e = float_of_int s) exact sim
 
 let cell ~circuit_name ~scheme ~original ~locked ~n =
-  let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let fixed_inputs = Fanout.select locked ~n in
   let wall_sift, kp =
     timed (fun () ->
@@ -186,7 +186,7 @@ let cell ~circuit_name ~scheme ~original ~locked ~n =
   end;
   let cmin = Array.fold_left min infinity kp.Exact.counts in
   let cmax = Array.fold_left max 0.0 kp.Exact.counts in
-  let g1 = Gc.quick_stat () in
+  let m1 = Gc.minor_words () in
   let wall_total = wall_sift +. wall_fixed +. sim_wall in
   let r =
     {
@@ -210,7 +210,7 @@ let cell ~circuit_name ~scheme ~original ~locked ~n =
       sim_wall_s = sim_wall;
       gc_json =
         Bench_gc.json_fields
-          ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
+          ~minor_words:(m1 -. m0)
           ~wall_s:wall_total;
     }
   in

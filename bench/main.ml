@@ -131,21 +131,22 @@ let json_int_array a =
   "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int a)) ^ "]"
 
 let split_sched_bench ~section ~name ~n locked ~oracle =
-  (* Each run also reports its [Gc.quick_stat] allocation delta (words
-     allocated by this domain), so scheduler and solver changes show their
+  (* Each run also reports its allocation delta (minor words allocated by
+     this domain, exact from [Gc.minor_words]; major words from
+     [Gc.quick_stat]), so scheduler and solver changes show their
      allocation cost next to their wall time.  The two timed runs are
      untraced — they are the numbers the <2% disabled-overhead criterion
      is judged on; a third, traced stealing run supplies the solver
      counters and per-iteration trajectories. *)
   let time f =
-    let g0 = Gc.quick_stat () in
+    let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
     let t0 = Timer.monotonic () in
     let r = f () in
     let wall = Timer.monotonic () -. t0 in
-    let g1 = Gc.quick_stat () in
+    let g1 = Gc.quick_stat () and m1 = Gc.minor_words () in
     ( r,
       wall,
-      g1.Gc.minor_words -. g0.Gc.minor_words,
+      m1 -. m0,
       g1.Gc.major_words -. g0.Gc.major_words )
   in
   let domains = 4 in

@@ -12,9 +12,10 @@
      instances), solved once.
 
    Every record reports wall time, propagations/sec, conflicts/sec and
-   [Gc.quick_stat] deltas (minor/major/promoted words), so data-layout
-   changes in the solver show up as allocation-per-conflict movements that
-   are tracked across PRs.  All instances are seed-fixed: numbers are
+   allocation deltas (exact [Gc.minor_words] on this domain, major and
+   promoted words from [Gc.quick_stat]), so data-layout changes in the
+   solver show up as allocation-per-conflict movements that are tracked
+   across PRs.  All instances are seed-fixed: numbers are
    comparable between runs and machines up to clock speed. *)
 
 module LL = Logiclock
@@ -78,11 +79,11 @@ let tracked_solve per_round solver =
    in the record all come out of the closing snapshot. *)
 let measure ~name ~kind f =
   Tel.enable ();
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let solver, result, per_round = f () in
   let wall = Timer.monotonic () -. t0 in
-  let g1 = Gc.quick_stat () in
+  let g1 = Gc.quick_stat () and m1 = Gc.minor_words () in
   let snap = Tel.snapshot () in
   Tel.disable ();
   let counter n = Option.value ~default:0 (List.assoc_opt n snap.Tel.counters) in
@@ -115,7 +116,7 @@ let measure ~name ~kind f =
         (match List.assoc_opt "sat.arena_words" snap.Tel.gauges with
         | Some w -> int_of_float w
         | None -> st.Solver.arena_words);
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      minor_words = m1 -. m0;
       major_words = g1.Gc.major_words -. g0.Gc.major_words;
       promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
       round_s;
@@ -126,10 +127,7 @@ let measure ~name ~kind f =
       simp_eliminated_vars = st.Solver.simp_eliminated_vars;
       simp_vivified = st.Solver.simp_vivified;
       lbd_mean;
-      gc_json =
-        Bench_gc.json_fields
-          ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
-          ~wall_s:wall;
+      gc_json = Bench_gc.json_fields ~minor_words:(m1 -. m0) ~wall_s:wall;
     }
   in
   records := r :: !records;
@@ -348,13 +346,13 @@ let simp_miter_run ~rounds ~simp locked =
     } )
 
 let simp_compare ~name ~rounds locked =
-  let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let _, off = simp_miter_run ~rounds ~simp:false locked in
   let on_solver, on = simp_miter_run ~rounds ~simp:true locked in
-  let g1 = Gc.quick_stat () in
+  let m1 = Gc.minor_words () in
   let gc_json =
     Bench_gc.json_fields
-      ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
+      ~minor_words:(m1 -. m0)
       ~wall_s:(off.ss_wall +. on.ss_wall)
   in
   let st = Solver.stats on_solver in
@@ -438,13 +436,13 @@ let simp_attack_compare ~name locked ~oracle =
     let r = Sat_attack.run ~config locked ~oracle in
     (Timer.monotonic () -. t0, r)
   in
-  let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let off_w, off = run false in
   let on_w, on = run true in
-  let g1 = Gc.quick_stat () in
+  let m1 = Gc.minor_words () in
   let gc_json =
     Bench_gc.json_fields
-      ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
+      ~minor_words:(m1 -. m0)
       ~wall_s:(off_w +. on_w)
   in
   let rate w n = if w > 0.0 then float_of_int n /. w else 0.0 in
@@ -569,9 +567,9 @@ let dip_batch_sweep ~name locked ~oracle =
     let r = Sat_attack.run ~config locked ~oracle in
     (Timer.monotonic () -. t0, r)
   in
-  let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let runs = Array.map attack dip_batch_qs in
-  let g1 = Gc.quick_stat () in
+  let m1 = Gc.minor_words () in
   let rate w n = if w > 0.0 then float_of_int n /. w else 0.0 in
   let wall = Array.map fst runs in
   let dips = Array.map (fun (_, r) -> r.Sat_attack.num_dips) runs in
@@ -618,7 +616,7 @@ let dip_batch_sweep ~name locked ~oracle =
       name (ints dip_batch_qs) (floats "%.6f" wall) (ints dips) (ints rounds)
       (floats "%.2f" dips_s) (floats "%.3f" speedup) keys_match
       (Bench_gc.json_fields
-         ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
+         ~minor_words:(m1 -. m0)
          ~wall_s:(Array.fold_left ( +. ) 0.0 (Array.map fst runs)))
   in
   dip_batch_records := record :: !dip_batch_records
