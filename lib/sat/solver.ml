@@ -45,6 +45,8 @@ let m_simp_vivified = Tel.Metric.counter "sat.simp.vivified"
 
 let m_imported = Tel.Metric.counter "sat.imported_clauses"
 
+let m_model_extensions = Tel.Metric.counter "sat.model_extensions"
+
 let g_arena_words = Tel.Metric.gauge "sat.arena_words"
 
 let h_lbd =
@@ -58,6 +60,12 @@ let h_conflicts_per_solve =
     "sat.conflicts_per_solve"
 
 type result = Sat | Unsat
+
+(* State of the current model's extension over eliminated variables: it is
+   computed on the first [value] query that needs it ([Pending] ->
+   [Extended]), and any mutation that cancels the model drops it
+   ([No_model]) without touching [ext_model]. *)
+type extension = No_model | Pending | Extended
 
 type stats = {
   conflicts : int;
@@ -120,6 +128,7 @@ type t = {
   mutable frozen : bool array;
   mutable eliminated : bool array;
   mutable ext_model : int array;  (* extension values for eliminated vars *)
+  mutable extension : extension;
   mutable n_eliminated : int;
   mutable clause_cursor : int;  (* clauses-vector prefix seen by the last session *)
   mutable last_trail_simp : int;  (* root trail size at the last session *)
@@ -170,6 +179,7 @@ let create ?(seed = 0) ?(simp = true) () =
       frozen = Array.make 64 false;
       eliminated = Array.make 64 false;
       ext_model = Array.make 64 (-1);
+      extension = No_model;
       n_eliminated = 0;
       clause_cursor = 0;
       last_trail_simp = 0;
@@ -686,6 +696,7 @@ let reduce_db s =
    variable may appear in later clauses — survives inprocessing.
    Freezing remains worthwhile: it avoids the restore churn entirely. *)
 let rec add_clause_core s lits =
+  s.extension <- No_model;
   if not s.ok then no_cref
   else begin
     (* Incremental use: callers add clauses right after a Sat answer, while
@@ -729,6 +740,7 @@ let rec add_clause_core s lits =
   end
 
 and restore_var s v =
+  s.extension <- No_model;
   Simp.restore s.simp ~var:v
     ~unelim:(fun u ->
       if s.eliminated.(u) then begin
@@ -1066,16 +1078,18 @@ let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
 
 (* Complete a Sat model over eliminated variables by replaying the
    eliminated-clause stack (values land in [ext_model], consulted by
-   [value]). *)
+   [value]).  The replay costs the whole stack, so it runs only when
+   [value] first asks about an eliminated variable. *)
 let extend_model s =
-  if s.n_eliminated > 0 then begin
-    Array.fill s.ext_model 0 (Array.length s.ext_model) (-1);
-    Simp.extend_model s.simp
-      ~value:(fun v -> if s.assigns.(v) >= 0 then s.assigns.(v) else s.ext_model.(v))
-      ~set:(fun v b -> s.ext_model.(v) <- b)
-  end
+  Tel.Metric.incr m_model_extensions;
+  Array.fill s.ext_model 0 (Array.length s.ext_model) (-1);
+  Simp.extend_model s.simp
+    ~value:(fun v -> if s.assigns.(v) >= 0 then s.assigns.(v) else s.ext_model.(v))
+    ~set:(fun v b -> s.ext_model.(v) <- b);
+  s.extension <- Extended
 
 let solve_core ~assumptions ~conflict_limit s =
+  s.extension <- No_model;
   if not s.ok then Unsat
   else begin
     cancel_until s 0;
@@ -1124,7 +1138,7 @@ let solve_core ~assumptions ~conflict_limit s =
       in
       let result = run 0 in
       (* On Sat the trail is kept as the model until the next mutation. *)
-      if result = Sat then extend_model s;
+      if result = Sat then s.extension <- Pending;
       result
     end
   end
@@ -1172,7 +1186,9 @@ let value s l =
   | 0 -> false
   | _ ->
       let v = Lit.var l in
-      if v < s.nvars && s.eliminated.(v) && s.ext_model.(v) >= 0 then
+      let eliminated = v < s.nvars && s.eliminated.(v) in
+      if eliminated && s.extension = Pending then extend_model s;
+      if eliminated && s.extension = Extended && s.ext_model.(v) >= 0 then
         s.ext_model.(v) lxor (l land 1) = 1
       else invalid_arg "Solver.value: literal unassigned in model"
 

@@ -32,8 +32,8 @@
     avoid the eliminate/restore churn (circuit encoders freeze inputs,
     key bits and outputs; attack loops freeze their
     assumption/activation literals).  Models returned after elimination
-    are automatically extended over the eliminated variables, so
-    {!value} remains total on a [Sat] answer.
+    are extended over the eliminated variables on demand, so {!value}
+    remains total on a [Sat] answer.
     While DRUP recording is enabled ({!enable_proof}), elimination is
     disabled entirely — every other simplification is
     equivalence-preserving and is logged as RUP additions/deletions. *)
@@ -134,9 +134,15 @@ val solve : ?assumptions:Lit.t list -> ?conflict_limit:int -> t -> result
 exception Conflict_limit
 
 val value : t -> Lit.t -> bool
-(** Model value of a literal.  Only meaningful after a [Sat] answer, for
-    variables that existed during that solve.  Total even for eliminated
-    variables: their values come from the model-extension overlay. *)
+(** Model value of a literal after a [Sat] answer, for variables that
+    existed during that solve.  Total even for eliminated variables: the
+    first query about one replays the eliminated-clause stack once for
+    this model (counted by the [sat.model_extensions] telemetry counter),
+    and later queries read the result.  Queries about surviving variables
+    never trigger the replay.  The model, and its extension, stay valid
+    until the next {!solve}, {!add_clause}, {!add_clause_a},
+    {!add_clause_batch} or {!import_clauses}; after that a query about
+    an unassigned or eliminated variable raises [Invalid_argument]. *)
 
 val model_var : t -> int -> bool
 

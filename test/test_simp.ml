@@ -253,6 +253,118 @@ let test_restore_on_assumption () =
     (Solver.solve ~assumptions:[ Lit.pos a; Lit.neg x ] s = Solver.Unsat);
   Alcotest.(check bool) "sat again" true (Solver.solve s = Solver.Sat)
 
+(* --- lazy model extension --- *)
+
+module Tel = LL.Telemetry.Telemetry
+
+let model_extensions snap =
+  Option.value ~default:0 (List.assoc_opt "sat.model_extensions" snap.Tel.counters)
+
+(* Random instances on which the solver answers Sat with eliminated
+   variables, in a fresh solver per call so the query order can vary. *)
+let eliminating_instances () =
+  List.filter_map
+    (fun seed ->
+      let g = Prng.create seed in
+      let nvars = 12 + Prng.int g 12 in
+      let clauses = random_cnf g ~nvars ~nclauses:(2 * nvars) in
+      let make () =
+        let s = Solver.create ~seed () in
+        for _ = 1 to nvars do
+          ignore (Solver.new_var s)
+        done;
+        List.iter (Solver.add_clause s) clauses;
+        s
+      in
+      let s = make () in
+      if Solver.solve s = Solver.Sat && (Solver.stats s).Solver.simp_eliminated_vars > 0 then
+        Some (make, nvars, clauses)
+      else None)
+    (List.init 40 Fun.id)
+
+let test_extension_query_order () =
+  let instances = eliminating_instances () in
+  Alcotest.(check bool) "instances with eliminated variables exist" true (instances <> []);
+  List.iter
+    (fun (make, nvars, clauses) ->
+      let model ~eliminated_first =
+        let s = make () in
+        ignore (Solver.solve s);
+        let first =
+          List.find (fun v -> Solver.is_eliminated s v = eliminated_first) (List.init nvars Fun.id)
+        in
+        ignore (Solver.model_var s first);
+        check_model_satisfies s clauses;
+        List.init nvars (Solver.model_var s)
+      in
+      Alcotest.(check (list bool)) "same model whichever variable is asked first"
+        (model ~eliminated_first:false) (model ~eliminated_first:true))
+    instances
+
+(* a -> x -> b with a and b frozen: x is eliminated, and its extended
+   value is forced by whichever end the assumptions pin. *)
+let chain () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and x = Solver.new_var s and b = Solver.new_var s in
+  Solver.freeze_var s a;
+  Solver.freeze_var s b;
+  Solver.add_clause s [ Lit.neg a; Lit.pos x ];
+  Solver.add_clause s [ Lit.neg x; Lit.pos b ];
+  (s, a, x, b)
+
+let test_extension_per_model () =
+  let s, a, x, b = chain () in
+  let snap =
+    Fun.protect ~finally:Tel.disable @@ fun () ->
+    Tel.enable ();
+    Alcotest.(check bool) "sat under a" true (Solver.solve ~assumptions:[ Lit.pos a ] s = Solver.Sat);
+    Alcotest.(check bool) "x eliminated" true (Solver.is_eliminated s x);
+    Alcotest.(check bool) "x follows a" true (Solver.model_var s x);
+    Alcotest.(check bool) "x asked again" true (Solver.model_var s x);
+    Alcotest.(check bool) "sat under ~b" true
+      (Solver.solve ~assumptions:[ Lit.neg b ] s = Solver.Sat);
+    Alcotest.(check bool) "x still eliminated" true (Solver.is_eliminated s x);
+    Alcotest.(check bool) "x re-extended from the second model" false (Solver.model_var s x);
+    Tel.snapshot ()
+  in
+  Tel.reset ();
+  Alcotest.(check int) "one replay per model" 2 (model_extensions snap)
+
+let test_extension_dropped_by_mutation () =
+  let raises s v =
+    match Solver.model_var s v with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let s, a, x, _ = chain () in
+  let c = Solver.new_var s in
+  Solver.freeze_var s c;
+  Alcotest.(check bool) "sat" true (Solver.solve ~assumptions:[ Lit.pos a ] s = Solver.Sat);
+  Alcotest.(check bool) "x eliminated" true (Solver.is_eliminated s x);
+  Alcotest.(check bool) "x extended" true (Solver.model_var s x);
+  Solver.add_clause s [ Lit.pos c ];
+  Alcotest.(check bool) "extended model dropped by add_clause" true (raises s x);
+  Alcotest.(check bool) "sat again" true (Solver.solve ~assumptions:[ Lit.pos a ] s = Solver.Sat);
+  Solver.add_clause_batch s [ [| Lit.pos c; Lit.pos a |] ];
+  Alcotest.(check bool) "pending extension dropped by add_clause_batch" true (raises s x)
+
+let test_attack_never_extends () =
+  let c = random_circuit ~seed:102 ~num_inputs:8 ~num_outputs:3 ~gates:40 () in
+  let locked = LL.Locking.Sarlock.lock ~prng:(Prng.create 5) ~key_size:5 c in
+  let snap =
+    Fun.protect ~finally:Tel.disable @@ fun () ->
+    Tel.enable ();
+    let r =
+      LL.Attack.Sat_attack.run locked.Locked.circuit ~oracle:(LL.Attack.Oracle.of_circuit c)
+    in
+    Alcotest.(check int) "#DIP" 31 r.LL.Attack.Sat_attack.num_dips;
+    Tel.snapshot ()
+  in
+  Tel.reset ();
+  let counter name = Option.value ~default:0 (List.assoc_opt name snap.Tel.counters) in
+  Alcotest.(check bool) "variables were eliminated" true (counter "sat.simp.eliminated_vars" > 0);
+  Alcotest.(check int) "no model was extended" 0 (model_extensions snap)
+
 (* DRUP: with proof recording on, elimination stays off and the recorded
    refutation — which includes subsumption / strengthening /
    vivification events — verifies with the independent checker. *)
@@ -292,6 +404,10 @@ let suite =
     Alcotest.test_case "restore on assumption" `Quick test_restore_on_assumption;
     Alcotest.test_case "drup mode: no elimination, proof verifies" `Quick
       test_drup_mode_no_elimination;
+    Alcotest.test_case "extension independent of query order" `Quick test_extension_query_order;
+    Alcotest.test_case "extension computed once per model" `Quick test_extension_per_model;
+    Alcotest.test_case "extension dropped by mutation" `Quick test_extension_dropped_by_mutation;
+    Alcotest.test_case "sat attack never extends a model" `Quick test_attack_never_extends;
     prop_random_cnf;
     prop_incremental;
     prop_locked_miter;
