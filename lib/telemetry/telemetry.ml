@@ -100,7 +100,7 @@ let gauge_seq = Atomic.make 1
 
 type state = {
   tid : int;  (* dense telemetry track id, assigned at registration *)
-  mutable ring : ev array;
+  mutable ring : ev array;  (* empty until the domain records an event *)
   mutable head : int;  (* total events ever written; slot = head mod capacity *)
   (* span stack *)
   mutable sp_name : string array;
@@ -123,15 +123,18 @@ let all_states : state list ref = ref []
 
 let next_tid = ref 0
 
+(* States are registered for good (a snapshot still reports the events and
+   metrics of joined domains), so the ring is allocated on the first
+   [record]: a domain that never records while telemetry is on, such as
+   one that only asks [log_active], keeps no ring alive. *)
 let new_state () =
-  let cap = Atomic.get ring_capacity in
   Mutex.lock registry_lock;
   let tid = !next_tid in
   incr next_tid;
   let st =
     {
       tid;
-      ring = Array.init cap (fun _ -> fresh_ev ());
+      ring = [||];
       head = 0;
       sp_name = Array.make 64 "";
       sp_t0 = Array.make 64 0;
@@ -160,6 +163,8 @@ let state () = Domain.DLS.get dls_key
 (* ------------------------------------------------------------------ *)
 
 let record st kind name ts a0 a1 note =
+  if Array.length st.ring = 0 then
+    st.ring <- Array.init (Atomic.get ring_capacity) (fun _ -> fresh_ev ());
   let cap = Array.length st.ring in
   let e = st.ring.(st.head mod cap) in
   e.ev_kind <- kind;
@@ -411,14 +416,17 @@ let snapshot () =
   let unbalanced = ref 0 in
   List.iter
     (fun st ->
-      let cap = Array.length st.ring in
-      let total = st.head in
+      let ring = st.ring in
+      let cap = Array.length ring in
+      (* [head] may already count the first event of a domain whose ring
+         this snapshot still reads as empty. *)
+      let total = if cap = 0 then 0 else st.head in
       let first = max 0 (total - cap) in
       dropped := !dropped + first;
       if first > 0 then dropped_by := (st.tid, first) :: !dropped_by;
       unbalanced := !unbalanced + st.unbalanced;
       for i = first to total - 1 do
-        let e = st.ring.(i mod cap) in
+        let e = ring.(i mod cap) in
         events :=
           {
             er_domain = st.tid;
@@ -552,9 +560,10 @@ let spans snap =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A ring of another capacity is dropped, not reallocated: [record]
+   allocates a fresh one only for domains that record again. *)
 let clear_state st =
-  let cap = Atomic.get ring_capacity in
-  if Array.length st.ring <> cap then st.ring <- Array.init cap (fun _ -> fresh_ev ());
+  if Array.length st.ring <> Atomic.get ring_capacity then st.ring <- [||];
   st.head <- 0;
   st.sp_depth <- 0;
   st.unbalanced <- 0;

@@ -301,6 +301,38 @@ let test_jsonl_parses () =
       if line <> "" then ignore (Trace_check.parse_json line))
     lines
 
+(* --- per-domain rings --- *)
+
+(* One ring at the default capacity: 32768 slots of 6-field records plus
+   the slot array. *)
+let ring_words = 32768 * 8
+
+let test_untraced_domains_keep_no_ring () =
+  (* Domain states stay registered after their domain is joined, so a ring
+     given to a domain that never records would stay live for good.  The
+     empty session restores the default ring capacity that earlier tests
+     shrank, and leaves telemetry disabled. *)
+  with_telemetry ignore;
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  List.init 16 (fun _ -> Domain.spawn (fun () -> ignore (Tel.log_active ())))
+  |> List.iter Domain.join;
+  let growth = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "16 untraced domains grow the heap by %d < %d words" growth ring_words)
+    true (growth < ring_words);
+  let snap =
+    with_telemetry (fun () ->
+        Domain.join (Domain.spawn (fun () -> Tel.instant "fresh.domain"));
+        Tel.snapshot ())
+  in
+  Alcotest.(check bool) "a fresh domain's event is recorded" true
+    (Array.exists (fun (e : Tel.event) -> e.Tel.er_name = "fresh.domain") snap.Tel.events);
+  Alcotest.(check int) "nothing dropped" 0 snap.Tel.dropped_events
+
 (* --- determinism: tracing must not change attack behaviour --- *)
 
 let sarlock4_golden_dips =
@@ -366,6 +398,7 @@ let suite =
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
     Alcotest.test_case "span end survives wraparound" `Quick test_wraparound_span_end_survives;
     Alcotest.test_case "4-domain pool ring stress" `Quick test_pool_stress_wraparound;
+    Alcotest.test_case "untraced domains keep no ring" `Quick test_untraced_domains_keep_no_ring;
     Alcotest.test_case "log subscriber routing" `Quick test_log_subscriber;
     Alcotest.test_case "log buffer ordering" `Quick test_log_buffer_ordering;
     Alcotest.test_case "log lines recorded in trace" `Quick test_log_lines_in_trace;
