@@ -63,8 +63,9 @@ type result = Sat | Unsat
 
 (* State of the current model's extension over eliminated variables: it is
    computed on the first [value] query that needs it ([Pending] ->
-   [Extended]), and any mutation that cancels the model drops it
-   ([No_model]) without touching [ext_model]. *)
+   [Extended]).  [solve_core] and [add_clause_core], through which every
+   clause addition and variable restore passes, drop it ([No_model])
+   without touching [ext_model]. *)
 type extension = No_model | Pending | Extended
 
 type stats = {
@@ -740,7 +741,6 @@ let rec add_clause_core s lits =
   end
 
 and restore_var s v =
-  s.extension <- No_model;
   Simp.restore s.simp ~var:v
     ~unelim:(fun u ->
       if s.eliminated.(u) then begin
