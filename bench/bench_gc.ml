@@ -17,8 +17,8 @@
 let json_fields ~minor_words ~wall_s =
   let g = Gc.quick_stat () in
   let rate = if wall_s > 0.0 then minor_words /. wall_s else 0.0 in
-  Printf.sprintf
-    "\"gc_major_collections\": %d,\n\
-    \    \"gc_heap_words\": %d,\n\
-    \    \"gc_minor_words_per_s\": %.0f"
-    g.Gc.major_collections g.Gc.heap_words rate
+  [
+    ("gc_major_collections", Bench_record.int g.Gc.major_collections);
+    ("gc_heap_words", Bench_record.int g.Gc.heap_words);
+    ("gc_minor_words_per_s", Bench_record.fixed 0 rate);
+  ]

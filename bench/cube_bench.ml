@@ -31,7 +31,7 @@ module Timer = LL.Util.Timer
 
 let fixed_ns = [| 0; 1; 2 |]
 
-let records : string list ref = ref []
+let records : Bench_record.record list ref = ref []
 
 let verify ~original ~locked attack =
   match LL.Attack.Compose.of_cube_attack ~optimize:false locked attack with
@@ -74,7 +74,7 @@ let cube_compare ~pool ~name ~budget original locked =
     if fixed_wall.(!best) > 0.0 then adaptive_wall /. fixed_wall.(!best) else 0.0
   in
   let g1 = Gc.quick_stat () in
-  let gc_json =
+  let gc_fields =
     Bench_gc.json_fields
       ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
       ~wall_s:(Timer.monotonic () -. compare_t0)
@@ -94,43 +94,30 @@ let cube_compare ~pool ~name ~budget original locked =
     max_depth
     (Cube_attack.imported_entries a)
     ratio composed;
-  let ints a = String.concat ", " (Array.to_list (Array.map string_of_int a)) in
-  let floats fmt a =
-    String.concat ", " (Array.to_list (Array.map (Printf.sprintf fmt) a))
-  in
   let record =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": %S,\n\
-      \    \"kind\": \"cube\",\n\
-      \    \"fixed_ns\": [%s],\n\
-      \    \"fixed_wall_s\": [%s],\n\
-      \    \"fixed_dips\": [%s],\n\
-      \    \"best_fixed_n\": %d,\n\
-      \    \"best_fixed_wall_s\": %.6f,\n\
-      \    \"adaptive_wall_s\": %.6f,\n\
-      \    \"adaptive_dips\": %d,\n\
-      \    \"adaptive_resplits\": %d,\n\
-      \    \"adaptive_leaves\": %d,\n\
-      \    \"adaptive_max_depth\": %d,\n\
-      \    \"adaptive_imported_entries\": %d,\n\
-      \    \"adaptive_vs_best_fixed\": %.3f,\n\
-      \    \"budget_conflicts\": %d,\n\
-      \    \"budget_dips\": %d,\n\
-      \    \"budget_growth\": %.2f,\n\
-      \    \"composed\": %S,\n\
-      \    %s\n\
-      \  }"
-      name (ints fixed_ns) (floats "%.6f" fixed_wall) (ints fixed_dips) !best
-      fixed_wall.(!best) adaptive_wall (Cube_attack.total_dips a)
-      (Cube_attack.resplits a)
-      (Array.length (Cube_attack.leaves a))
-      max_depth
-      (Cube_attack.imported_entries a)
-      ratio
-      (match budget.Cube_attack.conflicts with Some c -> c | None -> -1)
-      (match budget.Cube_attack.dips with Some d -> d | None -> -1)
-      budget.Cube_attack.growth composed gc_json
+    Bench_record.
+      [
+        ("name", str name);
+        ("kind", str "cube");
+        ("fixed_ns", ints fixed_ns);
+        ("fixed_wall_s", fixeds 6 fixed_wall);
+        ("fixed_dips", ints fixed_dips);
+        ("best_fixed_n", int !best);
+        ("best_fixed_wall_s", fixed 6 fixed_wall.(!best));
+        ("adaptive_wall_s", fixed 6 adaptive_wall);
+        ("adaptive_dips", int (Cube_attack.total_dips a));
+        ("adaptive_resplits", int (Cube_attack.resplits a));
+        ("adaptive_leaves", int (Array.length (Cube_attack.leaves a)));
+        ("adaptive_max_depth", int max_depth);
+        ("adaptive_imported_entries", int (Cube_attack.imported_entries a));
+        ("adaptive_vs_best_fixed", fixed 3 ratio);
+        ( "budget_conflicts",
+          int (Option.value ~default:(-1) budget.Cube_attack.conflicts) );
+        ("budget_dips", int (Option.value ~default:(-1) budget.Cube_attack.dips));
+        ("budget_growth", fixed 2 budget.Cube_attack.growth);
+        ("composed", str composed);
+      ]
+    @ gc_fields
   in
   records := record :: !records
 
@@ -191,15 +178,6 @@ let suite ~smoke =
   in
   if smoke then base else base @ full
 
-let write_json () =
-  if !records <> [] then begin
-    (* Atomic (temp file + rename): a crashed or interrupted run never
-       leaves a truncated BENCH_cube.json behind. *)
-    LL.Util.Fileio.write_atomic_string "BENCH_cube.json"
-      (Printf.sprintf "[\n%s\n]\n" (String.concat ",\n" (List.rev !records)));
-    Printf.printf "\nwrote BENCH_cube.json (%d record(s))\n" (List.length !records)
-  end
-
 let run ~smoke =
   Printf.printf "\nadaptive cube-and-conquer vs fixed-N split (shared pool):\n";
   let iscas = LL.Bench_suite.Iscas.get in
@@ -208,4 +186,4 @@ let run ~smoke =
         (fun (name, base, lock, budget) ->
           cube_compare ~pool ~name ~budget (iscas base) (lock (iscas base)))
         (suite ~smoke));
-  write_json ()
+  Bench_record.write "BENCH_cube.json" (List.rev !records)

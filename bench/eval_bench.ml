@@ -25,28 +25,7 @@ module Timer = LL.Util.Timer
 module Solver = LL.Sat.Solver
 module Tseitin = LL.Sat.Tseitin
 
-type record = {
-  name : string;
-  gates : int;
-  num_keys : int;
-  sim_patterns : int;
-  interp_patterns_per_s : float;
-  scalar_patterns_per_s : float;
-  packed_patterns_per_s : float;
-  packed_vs_scalar : float;
-  dips : int;
-  rebuild_dips_per_s : float;
-  kernel_dips_per_s : float;
-  kernel_vs_rebuild : float;
-  rebuild_minor_words_per_dip : float;
-  kernel_minor_words_per_dip : float;
-  batch_qs : int array;  (* DIP-constraint batch sizes swept below *)
-  batch_encode_dips_per_s : float array;  (* kernel path, one entry per q *)
-  batch_q64_vs_q1 : float;
-  gc_json : string;  (* shared GC gauges, rendered at record-build time *)
-}
-
-let records : record list ref = ref []
+let records : Bench_record.record list ref = ref []
 
 let timed f =
   let m0 = Gc.minor_words () in
@@ -225,45 +204,47 @@ let bench ~name ~reps ~dips locked =
   let bench_wall = Timer.monotonic () -. t0 in
   let m1 = Gc.minor_words () in
   let last = Array.length batch_dps - 1 in
-  let r =
-    {
-      name;
-      gates = Circuit.gate_count locked;
-      num_keys = Circuit.num_keys locked;
-      sim_patterns = reps;
-      interp_patterns_per_s = interp_ps;
-      scalar_patterns_per_s = scalar_ps;
-      packed_patterns_per_s = packed_ps;
-      packed_vs_scalar = packed_ps /. scalar_ps;
-      dips;
-      rebuild_dips_per_s = rebuild_dps;
-      kernel_dips_per_s = kernel_dps;
-      kernel_vs_rebuild = kernel_dps /. rebuild_dps;
-      rebuild_minor_words_per_dip = rebuild_wpd;
-      kernel_minor_words_per_dip = kernel_wpd;
-      batch_qs;
-      batch_encode_dips_per_s = batch_dps;
-      batch_q64_vs_q1 =
-        (if batch_dps.(0) > 0.0 then batch_dps.(last) /. batch_dps.(0) else 0.0);
-      gc_json =
-        Bench_gc.json_fields
-          ~minor_words:(m1 -. m0)
-          ~wall_s:bench_wall;
-    }
+  let packed_vs_scalar = packed_ps /. scalar_ps in
+  let kernel_vs_rebuild = kernel_dps /. rebuild_dps in
+  let batch_q64_vs_q1 =
+    if batch_dps.(0) > 0.0 then batch_dps.(last) /. batch_dps.(0) else 0.0
   in
-  records := r :: !records;
+  let record =
+    Bench_record.
+      [
+        ("name", str name);
+        ("gates", int (Circuit.gate_count locked));
+        ("num_keys", int (Circuit.num_keys locked));
+        ("sim_patterns", int reps);
+        ("interp_patterns_per_s", fixed 1 interp_ps);
+        ("scalar_patterns_per_s", fixed 1 scalar_ps);
+        ("packed_patterns_per_s", fixed 1 packed_ps);
+        ("packed_vs_scalar", fixed 3 packed_vs_scalar);
+        ("dips", int dips);
+        ("rebuild_dips_per_s", fixed 3 rebuild_dps);
+        ("kernel_dips_per_s", fixed 3 kernel_dps);
+        ("kernel_vs_rebuild", fixed 3 kernel_vs_rebuild);
+        ("rebuild_minor_words_per_dip", fixed 1 rebuild_wpd);
+        ("kernel_minor_words_per_dip", fixed 1 kernel_wpd);
+        ("batch_qs", ints batch_qs);
+        ("batch_encode_dips_per_s", fixeds 1 batch_dps);
+        ("batch_q64_vs_q1", fixed 3 batch_q64_vs_q1);
+      ]
+    @ Bench_gc.json_fields ~minor_words:(m1 -. m0) ~wall_s:bench_wall
+  in
+  records := record :: !records;
   Printf.printf
     "  %-20s %8.0f interp/s %9.0f scalar/s %11.0f packed/s (%5.1fx)\n\
     \  %-20s %8.1f rebuild dips/s %8.1f kernel dips/s (%5.1fx), minor w/dip %8.0f -> %7.0f\n\
     \  %-20s batched encode dips/s %s (q64/q1 x%.2f)\n%!"
-    r.name interp_ps scalar_ps packed_ps r.packed_vs_scalar "" rebuild_dps kernel_dps
-    r.kernel_vs_rebuild rebuild_wpd kernel_wpd ""
+    name interp_ps scalar_ps packed_ps packed_vs_scalar "" rebuild_dps kernel_dps
+    kernel_vs_rebuild rebuild_wpd kernel_wpd ""
     (String.concat " "
        (Array.to_list
           (Array.mapi
              (fun i q -> Printf.sprintf "q%d=%.0f" q batch_dps.(i))
              batch_qs)))
-    r.batch_q64_vs_q1
+    batch_q64_vs_q1
 
 let sarlock name ~key_size =
   let c = LL.Bench_suite.Iscas.get name in
@@ -272,79 +253,6 @@ let sarlock name ~key_size =
 let xorlock name ~num_keys =
   let c = LL.Bench_suite.Iscas.get name in
   (LL.Locking.Xor_lock.lock ~prng:(Prng.create 17) ~num_keys c).LL.Locking.Locked.circuit
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let json_of_record r =
-  Printf.sprintf
-    "  {\n\
-    \    \"name\": %S,\n\
-    \    \"gates\": %d,\n\
-    \    \"num_keys\": %d,\n\
-    \    \"sim_patterns\": %d,\n\
-    \    \"interp_patterns_per_s\": %.1f,\n\
-    \    \"scalar_patterns_per_s\": %.1f,\n\
-    \    \"packed_patterns_per_s\": %.1f,\n\
-    \    \"packed_vs_scalar\": %.3f,\n\
-    \    \"dips\": %d,\n\
-    \    \"rebuild_dips_per_s\": %.3f,\n\
-    \    \"kernel_dips_per_s\": %.3f,\n\
-    \    \"kernel_vs_rebuild\": %.3f,\n\
-    \    \"rebuild_minor_words_per_dip\": %.1f,\n\
-    \    \"kernel_minor_words_per_dip\": %.1f,\n\
-    \    \"batch_qs\": [%s],\n\
-    \    \"batch_encode_dips_per_s\": [%s],\n\
-    \    \"batch_q64_vs_q1\": %.3f,\n\
-    \    %s\n\
-    \  }"
-    r.name r.gates r.num_keys r.sim_patterns r.interp_patterns_per_s
-    r.scalar_patterns_per_s r.packed_patterns_per_s r.packed_vs_scalar r.dips
-    r.rebuild_dips_per_s r.kernel_dips_per_s r.kernel_vs_rebuild
-    r.rebuild_minor_words_per_dip r.kernel_minor_words_per_dip
-    (String.concat ", " (Array.to_list (Array.map string_of_int r.batch_qs)))
-    (String.concat ", "
-       (Array.to_list (Array.map (Printf.sprintf "%.1f") r.batch_encode_dips_per_s)))
-    r.batch_q64_vs_q1 r.gc_json
-
-(* Structural JSON well-formedness: balanced delimiters outside strings.
-   Cheap enough to run after every write; the smoke alias relies on it. *)
-let json_well_formed s =
-  let depth = ref 0 and ok = ref true and in_str = ref false and esc = ref false in
-  String.iter
-    (fun ch ->
-      if !in_str then begin
-        if !esc then esc := false
-        else if ch = '\\' then esc := true
-        else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '[' | '{' -> incr depth
-        | ']' | '}' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
-
-let write_json () =
-  if !records <> [] then begin
-    let body =
-      Printf.sprintf "[\n%s\n]\n"
-        (String.concat ",\n" (List.rev_map json_of_record !records))
-    in
-    (* Atomic (temp file + rename): a crashed or interrupted run never
-       leaves a truncated BENCH_eval.json behind. *)
-    LL.Util.Fileio.write_atomic_string "BENCH_eval.json" body;
-    if not (json_well_formed body) then begin
-      Printf.eprintf "BENCH_eval.json: malformed JSON emitted\n";
-      exit 1
-    end;
-    Printf.printf "\nwrote BENCH_eval.json (%d record(s))\n" (List.length !records)
-  end
 
 let run ~smoke =
   if smoke then begin
@@ -357,4 +265,4 @@ let run ~smoke =
     bench ~name:"c1355/xor16" ~reps:100_000 ~dips:300 (xorlock "c1355" ~num_keys:16);
     bench ~name:"c7552/sarlock12" ~reps:20_000 ~dips:100 (sarlock "c7552" ~key_size:12)
   end;
-  write_json ()
+  Bench_record.write "BENCH_eval.json" (List.rev !records)

@@ -42,29 +42,7 @@ module Fanout = LL.Attack.Fanout
 module Generator = LL.Bench_suite.Generator
 module Builder = LL.Netlist.Builder
 
-type record = {
-  name : string;  (* circuit/scheme/nN — unique per grid cell *)
-  n_fixed : int;
-  num_inputs : int;
-  num_keys : int;
-  cells : int;
-  correct_keys_min : float;
-  correct_keys_max : float;
-  keyspace_log2 : float;  (* log2 of the largest cofactor population *)
-  bdd_peak_nodes : int;
-  bdd_reorders : int;
-  bdd_gc_runs : int;
-  bdd_nodes_freed : int;
-  wall_sift_s : float;
-  wall_fixed_s : float;  (* 0.0 when the fixed-order run is skipped *)
-  sift_speedup : float;  (* wall_fixed / wall_sift, 0.0 when skipped *)
-  sim_checked : bool;
-  exact_matches_sim : bool;  (* vacuously true when not checked *)
-  sim_wall_s : float;
-  gc_json : string;
-}
-
-let records : record list ref = ref []
+let records : Bench_record.record list ref = ref []
 
 let timed f =
   let t0 = Timer.monotonic () in
@@ -188,105 +166,40 @@ let cell ~circuit_name ~scheme ~original ~locked ~n =
   let cmax = Array.fold_left max 0.0 kp.Exact.counts in
   let m1 = Gc.minor_words () in
   let wall_total = wall_sift +. wall_fixed +. sim_wall in
-  let r =
-    {
-      name = Printf.sprintf "%s/%s/n%d" circuit_name scheme n;
-      n_fixed = n;
-      num_inputs = Circuit.num_inputs locked;
-      num_keys = Circuit.num_keys locked;
-      cells = Array.length kp.Exact.counts;
-      correct_keys_min = cmin;
-      correct_keys_max = cmax;
-      keyspace_log2 = (if cmax > 0.0 then Float.log2 cmax else -1.0);
-      bdd_peak_nodes = kp.Exact.peak_nodes;
-      bdd_reorders = kp.Exact.reorders;
-      bdd_gc_runs = kp.Exact.gc_runs;
-      bdd_nodes_freed = kp.Exact.nodes_freed;
-      wall_sift_s = wall_sift;
-      wall_fixed_s = wall_fixed;
-      sift_speedup = (if wall_fixed > 0.0 then wall_fixed /. wall_sift else 0.0);
-      sim_checked;
-      exact_matches_sim;
-      sim_wall_s = sim_wall;
-      gc_json =
-        Bench_gc.json_fields
-          ~minor_words:(m1 -. m0)
-          ~wall_s:wall_total;
-    }
+  let name = Printf.sprintf "%s/%s/n%d" circuit_name scheme n in
+  let keyspace_log2 = if cmax > 0.0 then Float.log2 cmax else -1.0 in
+  let sift_speedup = if wall_fixed > 0.0 then wall_fixed /. wall_sift else 0.0 in
+  let record =
+    Bench_record.
+      [
+        ("name", str name);
+        ("n_fixed", int n);
+        ("num_inputs", int (Circuit.num_inputs locked));
+        ("num_keys", int (Circuit.num_keys locked));
+        ("cells", int (Array.length kp.Exact.counts));
+        ("correct_keys_min", fixed 0 cmin);
+        ("correct_keys_max", fixed 0 cmax);
+        ("keyspace_log2", fixed 4 keyspace_log2);
+        ("bdd_peak_nodes", int kp.Exact.peak_nodes);
+        ("bdd_reorders", int kp.Exact.reorders);
+        ("bdd_gc_runs", int kp.Exact.gc_runs);
+        ("bdd_nodes_freed", int kp.Exact.nodes_freed);
+        ("wall_sift_s", fixed 6 wall_sift);
+        ("wall_fixed_s", fixed 6 wall_fixed);
+        ("sift_speedup", fixed 3 sift_speedup);
+        ("sim_checked", bool sim_checked);
+        ("exact_matches_sim", bool exact_matches_sim);
+        ("sim_wall_s", fixed 6 sim_wall);
+      ]
+    @ Bench_gc.json_fields ~minor_words:(m1 -. m0) ~wall_s:wall_total
   in
-  records := r :: !records;
+  records := record :: !records;
   Printf.printf
     "  %-18s N=%d   keys %4.0f..%-6.0f (log2 %5.2f)   peak %7d nodes, %2d reorder(s)   %.3f s%s%s\n%!"
-    r.name n cmin cmax r.keyspace_log2 r.bdd_peak_nodes r.bdd_reorders wall_sift
-    (if wall_fixed > 0.0 then Printf.sprintf "   fixed %.3f s (x%.2f)" wall_fixed r.sift_speedup
+    name n cmin cmax keyspace_log2 kp.Exact.peak_nodes kp.Exact.reorders wall_sift
+    (if wall_fixed > 0.0 then Printf.sprintf "   fixed %.3f s (x%.2f)" wall_fixed sift_speedup
      else "")
     (if sim_checked then Printf.sprintf "   sim ok (%.3f s)" sim_wall else "")
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let json_of_record r =
-  Printf.sprintf
-    "  {\n\
-    \    \"name\": %S,\n\
-    \    \"n_fixed\": %d,\n\
-    \    \"num_inputs\": %d,\n\
-    \    \"num_keys\": %d,\n\
-    \    \"cells\": %d,\n\
-    \    \"correct_keys_min\": %.0f,\n\
-    \    \"correct_keys_max\": %.0f,\n\
-    \    \"keyspace_log2\": %.4f,\n\
-    \    \"bdd_peak_nodes\": %d,\n\
-    \    \"bdd_reorders\": %d,\n\
-    \    \"bdd_gc_runs\": %d,\n\
-    \    \"bdd_nodes_freed\": %d,\n\
-    \    \"wall_sift_s\": %.6f,\n\
-    \    \"wall_fixed_s\": %.6f,\n\
-    \    \"sift_speedup\": %.3f,\n\
-    \    \"sim_checked\": %b,\n\
-    \    \"exact_matches_sim\": %b,\n\
-    \    \"sim_wall_s\": %.6f,\n\
-    \    %s\n\
-    \  }"
-    r.name r.n_fixed r.num_inputs r.num_keys r.cells r.correct_keys_min
-    r.correct_keys_max r.keyspace_log2 r.bdd_peak_nodes r.bdd_reorders
-    r.bdd_gc_runs r.bdd_nodes_freed r.wall_sift_s r.wall_fixed_s r.sift_speedup
-    r.sim_checked r.exact_matches_sim r.sim_wall_s r.gc_json
-
-let json_well_formed s =
-  let depth = ref 0 and ok = ref true and in_str = ref false and esc = ref false in
-  String.iter
-    (fun ch ->
-      if !in_str then begin
-        if !esc then esc := false
-        else if ch = '\\' then esc := true
-        else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '[' | '{' -> incr depth
-        | ']' | '}' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
-
-let write_json () =
-  if !records <> [] then begin
-    let body =
-      Printf.sprintf "[\n%s\n]\n"
-        (String.concat ",\n" (List.rev_map json_of_record !records))
-    in
-    LL.Util.Fileio.write_atomic_string "BENCH_keypop.json" body;
-    if not (json_well_formed body) then begin
-      Printf.eprintf "BENCH_keypop.json: malformed JSON emitted\n";
-      exit 1
-    end;
-    Printf.printf "\nwrote BENCH_keypop.json (%d record(s))\n" (List.length !records)
-  end
 
 let run ~smoke =
   ignore smoke;
@@ -302,4 +215,4 @@ let run ~smoke =
       ("gen12", gen12 ()); ("gen16", gen16 ());
       ("ach10", achilles 10); ("ach14", achilles 14);
     ];
-  write_json ()
+  Bench_record.write "BENCH_keypop.json" (List.rev !records)

@@ -82,7 +82,7 @@ let header title =
 (* BENCH_split.json at exit.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let split_records : string list ref = ref []
+let split_records : Bench_record.record list ref = ref []
 
 (* Per-task DIP-iteration trajectories out of a telemetry snapshot: for
    each "split.task" span, the durations of the "attack.dip" spans nested
@@ -123,12 +123,6 @@ let dip_trajectories snap (tasks : Split_attack.task array) =
 
 let counter snap name =
   Option.value ~default:0 (List.assoc_opt name snap.Tel.counters)
-
-let json_float_array a =
-  "[" ^ String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.6f") a)) ^ "]"
-
-let json_int_array a =
-  "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int a)) ^ "]"
 
 let split_sched_bench ~section ~name ~n locked ~oracle =
   (* Each run also reports its allocation delta (minor words allocated by
@@ -257,70 +251,43 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
     (counter snap "sat.propagations")
   ;
   let record =
-    Printf.sprintf
-      "  {\n\
-      \    \"section\": %S,\n\
-      \    \"workload\": %S,\n\
-      \    \"n\": %d,\n\
-      \    \"num_tasks\": %d,\n\
-      \    \"domains\": %d,\n\
-      \    \"serial_wall_s\": %.6f,\n\
-      \    \"stealing_wall_s\": %.6f,\n\
-      \    \"traced_wall_s\": %.6f,\n\
-      \    \"task_min_s\": %.6f,\n\
-      \    \"task_mean_s\": %.6f,\n\
-      \    \"task_max_s\": %.6f,\n\
-      \    \"steals\": %d,\n\
-      \    \"tasks_run\": %d,\n\
-      \    \"matches_serial\": %b,\n\
-      \    \"serial_gc_minor_words\": %.0f,\n\
-      \    \"serial_gc_major_words\": %.0f,\n\
-      \    \"sat_conflicts\": %d,\n\
-      \    \"sat_propagations\": %d,\n\
-      \    \"sat_restarts\": %d,\n\
-      \    \"oracle_queries\": %d,\n\
-      \    \"trace_events\": %d,\n\
-      \    \"trace_dropped_events\": %d,\n\
-      \    \"task_dips\": %s,\n\
-      \    \"task_iters_s\": [%s],\n\
-      \    \"dip_batch_qs\": %s,\n\
-      \    \"dip_batch_wall_s\": %s,\n\
-      \    \"dip_batch_dips\": %s,\n\
-      \    \"dip_batch_rounds\": %s,\n\
-      \    \"dip_batch_dips_per_s\": %s,\n\
-      \    \"dip_batch_q1_matches_serial\": %b,\n\
-      \    \"dip_batch_all_broken\": %b,\n\
-      \    %s\n\
-      \  }"
-      section name n num_tasks domains serial_wall steal_wall traced_wall
-      (Split_attack.min_task_time steal)
-      (Split_attack.mean_task_time steal)
-      (Split_attack.max_task_time steal)
-      stats.LL.Runtime.Pool.steals stats.LL.Runtime.Pool.tasks_run matches_serial
-      serial_minor serial_major
-      (counter snap "sat.conflicts")
-      (counter snap "sat.propagations")
-      (counter snap "sat.restarts")
-      (counter snap "attack.oracle_queries")
-      (Array.length snap.Tel.events)
-      snap.Tel.dropped_events
-      (json_int_array task_dips)
-      (String.concat ", " (Array.to_list (Array.map json_float_array traj)))
-      (json_int_array dip_qs) (json_float_array batch_wall)
-      (json_int_array batch_dips) (json_int_array batch_rounds)
-      (json_float_array batch_dips_s) q1_matches_serial batch_all_broken
-      (Bench_gc.json_fields ~minor_words:serial_minor ~wall_s:serial_wall)
+    Bench_record.
+      [
+        ("section", str section);
+        ("workload", str name);
+        ("n", int n);
+        ("num_tasks", int num_tasks);
+        ("domains", int domains);
+        ("serial_wall_s", fixed 6 serial_wall);
+        ("stealing_wall_s", fixed 6 steal_wall);
+        ("traced_wall_s", fixed 6 traced_wall);
+        ("task_min_s", fixed 6 (Split_attack.min_task_time steal));
+        ("task_mean_s", fixed 6 (Split_attack.mean_task_time steal));
+        ("task_max_s", fixed 6 (Split_attack.max_task_time steal));
+        ("steals", int stats.LL.Runtime.Pool.steals);
+        ("tasks_run", int stats.LL.Runtime.Pool.tasks_run);
+        ("matches_serial", bool matches_serial);
+        ("serial_gc_minor_words", fixed 0 serial_minor);
+        ("serial_gc_major_words", fixed 0 serial_major);
+        ("sat_conflicts", int (counter snap "sat.conflicts"));
+        ("sat_propagations", int (counter snap "sat.propagations"));
+        ("sat_restarts", int (counter snap "sat.restarts"));
+        ("oracle_queries", int (counter snap "attack.oracle_queries"));
+        ("trace_events", int (Array.length snap.Tel.events));
+        ("trace_dropped_events", int snap.Tel.dropped_events);
+        ("task_dips", ints task_dips);
+        ("task_iters_s", J.Arr (Array.to_list (Array.map (fixeds 6) traj)));
+        ("dip_batch_qs", ints dip_qs);
+        ("dip_batch_wall_s", fixeds 6 batch_wall);
+        ("dip_batch_dips", ints batch_dips);
+        ("dip_batch_rounds", ints batch_rounds);
+        ("dip_batch_dips_per_s", fixeds 6 batch_dips_s);
+        ("dip_batch_q1_matches_serial", bool q1_matches_serial);
+        ("dip_batch_all_broken", bool batch_all_broken);
+      ]
+    @ Bench_gc.json_fields ~minor_words:serial_minor ~wall_s:serial_wall
   in
   split_records := record :: !split_records
-
-let write_split_json () =
-  if !split_records <> [] then begin
-    (* Atomic (temp file + rename): a crashed or interrupted run never
-       leaves a truncated BENCH_split.json behind. *)
-    LL.Util.Fileio.write_atomic_string "BENCH_split.json"
-      (Printf.sprintf "[\n%s\n]\n" (String.concat ",\n" (List.rev !split_records)));
-    Printf.printf "\nwrote BENCH_split.json (%d record(s))\n" (List.length !split_records)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 1(a): error distribution of a 3-input/3-key SARLock circuit.   *)
@@ -759,4 +726,4 @@ let () =
   if want "keypopsmoke" then keypop ~smoke:true;
   if want "micro" then micro ();
   if want "table2" then table2 ();
-  write_split_json ()
+  Bench_record.write "BENCH_split.json" (List.rev !split_records)

@@ -30,33 +30,7 @@ module Prng = LL.Util.Prng
 module Timer = LL.Util.Timer
 module Tel = LL.Telemetry.Telemetry
 
-type record = {
-  name : string;
-  kind : string;
-  result : string;
-  wall_s : float;
-  conflicts : int;
-  propagations : int;
-  decisions : int;
-  restarts : int;
-  deleted_clauses : int;
-  arena_gcs : int;
-  arena_words : int;
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-  round_s : float array;  (* per-solve durations, from "sat.solve" spans *)
-  round_restarts : int array;  (* per-solve restart deltas, chronological *)
-  round_propagations : int array;  (* per-solve propagation deltas *)
-  simp_subsumed : int;
-  simp_self_subsumed : int;
-  simp_eliminated_vars : int;
-  simp_vivified : int;
-  lbd_mean : float;
-  gc_json : string;  (* shared GC gauges, rendered at record-build time *)
-}
-
-let records : record list ref = ref []
+let records : Bench_record.record list ref = ref []
 
 (* Wraps [Solver.solve] to log the restart/propagation delta of each
    incremental round; workloads thread [per_round] through and return it
@@ -100,43 +74,49 @@ let measure ~name ~kind f =
   in
   let st = Solver.stats solver in
   let rounds = Array.of_list (List.rev per_round) in
-  let r =
-    {
-      name;
-      kind;
-      result;
-      wall_s = wall;
-      conflicts = counter "sat.conflicts";
-      propagations = counter "sat.propagations";
-      decisions = counter "sat.decisions";
-      restarts = counter "sat.restarts";
-      deleted_clauses = st.Solver.deleted_clauses;
-      arena_gcs = st.Solver.arena_gcs;
-      arena_words =
-        (match List.assoc_opt "sat.arena_words" snap.Tel.gauges with
-        | Some w -> int_of_float w
-        | None -> st.Solver.arena_words);
-      minor_words = m1 -. m0;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
-      promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      round_s;
-      round_restarts = Array.map fst rounds;
-      round_propagations = Array.map snd rounds;
-      simp_subsumed = st.Solver.simp_subsumed;
-      simp_self_subsumed = st.Solver.simp_self_subsumed;
-      simp_eliminated_vars = st.Solver.simp_eliminated_vars;
-      simp_vivified = st.Solver.simp_vivified;
-      lbd_mean;
-      gc_json = Bench_gc.json_fields ~minor_words:(m1 -. m0) ~wall_s:wall;
-    }
-  in
-  records := r :: !records;
+  let conflicts = counter "sat.conflicts" and propagations = counter "sat.propagations" in
+  let minor_words = m1 -. m0 in
   let per_sec n = if wall > 0.0 then float_of_int n /. wall else 0.0 in
-  let per_conflict w = if r.conflicts > 0 then w /. float_of_int r.conflicts else 0.0 in
+  let per_conflict w = if conflicts > 0 then w /. float_of_int conflicts else 0.0 in
+  let record =
+    Bench_record.
+      [
+        ("name", str name);
+        ("kind", str kind);
+        ("result", str result);
+        ("wall_s", fixed 6 wall);
+        ("conflicts", int conflicts);
+        ("propagations", int propagations);
+        ("decisions", int (counter "sat.decisions"));
+        ("restarts", int (counter "sat.restarts"));
+        ("deleted_clauses", int st.Solver.deleted_clauses);
+        ("arena_gcs", int st.Solver.arena_gcs);
+        ( "arena_words",
+          int
+            (match List.assoc_opt "sat.arena_words" snap.Tel.gauges with
+            | Some w -> int_of_float w
+            | None -> st.Solver.arena_words) );
+        ("propagations_per_s", fixed 1 (per_sec propagations));
+        ("conflicts_per_s", fixed 1 (per_sec conflicts));
+        ("gc_minor_words", fixed 0 minor_words);
+        ("gc_major_words", fixed 0 (g1.Gc.major_words -. g0.Gc.major_words));
+        ("gc_promoted_words", fixed 0 (g1.Gc.promoted_words -. g0.Gc.promoted_words));
+        ("minor_words_per_conflict", fixed 1 (per_conflict minor_words));
+        ("lbd_mean", fixed 3 lbd_mean);
+        ("simp_subsumed", int st.Solver.simp_subsumed);
+        ("simp_self_subsumed", int st.Solver.simp_self_subsumed);
+        ("simp_eliminated_vars", int st.Solver.simp_eliminated_vars);
+        ("simp_vivified", int st.Solver.simp_vivified);
+        ("round_s", fixeds 6 round_s);
+        ("round_restarts", ints (Array.map fst rounds));
+        ("round_propagations", ints (Array.map snd rounds));
+      ]
+    @ Bench_gc.json_fields ~minor_words ~wall_s:wall
+  in
+  records := record :: !records;
   Printf.printf
     "  %-26s %8.3f s %10.0f props/s %8.0f confls/s %10.0f minor w/confl  %s\n%!" name
-    wall (per_sec r.propagations) (per_sec r.conflicts)
-    (per_conflict r.minor_words) result
+    wall (per_sec propagations) (per_sec conflicts) (per_conflict minor_words) result
 
 (* ------------------------------------------------------------------ *)
 (* Miter workloads                                                     *)
@@ -299,7 +279,7 @@ type simp_side = {
   ss_rounds : int;  (* SAT rounds completed — the DIP-rate analogue *)
 }
 
-let simp_records : string list ref = ref []
+let simp_records : Bench_record.record list ref = ref []
 
 let simp_miter_run ~rounds ~simp locked =
   (* Unlike [miter_workload] the miter is NOT pre-optimized by the synth
@@ -350,7 +330,7 @@ let simp_compare ~name ~rounds locked =
   let _, off = simp_miter_run ~rounds ~simp:false locked in
   let on_solver, on = simp_miter_run ~rounds ~simp:true locked in
   let m1 = Gc.minor_words () in
-  let gc_json =
+  let gc_fields =
     Bench_gc.json_fields
       ~minor_words:(m1 -. m0)
       ~wall_s:(off.ss_wall +. on.ss_wall)
@@ -382,44 +362,36 @@ let simp_compare ~name ~rounds locked =
     st.Solver.simp_subsumed st.Solver.simp_self_subsumed
     st.Solver.simp_eliminated_vars st.Solver.simp_vivified;
   let record =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": %S,\n\
-      \    \"kind\": \"simp_compare\",\n\
-      \    \"workload\": \"blocking\",\n\
-      \    \"rounds\": %d,\n\
-      \    \"off_wall_s\": %.6f,\n\
-      \    \"off_propagations\": %d,\n\
-      \    \"off_conflicts\": %d,\n\
-      \    \"off_clauses\": %d,\n\
-      \    \"off_learnts\": %d,\n\
-      \    \"off_propagations_per_s\": %.1f,\n\
-      \    \"off_dips_per_s\": %.1f,\n\
-      \    \"on_wall_s\": %.6f,\n\
-      \    \"on_propagations\": %d,\n\
-      \    \"on_conflicts\": %d,\n\
-      \    \"on_clauses\": %d,\n\
-      \    \"on_learnts\": %d,\n\
-      \    \"on_propagations_per_s\": %.1f,\n\
-      \    \"on_dips_per_s\": %.1f,\n\
-      \    \"clause_reduction\": %.4f,\n\
-      \    \"wall_speedup\": %.3f,\n\
-      \    \"dips_per_s_speedup\": %.3f,\n\
-      \    \"propagations_per_s_speedup\": %.3f,\n\
-      \    \"simp_subsumed\": %d,\n\
-      \    \"simp_self_subsumed\": %d,\n\
-      \    \"simp_eliminated_vars\": %d,\n\
-      \    \"simp_vivified\": %d,\n\
-      \    %s\n\
-      \  }"
-      name rounds off.ss_wall off.ss_props off.ss_confls off.ss_clauses
-      off.ss_learnts off_props_s off_dips_s on.ss_wall on.ss_props on.ss_confls
-      on.ss_clauses on.ss_learnts on_props_s on_dips_s clause_reduction
-      (speedup off.ss_wall on.ss_wall)
-      (speedup on_dips_s off_dips_s)
-      (speedup on_props_s off_props_s)
-      st.Solver.simp_subsumed st.Solver.simp_self_subsumed
-      st.Solver.simp_eliminated_vars st.Solver.simp_vivified gc_json
+    Bench_record.
+      [
+        ("name", str name);
+        ("kind", str "simp_compare");
+        ("workload", str "blocking");
+        ("rounds", int rounds);
+        ("off_wall_s", fixed 6 off.ss_wall);
+        ("off_propagations", int off.ss_props);
+        ("off_conflicts", int off.ss_confls);
+        ("off_clauses", int off.ss_clauses);
+        ("off_learnts", int off.ss_learnts);
+        ("off_propagations_per_s", fixed 1 off_props_s);
+        ("off_dips_per_s", fixed 1 off_dips_s);
+        ("on_wall_s", fixed 6 on.ss_wall);
+        ("on_propagations", int on.ss_props);
+        ("on_conflicts", int on.ss_confls);
+        ("on_clauses", int on.ss_clauses);
+        ("on_learnts", int on.ss_learnts);
+        ("on_propagations_per_s", fixed 1 on_props_s);
+        ("on_dips_per_s", fixed 1 on_dips_s);
+        ("clause_reduction", fixed 4 clause_reduction);
+        ("wall_speedup", fixed 3 (speedup off.ss_wall on.ss_wall));
+        ("dips_per_s_speedup", fixed 3 (speedup on_dips_s off_dips_s));
+        ("propagations_per_s_speedup", fixed 3 (speedup on_props_s off_props_s));
+        ("simp_subsumed", int st.Solver.simp_subsumed);
+        ("simp_self_subsumed", int st.Solver.simp_self_subsumed);
+        ("simp_eliminated_vars", int st.Solver.simp_eliminated_vars);
+        ("simp_vivified", int st.Solver.simp_vivified);
+      ]
+    @ gc_fields
   in
   simp_records := record :: !simp_records
 
@@ -440,7 +412,7 @@ let simp_attack_compare ~name locked ~oracle =
   let off_w, off = run false in
   let on_w, on = run true in
   let m1 = Gc.minor_words () in
-  let gc_json =
+  let gc_fields =
     Bench_gc.json_fields
       ~minor_words:(m1 -. m0)
       ~wall_s:(off_w +. on_w)
@@ -457,41 +429,27 @@ let simp_attack_compare ~name locked ~oracle =
     (speedup off_w on_w)
     (speedup on_dips_s off_dips_s);
   let record =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": %S,\n\
-      \    \"kind\": \"simp_compare\",\n\
-      \    \"workload\": \"attack\",\n\
-      \    \"off_wall_s\": %.6f,\n\
-      \    \"off_dips\": %d,\n\
-      \    \"off_conflicts\": %d,\n\
-      \    \"off_solve_s\": %.6f,\n\
-      \    \"off_dips_per_s\": %.2f,\n\
-      \    \"on_wall_s\": %.6f,\n\
-      \    \"on_dips\": %d,\n\
-      \    \"on_conflicts\": %d,\n\
-      \    \"on_solve_s\": %.6f,\n\
-      \    \"on_dips_per_s\": %.2f,\n\
-      \    \"wall_speedup\": %.3f,\n\
-      \    \"dips_per_s_speedup\": %.3f,\n\
-      \    %s\n\
-      \  }"
-      name off_w off.Sat_attack.num_dips off.Sat_attack.solver_conflicts
-      off.Sat_attack.solve_time off_dips_s on_w on.Sat_attack.num_dips
-      on.Sat_attack.solver_conflicts on.Sat_attack.solve_time on_dips_s
-      (speedup off_w on_w)
-      (speedup on_dips_s off_dips_s)
-      gc_json
+    Bench_record.
+      [
+        ("name", str name);
+        ("kind", str "simp_compare");
+        ("workload", str "attack");
+        ("off_wall_s", fixed 6 off_w);
+        ("off_dips", int off.Sat_attack.num_dips);
+        ("off_conflicts", int off.Sat_attack.solver_conflicts);
+        ("off_solve_s", fixed 6 off.Sat_attack.solve_time);
+        ("off_dips_per_s", fixed 2 off_dips_s);
+        ("on_wall_s", fixed 6 on_w);
+        ("on_dips", int on.Sat_attack.num_dips);
+        ("on_conflicts", int on.Sat_attack.solver_conflicts);
+        ("on_solve_s", fixed 6 on.Sat_attack.solve_time);
+        ("on_dips_per_s", fixed 2 on_dips_s);
+        ("wall_speedup", fixed 3 (speedup off_w on_w));
+        ("dips_per_s_speedup", fixed 3 (speedup on_dips_s off_dips_s));
+      ]
+    @ gc_fields
   in
   simp_records := record :: !simp_records
-
-let write_simp_json () =
-  if !simp_records <> [] then begin
-    LL.Util.Fileio.write_atomic_string "BENCH_sat_simp.json"
-      (Printf.sprintf "[\n%s\n]\n" (String.concat ",\n" (List.rev !simp_records)));
-    Printf.printf "\nwrote BENCH_sat_simp.json (%d record(s))\n"
-      (List.length !simp_records)
-  end
 
 let simp_suite ~smoke =
   let iscas = LL.Bench_suite.Iscas.get in
@@ -537,7 +495,7 @@ let simp_suite ~smoke =
 
 let run_simp ~smoke =
   simp_suite ~smoke;
-  write_simp_json ()
+  Bench_record.write "BENCH_sat_simp.json" (List.rev !simp_records)
 
 (* ------------------------------------------------------------------ *)
 (* Batched DIP pipeline: q sweep                                       *)
@@ -554,7 +512,7 @@ let run_simp ~smoke =
 
 let dip_batch_qs = [| 1; 4; 16; 64 |]
 
-let dip_batch_records : string list ref = ref []
+let dip_batch_records : Bench_record.record list ref = ref []
 
 let dip_batch_sweep ~name locked ~oracle =
   let attack q =
@@ -595,29 +553,22 @@ let dip_batch_sweep ~name locked ~oracle =
         wall.(i) dips.(i) rounds.(i) dips_s.(i) speedup.(i))
     dip_batch_qs;
   if not keys_match then Printf.printf "  %-26s KEY MISMATCH across q\n%!" name;
-  let ints a = String.concat ", " (Array.to_list (Array.map string_of_int a)) in
-  let floats fmt a =
-    String.concat ", " (Array.to_list (Array.map (Printf.sprintf fmt) a))
-  in
   let record =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": %S,\n\
-      \    \"kind\": \"dip_batch\",\n\
-      \    \"qs\": [%s],\n\
-      \    \"wall_s\": [%s],\n\
-      \    \"dips\": [%s],\n\
-      \    \"rounds\": [%s],\n\
-      \    \"dips_per_s\": [%s],\n\
-      \    \"speedup_vs_q1\": [%s],\n\
-      \    \"keys_match\": %b,\n\
-      \    %s\n\
-      \  }"
-      name (ints dip_batch_qs) (floats "%.6f" wall) (ints dips) (ints rounds)
-      (floats "%.2f" dips_s) (floats "%.3f" speedup) keys_match
-      (Bench_gc.json_fields
-         ~minor_words:(m1 -. m0)
-         ~wall_s:(Array.fold_left ( +. ) 0.0 (Array.map fst runs)))
+    Bench_record.
+      [
+        ("name", str name);
+        ("kind", str "dip_batch");
+        ("qs", ints dip_batch_qs);
+        ("wall_s", fixeds 6 wall);
+        ("dips", ints dips);
+        ("rounds", ints rounds);
+        ("dips_per_s", fixeds 2 dips_s);
+        ("speedup_vs_q1", fixeds 3 speedup);
+        ("keys_match", bool keys_match);
+      ]
+    @ Bench_gc.json_fields
+        ~minor_words:(m1 -. m0)
+        ~wall_s:(Array.fold_left ( +. ) 0.0 wall)
   in
   dip_batch_records := record :: !dip_batch_records
 
@@ -649,87 +600,21 @@ let dip_batch_suite ~smoke =
       dip_batch_sweep ~name locked ~oracle:(Oracle.of_circuit (iscas base)))
     suite
 
-let write_dip_batch_json () =
-  if !dip_batch_records <> [] then begin
-    LL.Util.Fileio.write_atomic_string "BENCH_dip_batch.json"
-      (Printf.sprintf "[\n%s\n]\n" (String.concat ",\n" (List.rev !dip_batch_records)));
-    Printf.printf "\nwrote BENCH_dip_batch.json (%d record(s))\n"
-      (List.length !dip_batch_records)
-  end
-
 let run_dip_batch ~smoke =
   dip_batch_suite ~smoke;
-  write_dip_batch_json ()
+  Bench_record.write "BENCH_dip_batch.json" (List.rev !dip_batch_records)
 
 (* ------------------------------------------------------------------ *)
-(* Entry points + JSON                                                 *)
+(* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let record_json r =
-  let per_sec n = if r.wall_s > 0.0 then float_of_int n /. r.wall_s else 0.0 in
-  Printf.sprintf
-    "  {\n\
-    \    \"name\": %S,\n\
-    \    \"kind\": %S,\n\
-    \    \"result\": %S,\n\
-    \    \"wall_s\": %.6f,\n\
-    \    \"conflicts\": %d,\n\
-    \    \"propagations\": %d,\n\
-    \    \"decisions\": %d,\n\
-    \    \"restarts\": %d,\n\
-    \    \"deleted_clauses\": %d,\n\
-    \    \"arena_gcs\": %d,\n\
-    \    \"arena_words\": %d,\n\
-    \    \"propagations_per_s\": %.1f,\n\
-    \    \"conflicts_per_s\": %.1f,\n\
-    \    \"gc_minor_words\": %.0f,\n\
-    \    \"gc_major_words\": %.0f,\n\
-    \    \"gc_promoted_words\": %.0f,\n\
-    \    \"minor_words_per_conflict\": %.1f,\n\
-    \    \"lbd_mean\": %.3f,\n\
-    \    \"simp_subsumed\": %d,\n\
-    \    \"simp_self_subsumed\": %d,\n\
-    \    \"simp_eliminated_vars\": %d,\n\
-    \    \"simp_vivified\": %d,\n\
-    \    \"round_s\": [%s],\n\
-    \    \"round_restarts\": [%s],\n\
-    \    \"round_propagations\": [%s],\n\
-    \    %s\n\
-    \  }"
-    r.name r.kind r.result r.wall_s r.conflicts r.propagations r.decisions r.restarts
-    r.deleted_clauses r.arena_gcs r.arena_words (per_sec r.propagations)
-    (per_sec r.conflicts) r.minor_words r.major_words r.promoted_words
-    (if r.conflicts > 0 then r.minor_words /. float_of_int r.conflicts else 0.0)
-    r.lbd_mean r.simp_subsumed r.simp_self_subsumed r.simp_eliminated_vars
-    r.simp_vivified
-    (String.concat ", "
-       (Array.to_list (Array.map (Printf.sprintf "%.6f") r.round_s)))
-    (String.concat ", "
-       (Array.to_list (Array.map string_of_int r.round_restarts)))
-    (String.concat ", "
-       (Array.to_list (Array.map string_of_int r.round_propagations)))
-    r.gc_json
-
-let write_json () =
-  (* Solver records first, then the simp on/off comparison pairs (kind
-     "simp_compare") and the batched-DIP q sweeps (kind "dip_batch") in
-     one array. *)
-  let parts =
-    List.rev_map record_json !records
-    @ List.rev !simp_records
-    @ List.rev !dip_batch_records
-  in
-  if parts <> [] then begin
-    (* Atomic (temp file + rename): a crashed or interrupted run never
-       leaves a truncated BENCH_sat.json behind. *)
-    LL.Util.Fileio.write_atomic_string "BENCH_sat.json"
-      (Printf.sprintf "[\n%s\n]\n" (String.concat ",\n" parts));
-    Printf.printf "\nwrote BENCH_sat.json (%d record(s))\n" (List.length parts)
-  end
 
 let run ~smoke =
   miter_suite ~smoke;
   dimacs_suite ~smoke;
   simp_suite ~smoke;
   dip_batch_suite ~smoke;
-  write_json ()
+  (* Solver records first, then the simp on/off comparison pairs (kind
+     "simp_compare") and the batched-DIP q sweeps (kind "dip_batch") in
+     one array. *)
+  Bench_record.write "BENCH_sat.json"
+    (List.rev !records @ List.rev !simp_records @ List.rev !dip_batch_records)

@@ -135,7 +135,7 @@ let lock_cmd =
   let run spec scheme keys width m a output seed =
     let c = load_design spec in
     let prng = LL.Util.Prng.create seed in
-    let locked =
+    let lock () =
       match scheme with
       | "xor" -> LL.Locking.Xor_lock.lock ~prng ~num_keys:keys c
       | "sll" -> LL.Locking.Sll.lock ~prng ~num_keys:keys c
@@ -148,6 +148,9 @@ let lock_cmd =
             "error: unknown scheme %s (xor|sll|sarlock|mixed-sarlock|antisat|lut)\n" other;
           exit 2
     in
+    (* The schemes validate their own parameters against the design
+       (key size, LUT shape, lockable wires); report what they reject. *)
+    let locked = try lock () with Invalid_argument msg -> fail "lock %s: %s" spec msg in
     Printf.eprintf "scheme      : %s\n" locked.LL.Locking.Locked.scheme;
     Printf.eprintf "correct key : %s\n" (Bitvec.to_string locked.correct_key);
     emit output locked.circuit;
@@ -181,8 +184,14 @@ let lock_cmd =
 let sim_cmd =
   let run spec inputs key =
     let c = load_design spec in
-    let iv = Bitvec.of_string inputs in
-    let kv = match key with None -> Bitvec.create 0 | Some k -> Bitvec.of_string k in
+    let iv = bits_arg "--inputs" inputs in
+    let kv = match key with None -> Bitvec.create 0 | Some k -> bits_arg "--key" k in
+    if Bitvec.length iv <> Circuit.num_inputs c then
+      fail "--inputs has %d bits, %s has %d inputs" (Bitvec.length iv) spec
+        (Circuit.num_inputs c);
+    if Bitvec.length kv <> Circuit.num_keys c then
+      fail "--key has %d bits, %s has %d key inputs" (Bitvec.length kv) spec
+        (Circuit.num_keys c);
     let out = LL.Netlist.Eval.eval_bv c ~inputs:iv ~keys:kv in
     Printf.printf "%s\n" (Bitvec.to_string out);
     0
@@ -239,6 +248,7 @@ let ec_cmd =
 
 let fanout_cmd =
   let run spec n =
+    if n < 0 then fail "--top %d is negative" n;
     let c = load_design spec in
     let scores = LL.Attack.Fanout.scores c in
     let rank = LL.Attack.Fanout.rank c in

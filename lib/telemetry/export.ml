@@ -1,21 +1,6 @@
 module T = Telemetry
 
-(* JSON string escaping (the OCaml %S escapes control characters in a
-   non-JSON decimal form, so roll our own). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Trace_check.json_escape
 
 let us_of_ns ns = float_of_int ns /. 1e3
 

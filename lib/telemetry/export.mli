@@ -7,9 +7,6 @@
     {!Ll_util.Fileio.write_atomic}, so an interrupted run never leaves a
     truncated artifact. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
 val chrome_trace : Buffer.t -> Telemetry.snapshot -> unit
 (** One JSON object: [{"traceEvents": [...], "displayTimeUnit": ...,
     "otherData": {counters, gauges, drop counts}}].  Span B/E pairs become

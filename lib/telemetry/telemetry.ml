@@ -439,20 +439,33 @@ let snapshot () =
           }
           :: !events
       done;
-      let m = Array.length st.counters in
-      for id = 0 to min m n_metrics - 1 do
-        counters.(id) <- counters.(id) + st.counters.(id);
-        if st.gauge_seqs.(id) > gauge_best.(id) then begin
-          gauge_best.(id) <- st.gauge_seqs.(id);
-          gauges.(id) <- st.gauges.(id)
+      (* The owning domain may be growing these arrays in
+         [ensure_metrics] right now, one field at a time: read each once
+         and walk only the prefix every one of them covers. *)
+      let st_counters = st.counters and st_gauges = st.gauges in
+      let st_gauge_seqs = st.gauge_seqs and st_hist_counts = st.hist_counts in
+      let st_hist_sums = st.hist_sums and st_hist_ns = st.hist_ns in
+      let m =
+        List.fold_left min n_metrics
+          [
+            Array.length st_counters; Array.length st_gauges;
+            Array.length st_gauge_seqs; Array.length st_hist_counts;
+            Array.length st_hist_sums; Array.length st_hist_ns;
+          ]
+      in
+      for id = 0 to m - 1 do
+        counters.(id) <- counters.(id) + st_counters.(id);
+        if st_gauge_seqs.(id) > gauge_best.(id) then begin
+          gauge_best.(id) <- st_gauge_seqs.(id);
+          gauges.(id) <- st_gauges.(id)
         end;
-        let hc = st.hist_counts.(id) in
+        let hc = st_hist_counts.(id) in
         if Array.length hc > 0 then begin
           if Array.length hist_counts.(id) = 0 then
             hist_counts.(id) <- Array.make (Array.length hc) 0;
           Array.iteri (fun b c -> hist_counts.(id).(b) <- hist_counts.(id).(b) + c) hc;
-          hist_sums.(id) <- hist_sums.(id) +. st.hist_sums.(id);
-          hist_ns.(id) <- hist_ns.(id) + st.hist_ns.(id)
+          hist_sums.(id) <- hist_sums.(id) +. st_hist_sums.(id);
+          hist_ns.(id) <- hist_ns.(id) + st_hist_ns.(id)
         end
       done)
     states;

@@ -181,6 +181,95 @@ let to_string_opt = function Some (Str s) -> Some s | _ -> None
 let to_num_opt = function Some (Num f) -> Some f | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Printer (the inverse of [parse_json])                               *)
+(* ------------------------------------------------------------------ *)
+
+(* JSON string escaping (the OCaml %S escapes control characters in a
+   non-JSON decimal form, so roll our own). *)
+let json_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let invalid fmt = Printf.ksprintf (fun s -> invalid_arg ("Trace_check.to_string: " ^ s)) fmt
+
+(* Integral values below 2^53 are exact doubles and print as integers;
+   any other value takes the shorter of %.15g / %.17g that reads back to
+   the same double. *)
+let number_text ~key x =
+  if not (Float.is_finite x) then invalid "key %S holds %s" key (string_of_float x);
+  if Float.is_integer x && Float.abs x < 0x1p53 then Printf.sprintf "%.0f" x
+  else
+    let s = Printf.sprintf "%.15g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+(* Objects print one field per line, arrays whose elements are all
+   objects one element per line, and every other array inline — the
+   layout of the BENCH_*.json artifacts, so regenerated files diff line
+   by line. *)
+let to_string v =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_char b '"';
+    Buffer.add_string b (json_escape s);
+    Buffer.add_char b '"'
+  in
+  let newline indent =
+    Buffer.add_char b '\n';
+    Buffer.add_string b (String.make indent ' ')
+  in
+  let block indent items print_item =
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_char b ',';
+        newline (indent + 2);
+        print_item item)
+      items;
+    newline indent
+  in
+  let rec value ~key indent = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num x -> Buffer.add_string b (number_text ~key x)
+    | Str s -> str s
+    | Obj [] -> Buffer.add_string b "{}"
+    | Obj fields ->
+      let seen = Hashtbl.create 32 in
+      Buffer.add_char b '{';
+      block indent fields (fun (k, v) ->
+          if Hashtbl.mem seen k then invalid "duplicate key %S" k;
+          Hashtbl.add seen k ();
+          str k;
+          Buffer.add_string b ": ";
+          value ~key:k (indent + 2) v);
+      Buffer.add_char b '}'
+    | Arr (_ :: _ as items) when List.for_all (function Obj _ -> true | _ -> false) items ->
+      Buffer.add_char b '[';
+      block indent items (value ~key (indent + 2));
+      Buffer.add_char b ']'
+    | Arr items ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string b ", ";
+          value ~key indent v)
+        items;
+      Buffer.add_char b ']'
+  in
+  value ~key:"" 0 v;
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
 (* Chrome trace validation                                             *)
 (* ------------------------------------------------------------------ *)
 

@@ -3,7 +3,8 @@
     Backs the [trace-smoke] CI alias: parses the trace produced by
     {!Export.write_chrome_trace} with a small built-in JSON parser and
     checks that per-track span events are balanced, matched by name, and
-    time-ordered. *)
+    time-ordered.  The same JSON value type, with {!to_string}, is what
+    the BENCH_*.json emitters build and print their records with. *)
 
 type json =
   | Null
@@ -19,6 +20,17 @@ val parse_json : string -> json
 (** Raises {!Parse_error} on malformed input or trailing garbage. *)
 
 val member : string -> json -> json option
+
+val json_escape : string -> string
+(** Escape a string for embedding in a JSON string literal. *)
+
+val to_string : json -> string
+(** The inverse of {!parse_json}: [parse_json (to_string v) = v].  An
+    integral [Num] below 2{^53} in magnitude prints as an integer, any
+    other [Num] in its shortest round-trip form.  Objects print one field
+    per line, arrays of objects one element per line, other arrays
+    inline; no trailing newline.  Raises [Invalid_argument] naming the
+    key on a non-finite number or a key repeated within one [Obj]. *)
 
 type report = {
   total_events : int;

@@ -66,5 +66,10 @@ let randomly_equal ?(trials = 128) ?(seed = 11) c1 c2 =
   done;
   !equal
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

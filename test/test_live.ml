@@ -276,11 +276,6 @@ let test_stream_rejects_protocol_violations () =
 
 (* --- prometheus exposition --- *)
 
-let contains hay needle =
-  let n = String.length needle and len = String.length hay in
-  let rec find i = i + n <= len && (String.sub hay i n = needle || find (i + 1)) in
-  find 0
-
 let test_prom_name () =
   Alcotest.(check string) "dots sanitized, prefixed" "ll_attack_dips"
     (Export.prom_name "attack.dips")

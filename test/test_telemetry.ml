@@ -301,6 +301,108 @@ let test_jsonl_parses () =
       if line <> "" then ignore (Trace_check.parse_json line))
     lines
 
+(* --- JSON printer --- *)
+
+(* Values the BENCH_*.json records are made of, plus the string and
+   number shapes that stress the printer: quotes, backslashes and control
+   characters; negative, fractional and beyond-2^31 numbers. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let text =
+    string_size (int_bound 8)
+      ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\031'; '/' ] ])
+  in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1000) 1000);
+        map float_of_int (int_range (1 lsl 31) (1 lsl 53));
+        map (fun i -> -.Float.ldexp (float_of_int i) 60) (int_range 1 1000);
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map (fun (a, b) -> float_of_int a /. float_of_int b) (pair int (int_range 1 997));
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        pure Trace_check.Null;
+        map (fun b -> Trace_check.Bool b) bool;
+        map (fun x -> Trace_check.Num x) num;
+        map (fun s -> Trace_check.Str s) text;
+      ]
+  in
+  (* Keys are unique within one object; the printer rejects repeats. *)
+  let dedup fields =
+    List.fold_left
+      (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+      [] fields
+    |> List.rev
+  in
+  sized_size (int_bound 24)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Trace_check.Arr l) (list_size (int_bound 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Trace_check.Obj (dedup l))
+                   (list_size (int_bound 4) (pair text (self (n / 3)))) );
+             ])
+
+let test_to_string_rejects () =
+  let rejects what key v =
+    match Trace_check.to_string v with
+    | exception Invalid_argument msg ->
+        if not (contains msg (Printf.sprintf "%S" key)) then
+          Alcotest.failf "%s: message %S does not name key %S" what msg key
+    | s -> Alcotest.failf "%s printed as %s" what s
+  in
+  rejects "nan" "wall_s" (Trace_check.Obj [ ("wall_s", Trace_check.Num Float.nan) ]);
+  rejects "infinity" "fixed_wall_s"
+    (Trace_check.Arr
+       [ Trace_check.Obj [ ("fixed_wall_s", Trace_check.Arr [ Trace_check.Num Float.infinity ]) ] ]);
+  rejects "-infinity" "x" (Trace_check.Obj [ ("x", Trace_check.Num Float.neg_infinity) ]);
+  rejects "duplicate key" "name"
+    (Trace_check.Obj [ ("name", Trace_check.Str "a"); ("name", Trace_check.Str "b") ])
+
+let test_to_string_layout () =
+  let record =
+    Trace_check.Obj
+      [
+        ("name", Trace_check.Str "c432/sarlock8");
+        ("fixed_ns", Trace_check.Arr [ Trace_check.Num 0.0; Trace_check.Num 1.0 ]);
+        ("wall_s", Trace_check.Num 0.045127);
+        ("ok", Trace_check.Bool true);
+      ]
+  in
+  Alcotest.(check string) "one field per line"
+    "[\n\
+    \  {\n\
+    \    \"name\": \"c432/sarlock8\",\n\
+    \    \"fixed_ns\": [0, 1],\n\
+    \    \"wall_s\": 0.045127,\n\
+    \    \"ok\": true\n\
+    \  },\n\
+    \  {}\n\
+     ]"
+    (Trace_check.to_string (Trace_check.Arr [ record; Trace_check.Obj [] ]))
+
+(* [Bench_record.fixed dp x] must read back as exactly the double the
+   old [Printf "%.*f"] emitters wrote, so baselines stay comparable. *)
+let test_fixed_decimals () =
+  List.iter
+    (fun x ->
+      for dp = 0 to 6 do
+        let expected = float_of_string (Printf.sprintf "%.*f" dp x) in
+        match Trace_check.parse_json (Trace_check.to_string (Bench_record.fixed dp x)) with
+        | Trace_check.Num y when y = expected -> ()
+        | _ -> Alcotest.failf "fixed %d %h does not read back as %h" dp x expected
+      done)
+    [ 0.125; 2.675; 1e-7; 123456.78915; -0.0005; 68495902.4; 2.0 ]
+
 (* --- per-domain rings --- *)
 
 (* One ring at the default capacity: 32768 slots of 6-field records plus
@@ -332,6 +434,30 @@ let test_untraced_domains_keep_no_ring () =
   Alcotest.(check bool) "a fresh domain's event is recorded" true
     (Array.exists (fun (e : Tel.event) -> e.Tel.er_name = "fresh.domain") snap.Tel.events);
   Alcotest.(check int) "nothing dropped" 0 snap.Tel.dropped_events
+
+(* A domain grows its metric arrays one field at a time on its first
+   metric update; a snapshot taken meanwhile (the live sampler's case)
+   must read only what every array covers. *)
+let test_snapshot_during_metric_growth () =
+  let domains = 200 in
+  let snap =
+    with_telemetry (fun () ->
+        let finished = Atomic.make false in
+        let spawner =
+          Domain.spawn (fun () ->
+              for _ = 1 to domains do
+                Domain.join (Domain.spawn (fun () -> Tel.Metric.incr m_counter))
+              done;
+              Atomic.set finished true)
+        in
+        while not (Atomic.get finished) do
+          ignore (Tel.snapshot ())
+        done;
+        Domain.join spawner;
+        Tel.snapshot ())
+  in
+  Alcotest.(check (option int)) "every increment counted" (Some domains)
+    (List.assoc_opt "test.counter" snap.Tel.counters)
 
 (* --- determinism: tracing must not change attack behaviour --- *)
 
@@ -399,6 +525,8 @@ let suite =
     Alcotest.test_case "span end survives wraparound" `Quick test_wraparound_span_end_survives;
     Alcotest.test_case "4-domain pool ring stress" `Quick test_pool_stress_wraparound;
     Alcotest.test_case "untraced domains keep no ring" `Quick test_untraced_domains_keep_no_ring;
+    Alcotest.test_case "snapshot during metric growth" `Quick
+      test_snapshot_during_metric_growth;
     Alcotest.test_case "log subscriber routing" `Quick test_log_subscriber;
     Alcotest.test_case "log buffer ordering" `Quick test_log_buffer_ordering;
     Alcotest.test_case "log lines recorded in trace" `Quick test_log_lines_in_trace;
@@ -407,4 +535,10 @@ let suite =
     Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_parses;
     Alcotest.test_case "golden dips unchanged by tracing" `Quick test_golden_dips_with_tracing;
     Alcotest.test_case "split attack trace structure" `Quick test_split_trace_structure;
+    qcheck_case ~count:300 "json to_string round-trips through parse_json" json_gen
+      (fun v -> Trace_check.parse_json (Trace_check.to_string v) = v);
+    Alcotest.test_case "json to_string rejects non-finite and duplicate keys" `Quick
+      test_to_string_rejects;
+    Alcotest.test_case "json to_string layout" `Quick test_to_string_layout;
+    Alcotest.test_case "bench fixed keeps printf decimals" `Quick test_fixed_decimals;
   ]

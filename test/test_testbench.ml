@@ -1,11 +1,6 @@
 open Helpers
 module Testbench = LL.Netlist.Testbench
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_structure () =
   let tb = Testbench.generate ~vectors:4 (full_adder_circuit ()) in
   Alcotest.(check bool) "module" true (contains tb "module fa_tb;");

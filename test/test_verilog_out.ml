@@ -1,11 +1,6 @@
 open Helpers
 module Verilog_out = LL.Netlist.Verilog_out
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_module_structure () =
   let v = Verilog_out.to_string (full_adder_circuit ()) in
   Alcotest.(check bool) "module line" true (contains v "module fa(");

@@ -100,39 +100,22 @@ let parse_sections mld =
   flush ();
   !sections
 
-(* Every JSON object key: a string literal followed, after whitespace, by
-   a colon.  The emitters only use simple identifier keys, but escapes
-   are handled so a malformed artifact cannot desynchronise the scan. *)
-let json_keys s =
+module J = Ll_telemetry.Trace_check
+
+(* Every object key in a parsed artifact, first occurrence order. *)
+let json_keys json =
   let keys = ref [] in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '"' then begin
-      let b = Buffer.create 16 in
-      incr i;
-      let esc = ref false in
-      while !i < n && (!esc || s.[!i] <> '"') do
-        if !esc then begin
-          Buffer.add_char b s.[!i];
-          esc := false
-        end
-        else if s.[!i] = '\\' then esc := true
-        else Buffer.add_char b s.[!i];
-        incr i
-      done;
-      if !i < n then incr i;
-      let j = ref !i in
-      while !j < n && (s.[!j] = ' ' || s.[!j] = '\t' || s.[!j] = '\n' || s.[!j] = '\r') do
-        incr j
-      done;
-      if !j < n && s.[!j] = ':' then begin
-        let k = Buffer.contents b in
-        if not (List.mem k !keys) then keys := k :: !keys
-      end
-    end
-    else incr i
-  done;
+  let rec walk = function
+    | J.Obj fields ->
+        List.iter
+          (fun (k, v) ->
+            if not (List.mem k !keys) then keys := k :: !keys;
+            walk v)
+          fields
+    | J.Arr items -> List.iter walk items
+    | J.Null | J.Bool _ | J.Num _ | J.Str _ -> ()
+  in
+  walk json;
   List.rev !keys
 
 let matches pattern key =
@@ -176,21 +159,24 @@ let () =
           match List.assoc_opt section sections with
           | None -> err "%s: no {2 %s} section in %s" path section mld_path
           | Some [] -> err "%s: section {2 %s} documents no fields" path section
-          | Some fields ->
-              let keys = json_keys (read_file path) in
-              if keys = [] then err "%s: no JSON keys found" path;
-              List.iter
-                (fun k ->
-                  incr checked;
-                  if not (List.exists (fun p -> matches p k) fields) then
-                    err "%s: key %S not documented under {2 %s} in %s" path k
-                      section mld_path)
-                keys;
-              List.iter
-                (fun r ->
-                  if not (List.mem r keys) then
-                    err "%s: required key %S missing" path r)
-                !required)
+          | Some fields -> (
+              match json_keys (J.parse_json (read_file path)) with
+              | exception J.Parse_error msg -> err "%s: malformed JSON: %s" path msg
+              | exception Sys_error msg -> err "%s" msg
+              | [] -> err "%s: no JSON keys found" path
+              | keys ->
+                  List.iter
+                    (fun k ->
+                      incr checked;
+                      if not (List.exists (fun p -> matches p k) fields) then
+                        err "%s: key %S not documented under {2 %s} in %s" path k
+                          section mld_path)
+                    keys;
+                  List.iter
+                    (fun r ->
+                      if not (List.mem r keys) then
+                        err "%s: required key %S missing" path r)
+                    !required))
         files;
       if !errors = [] then
         Printf.printf "check_bench: %d file(s), %d key(s) OK\n" (List.length files)
