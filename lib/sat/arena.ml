@@ -11,7 +11,9 @@ type t = {
 
 let hdr_lbd_max = 0x3ff
 
-let hdr_size_shift = 12
+let hdr_size_shift = 13
+
+let hdr_queued = 1 lsl 12
 
 let no_cref = -1
 
@@ -43,6 +45,11 @@ let act t c = Int64.float_of_bits (Int64.logand (Int64.of_int t.a.(c + 1)) Int64
 
 let set_act t c f = t.a.(c + 1) <- Int64.to_int (Int64.bits_of_float f)
 
+let queued t c = t.a.(c) land hdr_queued <> 0
+
+let set_queued t c b =
+  t.a.(c) <- (if b then t.a.(c) lor hdr_queued else t.a.(c) land lnot hdr_queued)
+
 let lit t c k = t.a.(c + 2 + k)
 
 let set_lit t c k l = t.a.(c + 2 + k) <- l
@@ -63,16 +70,13 @@ let ensure t extra =
 
 let reserve = ensure
 
-let alloc t lits ~learnt ~lbd =
-  let n = Array.length lits in
+let alloc t lits n ~learnt ~lbd =
   ensure t (n + 2);
   let c = t.len in
   t.a.(c) <-
     (n lsl hdr_size_shift) lor (min lbd hdr_lbd_max lsl 2) lor (if learnt then 1 else 0);
   t.a.(c + 1) <- 0;
-  for k = 0 to n - 1 do
-    t.a.(c + 2 + k) <- lits.(k)
-  done;
+  Array.blit lits 0 t.a (c + 2) n;
   t.len <- c + n + 2;
   c
 
@@ -102,3 +106,7 @@ let signature t c =
     s := !s lor (1 lsl (Lit.var t.a.(c + 2 + k) mod 63))
   done;
   !s
+
+let stored_signature t c = t.a.(c + 1)
+
+let store_signature t c = t.a.(c + 1) <- signature t c

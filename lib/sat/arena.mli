@@ -7,11 +7,14 @@
     v}
 
     and is referred to by the arena index of its header (a {e cref}, a
-    plain [int]).  The header packs the clause size (bits 12 and up), the
-    LBD capped at 1023 (bits 2–11), a mark bit (bit 1, set on clauses that
-    are dead and awaiting compaction) and a learnt bit (bit 0).  The
-    activity slot stores the low 63 bits of the IEEE pattern of a
-    non-negative float, an exact round-trip.
+    plain [int]).  The header packs the clause size (bits 13 and up), the
+    simplifier's queue bit (bit 12, see {!queued}), the LBD capped at 1023
+    (bits 2–11), a mark bit (bit 1, set on clauses that are dead and
+    awaiting compaction) and a learnt bit (bit 0).  The activity slot of a
+    learnt clause stores the low 63 bits of the IEEE pattern of a
+    non-negative float, an exact round-trip; problem clauses have no
+    activity, and the simplifier caches their {!signature} in the slot
+    instead ({!stored_signature}).
 
     In-place shrinking ({!remove_lit_at}, {!set_size}) leaves {e hole}
     words behind the clause: a negative word [-k] at a clause boundary
@@ -39,8 +42,9 @@ val reserve : t -> int -> unit
     then lands as one contiguous append.  Like {!alloc}, may reallocate
     [t.a]: never cache it across a [reserve]. *)
 
-val alloc : t -> Lit.t array -> learnt:bool -> lbd:int -> int
-(** Append a clause, growing the backing array as needed; returns its
+val alloc : t -> Lit.t array -> int -> learnt:bool -> lbd:int -> int
+(** [alloc t lits n] appends the clause [lits.(0 .. n-1)] (callers pass a
+    reusable buffer), growing the backing array as needed; returns its
     cref.  Note that the backing array may be reallocated: never cache
     [t.a] across an [alloc]. *)
 
@@ -61,8 +65,24 @@ val unmark : t -> int -> unit
 val lbd : t -> int -> int
 
 val act : t -> int -> float
+(** Learnt clauses only. *)
 
 val set_act : t -> int -> float -> unit
+(** Learnt clauses only. *)
+
+val queued : t -> int -> bool
+(** Queue bit of a problem clause: set while the clause waits in the
+    simplifier's subsumption queue, so membership needs no side table. *)
+
+val set_queued : t -> int -> bool -> unit
+
+val stored_signature : t -> int -> int
+(** The {!signature} last saved by {!store_signature}.  Problem clauses
+    only; the caller keeps it current when the clause changes. *)
+
+val store_signature : t -> int -> unit
+(** Compute the clause's {!signature} into its activity slot.  Problem
+    clauses only. *)
 
 val lit : t -> int -> int -> Lit.t
 
@@ -81,5 +101,5 @@ val set_size : t -> int -> int -> unit
 
 val signature : t -> int -> int
 (** 64-bit clause abstraction: the OR over literals of
-    [1 lsl (var land 63)].  [signature c land lnot (signature d) <> 0]
+    [1 lsl (var mod 63)].  [signature c land lnot (signature d) <> 0]
     proves [c] cannot subsume [d]. *)

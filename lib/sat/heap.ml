@@ -1,11 +1,16 @@
+(* Comparisons read [score] directly: a float-array load compares
+   unboxed, where a [score : int -> float] closure would box both operands
+   of every comparison. *)
 type t = {
-  score : int -> float;
+  mutable score : float array;
   mutable data : int array;
   mutable len : int;
   mutable pos : int array;  (* var -> index in data, or -1 *)
 }
 
-let create ~score = { score; data = Array.make 64 0; len = 0; pos = Array.make 64 (-1) }
+let create score = { score; data = Array.make 64 0; len = 0; pos = Array.make 64 (-1) }
+
+let set_scores h score = h.score <- score
 
 let ensure_pos h v =
   if v >= Array.length h.pos then begin
@@ -30,7 +35,7 @@ let swap h i j =
 let rec up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if h.score h.data.(i) > h.score h.data.(parent) then begin
+    if h.score.(h.data.(i)) > h.score.(h.data.(parent)) then begin
       swap h i parent;
       up h parent
     end
@@ -39,8 +44,9 @@ let rec up h i =
 let rec down h i =
   let left = (2 * i) + 1 and right = (2 * i) + 2 in
   let largest = ref i in
-  if left < h.len && h.score h.data.(left) > h.score h.data.(!largest) then largest := left;
-  if right < h.len && h.score h.data.(right) > h.score h.data.(!largest) then largest := right;
+  if left < h.len && h.score.(h.data.(left)) > h.score.(h.data.(!largest)) then largest := left;
+  if right < h.len && h.score.(h.data.(right)) > h.score.(h.data.(!largest)) then
+    largest := right;
   if !largest <> i then begin
     swap h i !largest;
     down h !largest
@@ -78,8 +84,3 @@ let update h v =
     up h h.pos.(v);
     down h h.pos.(v)
   end
-
-let rebuild h vars =
-  Array.iteri (fun v p -> if p >= 0 then h.pos.(v) <- -1) h.pos;
-  h.len <- 0;
-  List.iter (insert h) vars

@@ -1,14 +1,20 @@
-(** Indexed binary max-heap over variable indices, ordered by an external
-    score function (VSIDS activities).
+(** Indexed binary max-heap over variable indices, ordered by a score
+    array (VSIDS activities).
 
     The heap stores each variable at most once and supports
     decrease/increase-key via {!update} in O(log n). *)
 
 type t
 
-val create : score:(int -> float) -> t
-(** [score] is consulted on every comparison, so bumping an activity then
-    calling {!update} reorders correctly. *)
+val create : float array -> t
+(** [create score] orders variable [v] by [score.(v)].  The array is read
+    on every comparison, never copied, so bumping an activity in place
+    then calling {!update} reorders correctly.  Every variable inserted
+    must index into the array. *)
+
+val set_scores : t -> float array -> unit
+(** Re-point the heap at a grown copy of its score array (same values for
+    the variables already present).  No reordering takes place. *)
 
 val mem : t -> int -> bool
 val is_empty : t -> bool
@@ -23,7 +29,3 @@ val remove_max : t -> int
 val update : t -> int -> unit
 (** Restore heap order after the variable's score changed.  No-op when the
     variable is absent. *)
-
-val rebuild : t -> int list -> unit
-(** Replace the contents with the given variables (used after a full
-    rescale). *)

@@ -64,7 +64,7 @@ type host = {
   remove_clause : int -> unit;
   strengthen_clause : int -> Lit.t -> unit;
   replace_clause : int -> Lit.t array -> unit;
-  add_resolvent : Lit.t array -> int;
+  add_resolvent : Lit.t array -> int -> int -> int;
   eliminate_var : int -> unit;
   detach_clause : int -> unit;
   attach_clause : int -> unit;
@@ -78,23 +78,22 @@ type t = {
   config : config;
   stats : stats;
   mutable occs : int Vec.t array;  (* per variable: problem crefs containing it *)
-  queue : int Vec.t;  (* subsumption work queue of crefs *)
+  queue : int Vec.t;
+      (* subsumption work queue of crefs; a queued clause carries the
+         arena's queue bit *)
   mutable qhead : int;
-  qset : (int, unit) Hashtbl.t;  (* crefs currently queued *)
-  (* Signature cache, generation-stamped and keyed directly by cref: the
-     subsumption filter probes it once per candidate pair, so it must be
-     a flat array read — a hashtable here costs an allocation per probe
-     and dominates session time.  [sig_gen.(c) = sig_session] marks a
-     valid entry; bumping [sig_session] invalidates the whole cache in
-     O(1) at session start (crefs are only reused after an arena GC,
-     which never happens mid-session). *)
-  mutable sig_val : int array;
-  mutable sig_gen : int array;
-  mutable sig_session : int;
   touched : int Vec.t;  (* BVE candidate variables *)
   mutable touched_mark : Bytes.t;
   mutable lit_mark : int array;  (* per literal, for resolvent merging *)
   mutable mark_gen : int;
+  snap : int Vec.t;
+      (* occurrence-list snapshots, as a stack: a scan copies the list it
+         walks onto the top, since the clause changes it triggers edit the
+         list, and scans nest (strengthening catches up on new units) *)
+  pos : int Vec.t;  (* try_eliminate: live clauses with [pos v] *)
+  neg : int Vec.t;  (* try_eliminate: live clauses with [neg v] *)
+  mutable res_buf : Lit.t array;  (* try_eliminate: resolvents, back to back *)
+  res_ofs : int Vec.t;  (* start of each resolvent in [res_buf] *)
   elim : int Vec.t;  (* eliminated-clause stack (see extend_model) *)
   mutable budget : int;
   mutable processed_trail : int;
@@ -117,14 +116,15 @@ let create ?(config = default_config ()) () =
     occs = Array.init 64 (fun _ -> Vec.create ~dummy:Arena.no_cref);
     queue = Vec.create ~dummy:Arena.no_cref;
     qhead = 0;
-    qset = Hashtbl.create 256;
-    sig_val = Array.make 1024 0;
-    sig_gen = Array.make 1024 0;
-    sig_session = 0;
     touched = Vec.create ~dummy:(-1);
     touched_mark = Bytes.make 64 '\000';
     lit_mark = Array.make 128 0;
     mark_gen = 0;
+    snap = Vec.create ~dummy:Arena.no_cref;
+    pos = Vec.create ~dummy:Arena.no_cref;
+    neg = Vec.create ~dummy:Arena.no_cref;
+    res_buf = Array.make 256 0;
+    res_ofs = Vec.create ~dummy:0;
     elim = Vec.create ~dummy:0;
     budget = 0;
     processed_trail = 0;
@@ -173,33 +173,27 @@ let occ_remove t v c =
     ignore (Vec.pop ws)
   end
 
-let ensure_sig_capacity t len =
-  if Array.length t.sig_val < len then begin
-    let n = max len (2 * Array.length t.sig_val) in
-    let sv = Array.make n 0 and sg = Array.make n 0 in
-    Array.blit t.sig_val 0 sv 0 (Array.length t.sig_val);
-    Array.blit t.sig_gen 0 sg 0 (Array.length t.sig_gen);
-    t.sig_val <- sv;
-    t.sig_gen <- sg
-  end
+(* Signatures of the problem clauses in the occurrence lists live in the
+   arena ({!Arena.store_signature}): stored when a session indexes the
+   clause, refreshed whenever the session strengthens it.  The
+   subsumption filter reads one per candidate pair, so it must be a flat
+   read, not a lookup. *)
+let signature host c = Arena.stored_signature host.ar c
 
-let sig_invalidate t c = if c < Array.length t.sig_gen then t.sig_gen.(c) <- 0
-
-let signature t host c =
-  if c >= Array.length t.sig_val then ensure_sig_capacity t (c + 1);
-  if t.sig_gen.(c) = t.sig_session then t.sig_val.(c)
-  else begin
-    let s = Arena.signature host.ar c in
-    t.sig_val.(c) <- s;
-    t.sig_gen.(c) <- t.sig_session;
-    s
-  end
-
-let enqueue_subsume t c =
-  if not (Hashtbl.mem t.qset c) then begin
-    Hashtbl.replace t.qset c ();
+let enqueue_subsume t host c =
+  if not (Arena.queued host.ar c) then begin
+    Arena.set_queued host.ar c true;
     Vec.push t.queue c
   end
+
+(* Push a snapshot of [ws] onto the [snap] stack; returns its base.  The
+   caller reads entries [base ..] and pops with [Vec.shrink t.snap base]. *)
+let push_snapshot t ws =
+  let base = Vec.length t.snap in
+  for i = 0 to Vec.length ws - 1 do
+    Vec.push t.snap (Vec.unsafe_get ws i)
+  done;
+  base
 
 (* --- Root-value clause cleanup --- *)
 
@@ -229,7 +223,6 @@ let strip_clause t host c ~in_occs =
     while live host c && !k < Arena.size ar c do
       let l = Arena.lit ar c !k in
       if host.value l = 0 then begin
-        sig_invalidate t c;
         host.strengthen_clause c l;
         t.stats.strengthened_lits <- t.stats.strengthened_lits + 1;
         changed := true;
@@ -239,6 +232,7 @@ let strip_clause t host c ~in_occs =
       end
       else incr k
     done;
+    if !changed && in_occs && live host c then Arena.store_signature ar c;
     !changed && live host c
   end
 
@@ -250,15 +244,14 @@ let catch_up t host =
   while host.solver_ok () && t.processed_trail < host.trail_size () do
     let l = host.trail_lit t.processed_trail in
     t.processed_trail <- t.processed_trail + 1;
-    let v = Lit.var l in
-    let ws = t.occs.(v) in
     (* snapshot: strip_clause mutates this list via occ_remove *)
-    let snap = Array.init (Vec.length ws) (Vec.get ws) in
-    Array.iter
-      (fun c ->
-        if live host c then
-          if strip_clause t host c ~in_occs:true then enqueue_subsume t c)
-      snap
+    let base = push_snapshot t t.occs.(Lit.var l) in
+    for i = base to Vec.length t.snap - 1 do
+      let c = Vec.get t.snap i in
+      if live host c then
+        if strip_clause t host c ~in_occs:true then enqueue_subsume t host c
+    done;
+    Vec.shrink t.snap base
   done
 
 (* --- Subsumption & self-subsuming resolution --- *)
@@ -308,13 +301,13 @@ let remove_subsumed t host d =
 
 (* Strengthen [d] by removing [negate l] (self-subsuming resolution). *)
 let strengthen_by t host d l =
-  sig_invalidate t d;
   host.strengthen_clause d (Lit.negate l);
+  if live host d then Arena.store_signature host.ar d;
   t.stats.self_subsumed <- t.stats.self_subsumed + 1;
   occ_remove t (Lit.var l) d;
   touch t (Lit.var l);
   catch_up t host;
-  if live host d then enqueue_subsume t d
+  if live host d then enqueue_subsume t host d
 
 let best_var t host c =
   let ar = host.ar in
@@ -331,7 +324,7 @@ let best_var t host c =
    scanning the occurrence lists of all of [c]'s variables is complete. *)
 let forward_step t host c =
   let ar = host.ar in
-  let sc = signature t host c in
+  let sc = signature host c in
   let k = ref 0 in
   (* re-read the size: strengthen_by shrinks [c] in place mid-loop *)
   while live host c && !k < Arena.size ar c && t.budget > 0 do
@@ -342,24 +335,25 @@ let forward_step t host c =
        missed here is still found when IT is queued and runs backward. *)
     if Vec.length ws <= t.config.subsume_occ_limit then begin
       (* snapshot: strengthenings triggered below mutate this list *)
-      let snap = Array.init (Vec.length ws) (Vec.get ws) in
-      let m = Array.length snap in
-      t.budget <- t.budget - m;
-      let i = ref 0 in
-      while live host c && !i < m do
-        let d = snap.(!i) in
+      let base = push_snapshot t ws in
+      let top = Vec.length t.snap in
+      t.budget <- t.budget - (top - base);
+      let i = ref base in
+      while live host c && !i < top do
+        let d = Vec.get t.snap !i in
         incr i;
         if
           d <> c
           && live host d
           && Arena.size ar d <= Arena.size ar c
-          && signature t host d land lnot sc = 0
+          && signature host d land lnot sc = 0
         then begin
           let r = subsume_check t host d c in
           if r = -1 then remove_subsumed t host c
           else if r >= 0 then strengthen_by t host c r
         end
-      done
+      done;
+      Vec.shrink t.snap base
     end;
     incr k
   done
@@ -369,34 +363,36 @@ let forward_step t host c =
    the shortest — is a complete candidate set. *)
 let backward_step t host c =
   let ar = host.ar in
-  let sc = signature t host c in
+  let sc = signature host c in
   let b = best_var t host c in
   let ws = t.occs.(b) in
   if Vec.length ws <= t.config.subsume_occ_limit then begin
     (* snapshot: removals and strengthenings mutate the list *)
-    let snap = Array.init (Vec.length ws) (Vec.get ws) in
-    t.budget <- t.budget - Array.length snap;
-    let i = ref 0 in
-    while live host c && !i < Array.length snap && t.budget > 0 do
-      let d = snap.(!i) in
+    let base = push_snapshot t ws in
+    let top = Vec.length t.snap in
+    t.budget <- t.budget - (top - base);
+    let i = ref base in
+    while live host c && !i < top && t.budget > 0 do
+      let d = Vec.get t.snap !i in
       incr i;
       if
         d <> c
         && live host d
         && Arena.size ar d >= Arena.size ar c
-        && sc land lnot (signature t host d) = 0
+        && sc land lnot (signature host d) = 0
       then begin
         let r = subsume_check t host c d in
         if r = -1 then remove_subsumed t host d else if r >= 0 then strengthen_by t host d r
       end
-    done
+    done;
+    Vec.shrink t.snap base
   end
 
 let drain_queue t host =
   while host.solver_ok () && t.budget > 0 && t.qhead < Vec.length t.queue do
     let c = Vec.get t.queue t.qhead in
     t.qhead <- t.qhead + 1;
-    Hashtbl.remove t.qset c;
+    Arena.set_queued host.ar c false;
     catch_up t host;
     if live host c then begin
       forward_step t host c;
@@ -418,21 +414,22 @@ let push_elim_frame t host c ~pivot =
   done;
   Vec.push t.elim n
 
-(* Resolve [p] (containing [pos v]) with [q] (containing [neg v]).
-   Returns the resolvent literals, or [None] on a tautology or when the
-   merged clause exceeds the length limit. *)
-let merge_resolvent t host p q v =
+(* Resolve [p] (containing [pos v]) with [q] (containing [neg v]),
+   appending the resolvent to [res_buf] at [top] (the buffer has room for
+   [|p| + |q|] more literals).  Returns the resolvent's length, or [-1] on
+   a tautology or when the merged clause exceeds the length limit. *)
+let merge_resolvent t host p q v ~top =
   let ar = host.ar in
   t.mark_gen <- t.mark_gen + 1;
   let gen = t.mark_gen in
-  let buf = ref [] in
+  let buf = t.res_buf in
   let count = ref 0 in
   let np = Arena.size ar p in
   for k = 0 to np - 1 do
     let l = Arena.lit ar p k in
     if Lit.var l <> v then begin
       t.lit_mark.(l) <- gen;
-      buf := l :: !buf;
+      buf.(top + !count) <- l;
       incr count
     end
   done;
@@ -445,13 +442,46 @@ let merge_resolvent t host p q v =
       if t.lit_mark.(Lit.negate l) = gen then taut := true
       else if t.lit_mark.(l) <> gen then begin
         t.lit_mark.(l) <- gen;
-        buf := l :: !buf;
+        buf.(top + !count) <- l;
         incr count
       end;
     incr k
   done;
-  if !taut || !count > t.config.bve_max_clause then None
-  else Some (Array.of_list (List.rev !buf))
+  if !taut || !count > t.config.bve_max_clause then -1 else !count
+
+(* Sort the live occurrences of [v] into [t.pos] / [t.neg] by polarity;
+   false when one is longer than [bve_max_clause] (no elimination). *)
+let split_occurrences t host v =
+  let ar = host.ar in
+  Vec.clear t.pos;
+  Vec.clear t.neg;
+  let ws = t.occs.(v) in
+  let fits = ref true in
+  let i = ref 0 in
+  while !fits && !i < Vec.length ws do
+    let c = Vec.get ws !i in
+    incr i;
+    if live host c then begin
+      let n = Arena.size ar c in
+      if n > t.config.bve_max_clause then fits := false
+      else begin
+        let polarity = ref (-1) in
+        for k = 0 to n - 1 do
+          let l = Arena.lit ar c k in
+          if Lit.var l = v then polarity := l land 1
+        done;
+        if !polarity = 0 then Vec.push t.pos c else if !polarity = 1 then Vec.push t.neg c
+      end
+    end
+  done;
+  !fits
+
+let remove_occurrences t host vec =
+  for i = 0 to Vec.length vec - 1 do
+    let c = Vec.get vec i in
+    touch_clause t host c;
+    host.remove_clause c
+  done
 
 let try_eliminate t host v =
   if
@@ -461,82 +491,55 @@ let try_eliminate t host v =
     && host.solver_ok ()
   then begin
     let ar = host.ar in
-    let pos = ref [] and neg = ref [] and npos = ref 0 and nneg = ref 0 in
-    let fits = ref true in
-    let ws = t.occs.(v) in
-    t.budget <- t.budget - Vec.length ws;
-    Vec.iter
-      (fun c ->
-        if !fits && live host c then begin
-          if Arena.size ar c > t.config.bve_max_clause then fits := false
-          else begin
-            let n = Arena.size ar c in
-            let polarity = ref (-1) in
-            for k = 0 to n - 1 do
-              let l = Arena.lit ar c k in
-              if Lit.var l = v then polarity := l land 1
-            done;
-            if !polarity = 0 then begin
-              pos := c :: !pos;
-              incr npos
-            end
-            else if !polarity = 1 then begin
-              neg := c :: !neg;
-              incr nneg
-            end
-          end
-        end)
-      ws;
-    if !fits && (!npos > 0 || !nneg > 0) && !npos <= t.config.bve_max_occ
-       && !nneg <= t.config.bve_max_occ
+    t.budget <- t.budget - Vec.length t.occs.(v);
+    let fits = split_occurrences t host v in
+    let npos = Vec.length t.pos and nneg = Vec.length t.neg in
+    if fits && (npos > 0 || nneg > 0) && npos <= t.config.bve_max_occ
+       && nneg <= t.config.bve_max_occ
     then begin
-      let pos = List.rev !pos and neg = List.rev !neg in
       (* Count (and build) non-tautological resolvents; abort on growth. *)
-      let limit = !npos + !nneg + t.config.bve_grow in
-      let resolvents = ref [] in
-      let cnt = ref 0 in
+      let limit = npos + nneg + t.config.bve_grow in
+      Vec.clear t.res_ofs;
+      let top = ref 0 in
       let aborted = ref false in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun q ->
-              if not !aborted then begin
-                t.budget <- t.budget - Arena.size ar p - Arena.size ar q;
-                match merge_resolvent t host p q v with
-                | Some lits ->
-                    incr cnt;
-                    if !cnt > limit then aborted := true
-                    else resolvents := lits :: !resolvents
-                | None ->
-                    (* over-long resolvents veto the elimination;
-                       tautologies just don't count *)
-                    if
-                      not
-                        (let np = Arena.size ar p and nq = Arena.size ar q in
-                         np + nq - 2 <= t.config.bve_max_clause)
-                    then aborted := true
-              end)
-            neg)
-        pos;
+      let i = ref 0 in
+      while (not !aborted) && !i < npos * nneg do
+        let p = Vec.get t.pos (!i / nneg) and q = Vec.get t.neg (!i mod nneg) in
+        incr i;
+        let np = Arena.size ar p and nq = Arena.size ar q in
+        t.budget <- t.budget - np - nq;
+        if !top + np + nq > Array.length t.res_buf then begin
+          let fresh = Array.make (max (!top + np + nq) (2 * Array.length t.res_buf)) 0 in
+          Array.blit t.res_buf 0 fresh 0 !top;
+          t.res_buf <- fresh
+        end;
+        let len = merge_resolvent t host p q v ~top:!top in
+        if len >= 0 then begin
+          if Vec.length t.res_ofs >= limit then aborted := true
+          else begin
+            Vec.push t.res_ofs !top;
+            top := !top + len
+          end
+        end
+        else if np + nq - 2 > t.config.bve_max_clause then
+          (* over-long resolvents veto the elimination; tautologies just
+             don't count *)
+          aborted := true
+      done;
       if not !aborted then begin
         (* Commit: record clauses for model extension, drop them, mark the
            variable, distribute the resolvents. *)
-        List.iter (fun c -> push_elim_frame t host c ~pivot:(Lit.pos v)) pos;
-        List.iter (fun c -> push_elim_frame t host c ~pivot:(Lit.neg v)) neg;
+        Vec.iter (fun c -> push_elim_frame t host c ~pivot:(Lit.pos v)) t.pos;
+        Vec.iter (fun c -> push_elim_frame t host c ~pivot:(Lit.neg v)) t.neg;
         host.eliminate_var v;
         t.stats.eliminated_vars <- t.stats.eliminated_vars + 1;
-        List.iter
-          (fun c ->
-            touch_clause t host c;
-            host.remove_clause c)
-          pos;
-        List.iter
-          (fun c ->
-            touch_clause t host c;
-            host.remove_clause c)
-          neg;
-        let register lits =
-          let cref = host.add_resolvent lits in
+        remove_occurrences t host t.pos;
+        remove_occurrences t host t.neg;
+        let nres = Vec.length t.res_ofs in
+        for r = 0 to nres - 1 do
+          let ofs = Vec.get t.res_ofs r in
+          let len = (if r + 1 < nres then Vec.get t.res_ofs (r + 1) else !top) - ofs in
+          let cref = host.add_resolvent t.res_buf ofs len in
           if cref >= 0 then begin
             let n = Arena.size ar cref in
             for k = 0 to n - 1 do
@@ -544,39 +547,39 @@ let try_eliminate t host v =
               Vec.push t.occs.(u) cref;
               touch t u
             done;
-            enqueue_subsume t cref
+            Arena.store_signature ar cref;
+            enqueue_subsume t host cref
           end
-        in
-        List.iter register (List.rev !resolvents);
+        done;
         catch_up t host
       end
     end
   end
 
+(* The touched set in ascending variable order; clears it for the next
+   generation. *)
+let take_touched t =
+  let cands = Array.make (Vec.length t.touched) 0 in
+  for i = 0 to Vec.length t.touched - 1 do
+    let v = Vec.get t.touched i in
+    cands.(i) <- v;
+    Bytes.set t.touched_mark v '\000'
+  done;
+  Vec.clear t.touched;
+  Array.sort Int.compare cands;
+  cands
+
 let bve_sweep t host ~all =
   (* Candidate generations: the touched set (or every variable on the
-     first session), swept in ascending variable order; eliminations
-     touch neighbouring variables, which feed the next generation. *)
-  let next = ref [] in
-  if all then
-    for v = 0 to host.nvars - 1 do
-      next := v :: !next
-    done
-  else begin
-    Vec.iter (fun v -> next := v :: !next) t.touched;
-    Vec.clear t.touched;
-    Bytes.fill t.touched_mark 0 (Bytes.length t.touched_mark) '\000'
-  end;
-  let next = ref (List.sort_uniq compare (List.rev !next)) in
+     first session, when the touched set carries over into the second
+     generation), swept in ascending variable order; eliminations touch
+     neighbouring variables, which feed the next generation. *)
+  let next = ref (if all then Array.init host.nvars Fun.id else take_touched t) in
   let rounds = ref 0 in
-  while !next <> [] && t.budget > 0 && host.solver_ok () && !rounds < 8 do
+  while Array.length !next > 0 && t.budget > 0 && host.solver_ok () && !rounds < 8 do
     incr rounds;
-    List.iter (fun v -> try_eliminate t host v) !next;
-    let fresh = ref [] in
-    Vec.iter (fun v -> fresh := v :: !fresh) t.touched;
-    Vec.clear t.touched;
-    Bytes.fill t.touched_mark 0 (Bytes.length t.touched_mark) '\000';
-    next := List.sort_uniq compare !fresh
+    Array.iter (fun v -> try_eliminate t host v) !next;
+    next := take_touched t
   done
 
 (* --- Session driver --- *)
@@ -584,9 +587,8 @@ let bve_sweep t host ~all =
 let session t host ~new_from =
   t.stats.sessions <- t.stats.sessions + 1;
   ensure_capacity t host.nvars;
-  t.sig_session <- t.sig_session + 1;
-  Hashtbl.reset t.qset;
   Vec.clear t.queue;
+  Vec.clear t.snap;
   t.qhead <- 0;
   Vec.clear t.touched;
   Bytes.fill t.touched_mark 0 (Bytes.length t.touched_mark) '\000';
@@ -601,7 +603,8 @@ let session t host ~new_from =
         let n = Arena.size ar c in
         for k = 0 to n - 1 do
           Vec.push t.occs.(Lit.var (Arena.lit ar c k)) c
-        done
+        done;
+        Arena.store_signature ar c
       end)
     host.clauses;
   (* Existing root assignments are handled by the full strip below; only
@@ -620,7 +623,7 @@ let session t host ~new_from =
       let c = Vec.get vec !i in
       incr i;
       if live host c then
-        if strip_clause t host c ~in_occs && in_occs then enqueue_subsume t c
+        if strip_clause t host c ~in_occs && in_occs then enqueue_subsume t host c
     done
   in
   strip_vec host.clauses ~in_occs:true;
@@ -630,14 +633,19 @@ let session t host ~new_from =
     let n = Vec.length host.clauses in
     for i = new_from to n - 1 do
       let c = Vec.get host.clauses i in
-      if live host c then enqueue_subsume t c
+      if live host c then enqueue_subsume t host c
     done;
     drain_queue t host;
     if not host.proof then begin
       bve_sweep t host ~all:(new_from = 0);
       drain_queue t host
     end
-  end
+  end;
+  (* Clear the queue bits of clauses left queued when the budget ran
+     out. *)
+  for i = t.qhead to Vec.length t.queue - 1 do
+    Arena.set_queued ar (Vec.get t.queue i) false
+  done
 
 (* --- Vivification --- *)
 

@@ -90,7 +90,10 @@ type host = {
   remove_clause : int -> unit;
   strengthen_clause : int -> Lit.t -> unit;
   replace_clause : int -> Lit.t array -> unit;
-  add_resolvent : Lit.t array -> int;  (** returns the new cref, or [-1] if absorbed *)
+  add_resolvent : Lit.t array -> int -> int -> int;
+      (** [add_resolvent buf ofs n] adds the clause [buf.(ofs .. ofs+n-1)]
+          (read before the call returns); returns the new cref, or [-1]
+          if absorbed *)
   eliminate_var : int -> unit;
   detach_clause : int -> unit;
   attach_clause : int -> unit;

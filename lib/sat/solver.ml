@@ -105,6 +105,16 @@ type t = {
   mutable seen : bool array;  (* scratch for analyze *)
   mutable level_stamp : int array;  (* scratch for LBD counting *)
   mutable stamp : int;
+  mutable lits_buf : Lit.t array;
+      (* scratch clause, at most one literal per variable: the learnt
+         clause in [analyze], the clause being added in [intake] *)
+  mutable intake_mark : int array;
+      (* per var: [(intake_gen lsl 1) lor sign] while [intake] holds it *)
+  mutable intake_gen : int;
+  reloc_old : int Vec.t;  (* scratch for gc_arena_core: live crefs... *)
+  reloc_new : int Vec.t;  (* ...and where they move *)
+  mutable learnt_var : Bytes.t;  (* per var: occurs in a live learnt (see purge_learnts_of) *)
+  mutable learnt_var_valid : bool;
   mutable order : Heap.t;
   trail : Lit.t Vec.t;
   trail_lim : int Vec.t;
@@ -157,7 +167,14 @@ let create ?(seed = 0) ?(simp = true) () =
       seen = Array.make 64 false;
       level_stamp = Array.make 65 0;
       stamp = 0;
-      order = Heap.create ~score:(fun _ -> 0.0);
+      lits_buf = Array.make 64 0;
+      intake_mark = Array.make 64 0;
+      intake_gen = 0;
+      reloc_old = Vec.create ~dummy:0;
+      reloc_new = Vec.create ~dummy:0;
+      learnt_var = Bytes.make 64 '\000';
+      learnt_var_valid = false;
+      order = Heap.create [||];
       trail = Vec.create ~dummy:0;
       trail_lim = Vec.create ~dummy:0;
       qhead = 0;
@@ -188,9 +205,7 @@ let create ?(seed = 0) ?(simp = true) () =
       last_viv_restart = 0;
     }
   in
-  (* The heap scores through the record so activity-array reallocation in
-     [grow_arrays] stays visible. *)
-  s.order <- Heap.create ~score:(fun v -> s.activity.(v));
+  s.order <- Heap.create s.activity;
   s
 
 let num_vars s = s.nvars
@@ -237,6 +252,11 @@ let grow_arrays s needed =
     s.frozen <- grown s.frozen false;
     s.eliminated <- grown s.eliminated false;
     s.ext_model <- grown s.ext_model (-1);
+    s.lits_buf <- grown s.lits_buf 0;
+    s.intake_mark <- grown s.intake_mark 0;
+    s.learnt_var <- Bytes.extend s.learnt_var 0 (n - old);
+    Bytes.fill s.learnt_var old (n - old) '\000';
+    Heap.set_scores s.order s.activity;
     (* one extra slot: decision levels range over 0..nvars inclusive *)
     let fresh = Array.make (n + 1) 0 in
     Array.blit s.level_stamp 0 fresh 0 (Array.length s.level_stamp);
@@ -264,6 +284,10 @@ let lit_value s l =
 let decision_level s = Vec.length s.trail_lim
 
 let log_proof s event = if s.proof_enabled then Vec.push s.proof_log event
+
+(* A clause's literals for the proof log; callers test [proof_enabled]
+   first so that no event is built while recording is off. *)
+let proof_lits s c = if s.proof_enabled then Arena.lits s.ar c else [||]
 
 let enqueue s l reason =
   s.assigns.(Lit.var l) <- 1 lxor (l land 1);
@@ -467,17 +491,24 @@ let lit_redundant s l =
   r >= 0
   &&
   let n = clause_size s r in
-  let rec all k =
-    k >= n
-    ||
-    let q = clause_lit s r k in
-    (Lit.var q = Lit.var l || s.seen.(Lit.var q) || s.level.(Lit.var q) = 0) && all (k + 1)
-  in
-  all 0
+  let k = ref 0 in
+  while
+    !k < n
+    &&
+    let q = clause_lit s r !k in
+    Lit.var q = Lit.var l || s.seen.(Lit.var q) || s.level.(Lit.var q) = 0
+  do
+    incr k
+  done;
+  !k >= n
 
+(* First-UIP analysis into the [lits_buf] scratch: returns the learnt
+   clause's length [n]; [lits_buf.(0)] is the asserting literal and, when
+   [n > 1], [lits_buf.(1)] has the highest decision level of the rest
+   (the backjump level). *)
 let analyze s confl =
-  let learnt = Vec.create ~dummy:0 in
-  Vec.push learnt 0 (* placeholder for the asserting literal *);
+  let lits = s.lits_buf in
+  let nl = ref 1 (* lits.(0): placeholder for the asserting literal *) in
   let counter = ref 0 in
   let p = ref (-1) in
   let index = ref (Vec.length s.trail - 1) in
@@ -495,59 +526,68 @@ let analyze s confl =
         if (not s.seen.(v)) && s.level.(v) > 0 then begin
           s.seen.(v) <- true;
           bump_var s v;
-          if s.level.(v) >= decision_level s then incr counter else Vec.push learnt q
+          if s.level.(v) >= decision_level s then incr counter
+          else begin
+            lits.(!nl) <- q;
+            incr nl
+          end
         end
       end
     done;
-    let rec next_marked i =
-      let l = Vec.get s.trail i in
-      if s.seen.(Lit.var l) then (l, i) else next_marked (i - 1)
-    in
-    let l, i = next_marked !index in
-    index := i - 1;
+    while not s.seen.(Lit.var (Vec.get s.trail !index)) do
+      decr index
+    done;
+    let l = Vec.get s.trail !index in
+    decr index;
     p := l;
     s.seen.(Lit.var l) <- false;
     decr counter;
     if !counter > 0 then c := s.reason.(Lit.var l) else continue := false
   done;
-  Vec.set learnt 0 (Lit.negate !p);
+  lits.(0) <- Lit.negate !p;
   s.seen.(Lit.var !p) <- true;
-  (* keep the UIP marked during minimization *)
-  let lits = Array.init (Vec.length learnt) (Vec.get learnt) in
-  let keep = Array.mapi (fun i l -> i = 0 || not (lit_redundant s l)) lits in
-  let minimized =
-    Array.to_list lits |> List.filteri (fun i _ -> keep.(i)) |> Array.of_list
-  in
-  Array.iter (fun l -> s.seen.(Lit.var l) <- false) lits;
-  s.seen.(Lit.var !p) <- false;
-  let n = Array.length minimized in
-  let bt_level =
-    if n = 1 then 0
-    else begin
-      let max_i = ref 1 in
-      for i = 2 to n - 1 do
-        if s.level.(Lit.var minimized.(i)) > s.level.(Lit.var minimized.(!max_i)) then
-          max_i := i
-      done;
-      let tmp = minimized.(1) in
-      minimized.(1) <- minimized.(!max_i);
-      minimized.(!max_i) <- tmp;
-      s.level.(Lit.var minimized.(1))
+  (* Minimization partitions [lits] in place, kept literals first in
+     their original order.  The UIP stays marked, and every [seen] flag
+     stays set until each literal has been tested. *)
+  let n = ref 1 in
+  for i = 1 to !nl - 1 do
+    let l = lits.(i) in
+    if not (lit_redundant s l) then begin
+      lits.(i) <- lits.(!n);
+      lits.(!n) <- l;
+      incr n
     end
-  in
-  (* Distinct decision levels among the learnt literals, counted with a
-     stamp array instead of a set (no allocation). *)
+  done;
+  for i = 0 to !nl - 1 do
+    s.seen.(Lit.var lits.(i)) <- false
+  done;
+  s.seen.(Lit.var !p) <- false;
+  let n = !n in
+  if n > 1 then begin
+    let max_i = ref 1 in
+    for i = 2 to n - 1 do
+      if s.level.(Lit.var lits.(i)) > s.level.(Lit.var lits.(!max_i)) then max_i := i
+    done;
+    let tmp = lits.(1) in
+    lits.(1) <- lits.(!max_i);
+    lits.(!max_i) <- tmp
+  end;
+  n
+
+(* Distinct decision levels among the first [n] literals of [lits],
+   counted with a stamp array instead of a set. *)
+let lbd_of s lits n =
   s.stamp <- s.stamp + 1;
   let stamp = s.stamp in
   let lbd = ref 0 in
   for i = 0 to n - 1 do
-    let lv = s.level.(Lit.var minimized.(i)) in
+    let lv = s.level.(Lit.var lits.(i)) in
     if s.level_stamp.(lv) <> stamp then begin
       s.level_stamp.(lv) <- stamp;
       incr lbd
     end
   done;
-  (minimized, bt_level, !lbd)
+  !lbd
 
 (* --- Learnt clause database reduction --- *)
 
@@ -565,8 +605,9 @@ let locked s c =
 let gc_arena_core s =
   let arena = s.ar.Arena.a in
   let arena_len = s.ar.Arena.len in
-  let old_ofs = Vec.create ~dummy:0 in
-  let new_ofs = Vec.create ~dummy:0 in
+  let old_ofs = s.reloc_old and new_ofs = s.reloc_new in
+  Vec.clear old_ofs;
+  Vec.clear new_ofs;
   let src = ref 0 and dst = ref 0 in
   while !src < arena_len do
     let h = arena.(!src) in
@@ -670,7 +711,7 @@ let reduce_db_core s =
       mark_clause s c;
       any_deleted := true;
       s.n_deleted <- s.n_deleted + 1;
-      log_proof s (P_delete (clause_lits s c))
+      if s.proof_enabled then log_proof s (P_delete (clause_lits s c))
     end
   done;
   if !any_deleted then begin
@@ -688,56 +729,126 @@ let reduce_db s =
 
 (* --- Adding clauses (root level) --- *)
 
-(* Returns the cref of the attached clause, or [no_cref] when the clause
-   was absorbed (tautological, satisfied, unit, or empty).
+(* Attach the normalised clause [lits.(0 .. n-1)] (ascending, no
+   duplicates, every literal unassigned), or absorb it when it is empty
+   or unit. *)
+let commit_clause s lits n =
+  match n with
+  | 0 ->
+      s.ok <- false;
+      log_proof s (P_add [||]);
+      no_cref
+  | 1 ->
+      enqueue s lits.(0) no_cref;
+      if propagate s >= 0 then begin
+        s.ok <- false;
+        log_proof s (P_add [||])
+      end;
+      no_cref
+  | _ ->
+      let c = Arena.alloc s.ar lits n ~learnt:false ~lbd:0 in
+      Vec.push s.clauses c;
+      attach_clause s c;
+      c
+
+(* Ascending sort of [a.(0 .. n-1)]: insertion sort for the short clauses
+   that make up nearly all of the intake, a sorted copy beyond. *)
+let sort_prefix a n =
+  if n <= 32 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref i in
+      while !j > 0 && a.(!j - 1) > x do
+        a.(!j) <- a.(!j - 1);
+        decr j
+      done;
+      a.(!j) <- x
+    done
+  else begin
+    let sorted = Array.sub a 0 n in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 a 0 n
+  end
+
+(* Returns the cref of the attached clause [lits.(ofs .. ofs+n-1)], or
+   [no_cref] when the clause was absorbed (tautological, satisfied, unit,
+   or empty).  The attached clause holds the distinct unassigned literals
+   in ascending order.
 
    A literal over an eliminated variable re-activates it first
    ([restore_var]): the variable's original clauses are replayed from the
    eliminated-clause stack, so the incremental contract — any existing
    variable may appear in later clauses — survives inprocessing.
    Freezing remains worthwhile: it avoids the restore churn entirely. *)
-let rec add_clause_core s lits =
+let rec add_clause_core s lits ofs n =
   s.extension <- No_model;
   if not s.ok then no_cref
   else begin
     (* Incremental use: callers add clauses right after a Sat answer, while
        the trail still holds the model.  Return to the root first. *)
     cancel_until s 0;
-    let module IS = Set.Make (Int) in
-    let tautology = ref false in
-    let satisfied = ref false in
-    let kept = ref IS.empty in
-    Array.iter
-      (fun l ->
-        if Lit.var l >= s.nvars then invalid_arg "Solver.add_clause: unknown variable";
-        if s.eliminated.(Lit.var l) then restore_var s (Lit.var l);
-        if IS.mem (Lit.negate l) !kept then tautology := true;
-        match lit_value s l with
-        | 1 -> satisfied := true
-        | 0 -> ()
-        | _ -> kept := IS.add l !kept)
-      lits;
-    if !tautology || !satisfied then no_cref
-    else begin
-      let lits = Array.of_list (IS.elements !kept) in
-      match Array.length lits with
-      | 0 ->
-          s.ok <- false;
-          log_proof s (P_add [||]);
-          no_cref
-      | 1 ->
-          enqueue s lits.(0) no_cref;
-          if propagate s >= 0 then begin
-            s.ok <- false;
-            log_proof s (P_add [||])
-          end;
-          no_cref
-      | _ ->
-          let c = Arena.alloc s.ar lits ~learnt:false ~lbd:0 in
-          Vec.push s.clauses c;
-          attach_clause s c;
-          c
-    end
+    let plain = ref true in
+    for i = ofs to ofs + n - 1 do
+      let v = Lit.var lits.(i) in
+      if v >= s.nvars || s.eliminated.(v) then plain := false
+    done;
+    if !plain then intake s lits ofs n else intake_restoring s (Array.sub lits ofs n)
+  end
+
+(* Common case, no literal to restore: root values cannot change while
+   the clause is read, so duplicates and complementary pairs are found
+   with per-variable stamps and the kept literals collect in [lits_buf]. *)
+and intake s lits ofs n =
+  s.intake_gen <- s.intake_gen + 1;
+  let gen = s.intake_gen in
+  let buf = s.lits_buf in
+  let m = ref 0 in
+  let absorbed = ref false in
+  let i = ref ofs in
+  while (not !absorbed) && !i < ofs + n do
+    let l = lits.(!i) in
+    incr i;
+    match lit_value s l with
+    | 1 -> absorbed := true
+    | 0 -> ()
+    | _ ->
+        let v = Lit.var l in
+        let mark = s.intake_mark.(v) in
+        if mark lsr 1 <> gen then begin
+          s.intake_mark.(v) <- (gen lsl 1) lor (l land 1);
+          buf.(!m) <- l;
+          incr m
+        end
+        else if mark land 1 <> l land 1 then absorbed := true (* tautology *)
+  done;
+  if !absorbed then no_cref
+  else begin
+    sort_prefix buf !m;
+    commit_clause s buf !m
+  end
+
+(* A literal over an eliminated or unknown variable: restore (or reject)
+   literal by literal, in clause order, each restore before the literal
+   is valued — a restore replays clauses and may assign root units. *)
+and intake_restoring s lits =
+  let module IS = Set.Make (Int) in
+  let tautology = ref false in
+  let satisfied = ref false in
+  let kept = ref IS.empty in
+  Array.iter
+    (fun l ->
+      if Lit.var l >= s.nvars then invalid_arg "Solver.add_clause: unknown variable";
+      if s.eliminated.(Lit.var l) then restore_var s (Lit.var l);
+      if IS.mem (Lit.negate l) !kept then tautology := true;
+      match lit_value s l with
+      | 1 -> satisfied := true
+      | 0 -> ()
+      | _ -> kept := IS.add l !kept)
+    lits;
+  if !tautology || !satisfied then no_cref
+  else begin
+    let lits = Array.of_list (IS.elements !kept) in
+    commit_clause s lits (Array.length lits)
   end
 
 and restore_var s v =
@@ -748,9 +859,9 @@ and restore_var s v =
         s.n_eliminated <- s.n_eliminated - 1;
         if s.assigns.(u) < 0 then Heap.insert s.order u
       end)
-    ~readd:(fun lits -> ignore (add_clause_core s lits))
+    ~readd:(fun lits -> ignore (add_clause_core s lits 0 (Array.length lits)))
 
-let add_clause_a s lits = ignore (add_clause_core s lits)
+let add_clause_a s lits = ignore (add_clause_core s lits 0 (Array.length lits))
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
@@ -763,7 +874,7 @@ let add_clause s lits = add_clause_a s (Array.of_list lits)
 let add_clause_batch s css =
   let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
   Arena.reserve s.ar words;
-  List.iter (fun c -> ignore (add_clause_core s c)) css
+  List.iter (fun c -> add_clause_a s c) css
 
 (* Clause import from another solver session (cube-and-conquer clause
    sharing): same one-reservation contiguous append as a batch, but the
@@ -775,7 +886,7 @@ let import_clauses s css =
   Arena.reserve s.ar words;
   let attached =
     List.fold_left
-      (fun n c -> if add_clause_core s c <> no_cref then n + 1 else n)
+      (fun n c -> if add_clause_core s c 0 (Array.length c) <> no_cref then n + 1 else n)
       0 css
   in
   Tel.Metric.add m_imported (List.length css);
@@ -801,7 +912,7 @@ let root_commit_unit s u =
 (* Drop a clause at the root: detach, clear any reason pointers into it,
    mark it dead in the arena (the clause vectors are filtered later). *)
 let simp_remove_clause s c =
-  log_proof s (P_delete (clause_lits s c));
+  if s.proof_enabled then log_proof s (P_delete (clause_lits s c));
   if clause_size s c >= 2 then detach_clause s c;
   clear_reasons_of s c;
   mark_clause s c
@@ -811,15 +922,17 @@ let simp_remove_clause s c =
    is logged as an addition followed by the deletion of the original. *)
 let simp_strengthen_clause s c l =
   detach_clause s c;
-  let old = clause_lits s c in
-  let n = Array.length old in
+  let old = proof_lits s c in
+  let n = clause_size s c in
   let k = ref 0 in
   while clause_lit s c !k <> l do
     incr k
   done;
   Arena.remove_lit_at s.ar c !k;
-  log_proof s (P_add (clause_lits s c));
-  log_proof s (P_delete old);
+  if s.proof_enabled then begin
+    log_proof s (P_add (clause_lits s c));
+    log_proof s (P_delete old)
+  end;
   if n - 1 = 1 then begin
     let u = clause_lit s c 0 in
     clear_reasons_of s c;
@@ -832,54 +945,82 @@ let simp_strengthen_clause s c l =
    produced by vivification.  Root-true literals mean the clause is now
    redundant; root-false literals are dropped. *)
 let simp_replace_clause s c keep =
-  let old = clause_lits s c in
+  let old = proof_lits s c in
   let finish_remove () =
-    log_proof s (P_delete old);
+    if s.proof_enabled then log_proof s (P_delete old);
     clear_reasons_of s c;
     mark_clause s c
   in
   if Array.exists (fun l -> lit_value s l = 1) keep then finish_remove ()
   else begin
-    let kept = Array.of_list (List.filter (fun l -> lit_value s l <> 0) (Array.to_list keep)) in
-    match Array.length kept with
+    (* [keep] is the caller's fresh array: drop root-false literals in
+       place *)
+    let m = ref 0 in
+    Array.iter
+      (fun l ->
+        if lit_value s l <> 0 then begin
+          keep.(!m) <- l;
+          incr m
+        end)
+      keep;
+    match !m with
     | 0 ->
         log_proof s (P_add [||]);
         s.ok <- false;
         finish_remove ()
     | 1 ->
-        log_proof s (P_add kept);
+        if s.proof_enabled then log_proof s (P_add [| keep.(0) |]);
         finish_remove ();
-        root_commit_unit s kept.(0)
+        root_commit_unit s keep.(0)
     | m ->
         for k = 0 to m - 1 do
-          Arena.set_lit s.ar c k kept.(k)
+          Arena.set_lit s.ar c k keep.(k)
         done;
         Arena.set_size s.ar c m;
-        log_proof s (P_add (clause_lits s c));
-        log_proof s (P_delete old);
+        if s.proof_enabled then begin
+          log_proof s (P_add (clause_lits s c));
+          log_proof s (P_delete old)
+        end;
         attach_clause s c
   end
 
-(* Learnt clauses mentioning an eliminated variable could still propagate
-   it, breaking the elimination invariant (the variable must stay free so
-   model extension can choose it).  Purge them at elimination time. *)
-let purge_learnts_of s v =
+(* Mark the variables of the live learnt clauses.  Sessions add no
+   learnts and only ever shrink or drop them, so marks taken at a
+   session's first elimination stay a superset for the rest of it. *)
+let mark_learnt_vars s =
+  Bytes.fill s.learnt_var 0 (Bytes.length s.learnt_var) '\000';
   Vec.iter
     (fun c ->
-      if not (clause_marked s c) then begin
-        let n = clause_size s c in
-        let hit = ref false in
-        for k = 0 to n - 1 do
-          if Lit.var (clause_lit s c k) = v then hit := true
-        done;
-        if !hit then begin
-          log_proof s (P_delete (clause_lits s c));
-          detach_clause s c;
-          clear_reasons_of s c;
-          mark_clause s c
-        end
-      end)
-    s.learnts
+      if not (clause_marked s c) then
+        for k = 0 to clause_size s c - 1 do
+          Bytes.set s.learnt_var (Lit.var (clause_lit s c k)) '\001'
+        done)
+    s.learnts;
+  s.learnt_var_valid <- true
+
+(* Learnt clauses mentioning an eliminated variable could still propagate
+   it, breaking the elimination invariant (the variable must stay free so
+   model extension can choose it).  Purge them at elimination time; the
+   scan is skipped for a variable no live learnt mentions. *)
+let purge_learnts_of s v =
+  if not s.learnt_var_valid then mark_learnt_vars s;
+  if Bytes.get s.learnt_var v <> '\000' then
+    Vec.iter
+      (fun c ->
+        if not (clause_marked s c) then begin
+          let n = clause_size s c in
+          let hit = ref false in
+          for k = 0 to n - 1 do
+            if Lit.var (clause_lit s c k) = v then hit := true
+          done;
+          if !hit then begin
+            if s.proof_enabled then log_proof s (P_delete (clause_lits s c));
+            detach_clause s c;
+            clear_reasons_of s c;
+            mark_clause s c
+          end
+        end)
+      s.learnts
 
 let simp_eliminate_var s v =
   s.eliminated.(v) <- true;
@@ -902,7 +1043,7 @@ let simp_host s =
     remove_clause = (fun c -> simp_remove_clause s c);
     strengthen_clause = (fun c l -> simp_strengthen_clause s c l);
     replace_clause = (fun c keep -> simp_replace_clause s c keep);
-    add_resolvent = (fun lits -> add_clause_core s lits);
+    add_resolvent = (fun lits ofs n -> add_clause_core s lits ofs n);
     eliminate_var = (fun v -> simp_eliminate_var s v);
     detach_clause = (fun c -> detach_clause s c);
     attach_clause = (fun c -> attach_clause s c);
@@ -946,6 +1087,7 @@ let maybe_simplify s =
           && s.n_conflicts - s.last_conflicts_simp >= cfg.Simp.session_min_conflicts)
   then begin
     let run () =
+      s.learnt_var_valid <- false;
       Simp.session s.simp (simp_host s) ~new_from:s.clause_cursor;
       simp_cleanup s;
       s.clause_cursor <- Vec.length s.clauses;
@@ -989,37 +1131,39 @@ let rec luby y x =
 
 (* --- Decisions --- *)
 
+(* The next decision variable, or [-1] when every variable is assigned or
+   eliminated. *)
 let pick_branch_var s =
   let random_pick =
-    if s.nvars > 0 && Ll_util.Prng.float s.prng 1.0 < random_decision_freq then begin
+    if s.nvars > 0 && Ll_util.Prng.chance s.prng random_decision_freq then begin
       let v = Ll_util.Prng.int s.prng s.nvars in
-      if s.assigns.(v) < 0 && not s.eliminated.(v) then Some v else None
+      if s.assigns.(v) < 0 && not s.eliminated.(v) then v else -1
     end
-    else None
+    else -1
   in
-  match random_pick with
-  | Some v -> Some v
-  | None ->
-      let rec next () =
-        if Heap.is_empty s.order then None
-        else
-          let v = Heap.remove_max s.order in
-          if s.assigns.(v) < 0 && not s.eliminated.(v) then Some v else next ()
-      in
-      next ()
+  if random_pick >= 0 then random_pick
+  else begin
+    let picked = ref (-1) in
+    while !picked < 0 && not (Heap.is_empty s.order) do
+      let v = Heap.remove_max s.order in
+      if s.assigns.(v) < 0 && not s.eliminated.(v) then picked := v
+    done;
+    !picked
+  end
 
 (* --- Search --- *)
 
 type search_outcome = O_sat | O_unsat | O_restart
 
-let record_learnt s lits lbd =
+(* Record the learnt clause [lits.(0 .. n-1)] after the backjump. *)
+let record_learnt s lits n lbd =
   if Tel.enabled () then Tel.Metric.observe h_lbd (float_of_int lbd);
-  log_proof s (P_add (Array.copy lits));
-  s.n_learnt_literals <- s.n_learnt_literals + Array.length lits;
-  match Array.length lits with
+  if s.proof_enabled then log_proof s (P_add (Array.sub lits 0 n));
+  s.n_learnt_literals <- s.n_learnt_literals + n;
+  match n with
   | 1 -> enqueue s lits.(0) no_cref
   | _ ->
-      let c = Arena.alloc s.ar lits ~learnt:true ~lbd in
+      let c = Arena.alloc s.ar lits n ~learnt:true ~lbd in
       Vec.push s.learnts c;
       attach_clause s c;
       bump_clause s c;
@@ -1040,9 +1184,12 @@ let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
         outcome := Some O_unsat
       end
       else begin
-        let learnt, bt_level, lbd = analyze s confl in
+        let n = analyze s confl in
+        let learnt = s.lits_buf in
+        let bt_level = if n = 1 then 0 else s.level.(Lit.var learnt.(1)) in
+        let lbd = lbd_of s learnt n in
         cancel_until s bt_level;
-        record_learnt s learnt lbd;
+        record_learnt s learnt n lbd;
         decay_var_activity s;
         decay_clause_activity s
       end
@@ -1065,12 +1212,13 @@ let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
             enqueue s a no_cref
       end
       else begin
-        match pick_branch_var s with
-        | None -> outcome := Some O_sat
-        | Some v ->
-            s.n_decisions <- s.n_decisions + 1;
-            new_decision_level s;
-            enqueue s (Lit.make v s.polarity.(v)) no_cref
+        let v = pick_branch_var s in
+        if v < 0 then outcome := Some O_sat
+        else begin
+          s.n_decisions <- s.n_decisions + 1;
+          new_decision_level s;
+          enqueue s (Lit.make v s.polarity.(v)) no_cref
+        end
       end
     end
   done;

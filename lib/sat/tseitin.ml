@@ -6,28 +6,33 @@ module Tel = Ll_telemetry.Telemetry
 
 let m_encodes = Tel.Metric.counter "kernel.encodes"
 
-(* Gate-memoization keys.  [fan] is the canonical fanin-literal array for
-   the operator (sorted-uniq for the symmetric AND/OR, as-given
-   otherwise); [tbl] is non-empty only for LUTs.  A flat int-array key
-   with its own hash replaces the old [(string * int list)] key — no list
-   or sort allocation on the lookup path beyond one small array, and no
-   polymorphic hashing. *)
+(* Gate-memoization keys.  [fan.(0 .. len-1)] is the canonical
+   fanin-literal sequence for the operator (sorted-uniq for the symmetric
+   AND/OR, as-given otherwise); [tbl] is non-empty only for LUTs.  Lookups
+   fill the env's reusable [probe] key in place, so a hit allocates
+   nothing; only a miss stores an exact-size copy ({!Key.copy}). *)
 module Key = struct
-  type t = { tag : int; tbl : string; fan : int array }
+  type t = { mutable tag : int; mutable tbl : string; mutable fan : int array; mutable len : int }
 
   let equal a b =
     a.tag = b.tag
-    && Array.length a.fan = Array.length b.fan
-    && (let n = Array.length a.fan in
-        let rec eq i = i >= n || (a.fan.(i) = b.fan.(i) && eq (i + 1)) in
-        eq 0)
-    && String.equal a.tbl b.tbl
+    && a.len = b.len
+    &&
+    let i = ref 0 in
+    while !i < a.len && a.fan.(!i) = b.fan.(!i) do
+      incr i
+    done;
+    !i = a.len && String.equal a.tbl b.tbl
 
   let hash k =
     let h = ref ((k.tag + 1) * 0x9e3779b1) in
-    Array.iter (fun x -> h := (!h lxor (x + 0x1003f)) * 0x01000193) k.fan;
+    for i = 0 to k.len - 1 do
+      h := (!h lxor (k.fan.(i) + 0x1003f)) * 0x01000193
+    done;
     if k.tbl <> "" then h := !h lxor Hashtbl.hash k.tbl;
     !h land max_int
+
+  let copy k = { k with fan = Array.sub k.fan 0 k.len }
 end
 
 module Cache = Hashtbl.Make (Key)
@@ -49,6 +54,7 @@ type env = {
   solver : Solver.t;
   mutable true_lit : Lit.t option;
   cache : Lit.t Cache.t;
+  probe : Key.t;  (* lookup key, refilled by every gate constructor *)
   (* When [Some acc], emitted clauses are buffered (in reverse) instead of
      added, and flushed by {!with_batch} as one contiguous arena append. *)
   mutable pending : Lit.t array list option;
@@ -59,7 +65,14 @@ type env = {
 }
 
 let create solver =
-  { solver; true_lit = None; cache = Cache.create 4096; pending = None; tap = None }
+  {
+    solver;
+    true_lit = None;
+    cache = Cache.create 4096;
+    probe = { Key.tag = 0; tbl = ""; fan = Array.make 16 0; len = 0 };
+    pending = None;
+    tap = None;
+  }
 
 let solver env = env.solver
 
@@ -112,103 +125,161 @@ let force_equal env a b =
   emit env [| Lit.negate a; b |];
   emit env [| a; Lit.negate b |]
 
-let add env ls = emit env (Array.of_list ls)
+(* Fill [env.probe] with operator [tag] over fanins [xs.(0 .. n-1)],
+   as given or sorted and deduplicated ([sorted]: the symmetric
+   AND/OR). *)
+let set_probe env tag ?(tbl = "") ~sorted xs n =
+  let k = env.probe in
+  if Array.length k.Key.fan < n then k.Key.fan <- Array.make (max n (2 * Array.length k.Key.fan)) 0;
+  let fan = k.Key.fan in
+  Array.blit xs 0 fan 0 n;
+  let m =
+    if (not sorted) || n <= 1 then n
+    else begin
+      (* Insertion sort: gate fanins are short. *)
+      for i = 1 to n - 1 do
+        let x = fan.(i) in
+        let j = ref i in
+        while !j > 0 && fan.(!j - 1) > x do
+          fan.(!j) <- fan.(!j - 1);
+          decr j
+        done;
+        fan.(!j) <- x
+      done;
+      let m = ref 1 in
+      for i = 1 to n - 1 do
+        if fan.(i) <> fan.(!m - 1) then begin
+          fan.(!m) <- fan.(i);
+          incr m
+        end
+      done;
+      !m
+    end
+  in
+  k.Key.tag <- tag;
+  k.Key.tbl <- tbl;
+  k.Key.len <- m
 
-(* A cached gate output is only reusable while its variable survives
-   inprocessing: variable elimination may have resolved the definition
-   clauses away.  On an eliminated hit, re-encode the gate onto a fresh
-   variable (the fanins are checked bottom-up, so they are valid). *)
-let cached env key build =
-  match Cache.find_opt env.cache key with
-  | Some l when not (Solver.is_eliminated env.solver (Lit.var l)) -> l
-  | _ ->
-      let out = Lit.pos (Solver.new_var env.solver) in
-      build out;
-      Cache.replace env.cache key out;
-      out
+(* The cached output for [env.probe], or [-1].  A cached gate output is
+   only reusable while its variable survives inprocessing: variable
+   elimination may have resolved the definition clauses away.  On an
+   eliminated hit the caller re-encodes the gate onto a fresh variable
+   (the fanins are checked bottom-up, so they are valid). *)
+let lookup env =
+  match Cache.find env.cache env.probe with
+  | l -> if Solver.is_eliminated env.solver (Lit.var l) then -1 else l
+  | exception Not_found -> -1
 
-(* Sorted, deduplicated copy — the canonical key form for symmetric
-   gates.  Matches the old [List.sort_uniq compare] ordering on ints. *)
-let sorted_uniq (xs : int array) =
-  let a = Array.copy xs in
-  Array.sort (fun (x : int) y -> compare x y) a;
-  let n = Array.length a in
-  if n <= 1 then a
+(* A fresh output variable for the gate in [env.probe], cached before the
+   caller emits its definition. *)
+let fresh_out env =
+  let out = Lit.pos (Solver.new_var env.solver) in
+  Cache.replace env.cache (Key.copy env.probe) out;
+  out
+
+(* out <-> AND(xs.(0 .. n-1)) *)
+let mk_and_n env xs n =
+  set_probe env tag_and ~sorted:true xs n;
+  let hit = lookup env in
+  if hit >= 0 then hit
   else begin
-    let m = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!m - 1) then begin
-        a.(!m) <- a.(i);
-        incr m
-      end
+    let out = fresh_out env in
+    for i = 0 to n - 1 do
+      emit env [| Lit.negate out; xs.(i) |]
     done;
-    if !m = n then a else Array.sub a 0 !m
+    emit env (Array.init (n + 1) (fun i -> if i = 0 then out else Lit.negate xs.(i - 1)));
+    out
   end
 
-(* out <-> AND(xs) *)
-let mk_and env xs =
-  let key = { Key.tag = tag_and; tbl = ""; fan = sorted_uniq xs } in
-  cached env key (fun out ->
-      Array.iter (fun x -> add env [ Lit.negate out; x ]) xs;
-      add env (out :: Array.to_list (Array.map Lit.negate xs)))
+let mk_and env xs = mk_and_n env xs (Array.length xs)
 
-(* out <-> OR(xs) *)
-let mk_or env xs =
-  let key = { Key.tag = tag_or; tbl = ""; fan = sorted_uniq xs } in
-  cached env key (fun out ->
-      Array.iter (fun x -> add env [ out; Lit.negate x ]) xs;
-      add env (Lit.negate out :: Array.to_list xs))
+(* out <-> OR(xs.(0 .. n-1)) *)
+let mk_or_n env xs n =
+  set_probe env tag_or ~sorted:true xs n;
+  let hit = lookup env in
+  if hit >= 0 then hit
+  else begin
+    let out = fresh_out env in
+    for i = 0 to n - 1 do
+      emit env [| out; Lit.negate xs.(i) |]
+    done;
+    emit env (Array.init (n + 1) (fun i -> if i = 0 then Lit.negate out else xs.(i - 1)));
+    out
+  end
 
-(* out <-> a XOR b *)
-let encode_xor2 env out a b =
-  add env [ Lit.negate out; a; b ];
-  add env [ Lit.negate out; Lit.negate a; Lit.negate b ];
-  add env [ out; Lit.negate a; b ];
-  add env [ out; a; Lit.negate b ]
+let mk_or env xs = mk_or_n env xs (Array.length xs)
 
+(* out <-> lo XOR hi, lo <= hi *)
 let mk_xor2 env a b =
   let lo = min a b and hi = max a b in
-  cached env { Key.tag = tag_xor; tbl = ""; fan = [| lo; hi |] } (fun out ->
-      encode_xor2 env out lo hi)
-
-let mk_xor env xs =
-  let n = Array.length xs in
-  if n = 1 then xs.(0)
+  let k = env.probe in
+  k.Key.fan.(0) <- lo;
+  k.Key.fan.(1) <- hi;
+  k.Key.tag <- tag_xor;
+  k.Key.tbl <- "";
+  k.Key.len <- 2;
+  let hit = lookup env in
+  if hit >= 0 then hit
   else begin
-    let acc = ref xs.(0) in
-    for i = 1 to n - 1 do
-      acc := mk_xor2 env !acc xs.(i)
-    done;
-    !acc
+    let out = fresh_out env in
+    emit env [| Lit.negate out; lo; hi |];
+    emit env [| Lit.negate out; Lit.negate lo; Lit.negate hi |];
+    emit env [| out; Lit.negate lo; hi |];
+    emit env [| out; lo; Lit.negate hi |];
+    out
   end
+
+let mk_xor_n env xs n =
+  let acc = ref xs.(0) in
+  for i = 1 to n - 1 do
+    acc := mk_xor2 env !acc xs.(i)
+  done;
+  !acc
+
+let mk_xor env xs = mk_xor_n env xs (Array.length xs)
 
 (* out <-> if s then hi else lo *)
 let mk_mux env sel lo hi =
-  cached env { Key.tag = tag_mux; tbl = ""; fan = [| sel; lo; hi |] } (fun out ->
-      add env [ Lit.negate sel; Lit.negate hi; out ];
-      add env [ Lit.negate sel; hi; Lit.negate out ];
-      add env [ sel; Lit.negate lo; out ];
-      add env [ sel; lo; Lit.negate out ];
-      (* Redundant but propagation-strengthening clauses. *)
-      add env [ Lit.negate lo; Lit.negate hi; out ];
-      add env [ lo; hi; Lit.negate out ])
+  let k = env.probe in
+  k.Key.fan.(0) <- sel;
+  k.Key.fan.(1) <- lo;
+  k.Key.fan.(2) <- hi;
+  k.Key.tag <- tag_mux;
+  k.Key.tbl <- "";
+  k.Key.len <- 3;
+  let hit = lookup env in
+  if hit >= 0 then hit
+  else begin
+    let out = fresh_out env in
+    emit env [| Lit.negate sel; Lit.negate hi; out |];
+    emit env [| Lit.negate sel; hi; Lit.negate out |];
+    emit env [| sel; Lit.negate lo; out |];
+    emit env [| sel; lo; Lit.negate out |];
+    (* Redundant but propagation-strengthening clauses. *)
+    emit env [| Lit.negate lo; Lit.negate hi; out |];
+    emit env [| lo; hi; Lit.negate out |];
+    out
+  end
 
 let mk_lut env table fanin_lits =
   let k = Array.length fanin_lits in
   if k > 16 then invalid_arg "Tseitin: LUT wider than 16 inputs";
-  let key =
-    { Key.tag = tag_lut; tbl = Bitvec.to_string table; fan = Array.copy fanin_lits }
-  in
-  cached env key (fun out ->
-      (* One clause per minterm: (fanins = pattern) -> out = table bit. *)
-      for idx = 0 to (1 lsl k) - 1 do
-        let guard =
-          List.init k (fun i ->
-              if (idx lsr i) land 1 = 1 then Lit.negate fanin_lits.(i) else fanin_lits.(i))
-        in
-        let rhs = if Bitvec.get table idx then out else Lit.negate out in
-        add env (rhs :: guard)
-      done)
+  set_probe env tag_lut ~tbl:(Bitvec.to_string table) ~sorted:false fanin_lits k;
+  let hit = lookup env in
+  if hit >= 0 then hit
+  else begin
+    let out = fresh_out env in
+    (* One clause per minterm: (fanins = pattern) -> out = table bit. *)
+    for idx = 0 to (1 lsl k) - 1 do
+      let rhs = if Bitvec.get table idx then out else Lit.negate out in
+      emit env
+        (Array.init (k + 1) (fun j ->
+             if j = 0 then rhs
+             else if (idx lsr (j - 1)) land 1 = 1 then Lit.negate fanin_lits.(j - 1)
+             else fanin_lits.(j - 1)))
+    done;
+    out
+  end
 
 let freeze_all env lits =
   Array.iter (fun l -> Solver.freeze_var env.solver (Lit.var l)) lits
@@ -294,7 +365,7 @@ let encode_cofactored env (p : Compiled.t) (s : Compiled.scratch) ~key_lits =
                 incr m
               end
             done;
-            let base = if !m = 1 then fl.(0) else mk_and env (Array.sub fl 0 !m) in
+            let base = if !m = 1 then fl.(0) else mk_and_n env fl !m in
             if o = Compiled.op_and then base else Lit.negate base
           end
           else if o = Compiled.op_or || o = Compiled.op_nor then begin
@@ -306,7 +377,7 @@ let encode_cofactored env (p : Compiled.t) (s : Compiled.scratch) ~key_lits =
                 incr m
               end
             done;
-            let base = if !m = 1 then fl.(0) else mk_or env (Array.sub fl 0 !m) in
+            let base = if !m = 1 then fl.(0) else mk_or_n env fl !m in
             if o = Compiled.op_or then base else Lit.negate base
           end
           else if o = Compiled.op_xor || o = Compiled.op_xnor then begin
@@ -320,7 +391,7 @@ let encode_cofactored env (p : Compiled.t) (s : Compiled.scratch) ~key_lits =
               end
               else if t = 1 then parity := not !parity
             done;
-            let base = if !m = 1 then fl.(0) else mk_xor env (Array.sub fl 0 !m) in
+            let base = if !m = 1 then fl.(0) else mk_xor_n env fl !m in
             let base = if !parity then Lit.negate base else base in
             if o = Compiled.op_xor then base else Lit.negate base
           end

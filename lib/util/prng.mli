@@ -33,6 +33,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
 
+val chance : t -> float -> bool
+(** [chance g p] is [float g 1.0 < p] (true with probability [p]),
+    computed without boxing the drawn float: it draws what [float] draws
+    and leaves the stream in the same state. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

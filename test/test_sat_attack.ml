@@ -147,6 +147,31 @@ let test_dips_are_distinct () =
   Alcotest.(check int) "all distinct" (List.length dips)
     (List.length (List.sort_uniq compare dips))
 
+(* Allocation regression guard for the DIP loop.  Minor words allocated
+   by a one-domain attack are a deterministic count for a fixed build (the
+   search itself is deterministic), so the test compares exact numbers.
+   c432 / SARLock K = 8 (lock seed 1), N = 0, default config: 255 DIPs at
+   32,009 minor words per DIP while the solver's VSIDS heap, clause intake,
+   PRNG and BVE allocated on their hot paths, 2,152 once they stopped.
+   The bound leaves 1.5x headroom over the latter. *)
+let test_minor_words_per_dip () =
+  let original = LL.Bench_suite.Iscas.get "c432" in
+  let locked =
+    (LL.Locking.Sarlock.lock ~prng:(Prng.create 1) ~key_size:8 original).LL.Locking.Locked.circuit
+  in
+  let attack () = run_attack original locked in
+  (* Warm-up run: first-use initialisation (compiled-program caches,
+     telemetry state) is not per-DIP cost. *)
+  ignore (attack ());
+  let w0 = Gc.minor_words () in
+  let r = attack () in
+  let per_dip = (Gc.minor_words () -. w0) /. float_of_int r.Sat_attack.num_dips in
+  Printf.printf "c432/sarlock8 N=0: %d DIPs, %.0f minor words per DIP\n" r.num_dips per_dip;
+  Alcotest.(check int) "DIPs" 255 r.num_dips;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per DIP < 3,228" per_dip)
+    true (per_dip < 3228.0)
+
 let suite =
   [
     Alcotest.test_case "breaks xor locking" `Quick test_breaks_xor_locking;
@@ -166,4 +191,5 @@ let suite =
     Alcotest.test_case "recovered key exact zero error" `Quick
       test_recovered_key_exact_zero_error;
     Alcotest.test_case "dips are distinct" `Quick test_dips_are_distinct;
+    Alcotest.test_case "minor words per DIP" `Quick test_minor_words_per_dip;
   ]

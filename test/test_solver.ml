@@ -263,6 +263,103 @@ let prop_random_3sat =
       List.iter (Solver.add_clause s) clauses;
       brute_force nvars clauses = (Solver.solve s = Solver.Sat))
 
+(* Clause intake: duplicate literals, complementary pairs, literals fixed
+   at the root and variables a simplification session eliminated.  Three
+   variable groups keep the expected root assignment computable: [r]
+   holds root units, [e] feeds variable elimination (its clauses never
+   mention [f]), and [f] is created after the session, so its root values
+   are exactly the unit-propagation closure of the test clauses over
+   [r] and [f], which the property recomputes. *)
+let prop_clause_intake =
+  qcheck_case ~count:300 "clause intake normalises like a literal set"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let g = Prng.create seed in
+      let s = Solver.create ~seed () in
+      let nr = 1 + Prng.int g 3 and ne = 3 + Prng.int g 6 and nf = 2 + Prng.int g 4 in
+      let r = fresh_vars s nr and e = fresh_vars s ne in
+      let root = Hashtbl.create 16 in
+      let units = List.map (fun v -> [ Lit.make v (Prng.bool g) ]) (Array.to_list r) in
+      List.iter
+        (fun c ->
+          let l = List.hd c in
+          Hashtbl.replace root (Lit.var l) (Lit.is_pos l))
+        units;
+      let lit_of vs = Lit.make vs.(Prng.int g (Array.length vs)) (Prng.bool g) in
+      let re = Array.append r e in
+      let e_clauses =
+        List.init (ne + Prng.int g (2 * ne)) (fun _ -> List.init (2 + Prng.int g 2) (fun _ -> lit_of re))
+      in
+      List.iter (Solver.add_clause s) (units @ e_clauses);
+      ignore (Solver.solve s);
+      let f = fresh_vars s nf in
+      let rf = Array.append r f in
+      let nvars = Solver.num_vars s in
+      (* Root value of [l]: Some true / Some false / None. *)
+      let value l =
+        Option.map (fun b -> b = Lit.is_pos l) (Hashtbl.find_opt root (Lit.var l))
+      in
+      let rf_clauses = ref [] and conflict = ref false in
+      let rec propagate () =
+        let changed = ref false in
+        List.iter
+          (fun c ->
+            if not (List.exists (fun l -> value l = Some true) c) then
+              match List.sort_uniq compare (List.filter (fun l -> value l = None) c) with
+              | [] -> conflict := true
+              | [ u ] ->
+                  Hashtbl.replace root (Lit.var u) (Lit.is_pos u);
+                  changed := true
+              | _ -> ())
+          !rf_clauses;
+        if !changed && not !conflict then propagate ()
+      in
+      let ok = ref true and all = ref (units @ e_clauses) in
+      for _ = 1 to 10 + Prng.int g 20 do
+        let from_e = Prng.int g 4 = 0 in
+        let pool = if from_e then re else rf in
+        let base = List.init (1 + Prng.int g 4) (fun _ -> lit_of pool) in
+        let extra =
+          List.filter_map
+            (fun l ->
+              match Prng.int g 6 with
+              | 0 -> Some l (* duplicate *)
+              | 1 -> Some (Lit.negate l) (* complementary pair *)
+              | _ -> None)
+            base
+        in
+        let c = base @ extra in
+        let c = if Prng.bool g then List.rev c else c in
+        let before = Solver.num_clauses s and was_ok = Solver.ok s in
+        Solver.add_clause s c;
+        all := c :: !all;
+        if not from_e then begin
+          (* normalised: distinct root-unassigned literals, unless the
+             clause is satisfied or a tautology *)
+          let absorbed =
+            List.exists (fun l -> value l = Some true) c
+            || List.exists (fun l -> List.mem (Lit.negate l) c) c
+          in
+          let kept = List.sort_uniq compare (List.filter (fun l -> value l = None) c) in
+          let grows = was_ok && (not absorbed) && List.length kept >= 2 in
+          if Solver.num_clauses s - before <> (if grows then 1 else 0) then ok := false;
+          rf_clauses := c :: !rf_clauses;
+          propagate ()
+        end
+      done;
+      (* (a refuted solver absorbs every clause unread) *)
+      let unknown =
+        match Solver.add_clause s [ lit_of rf; Lit.pos nvars ] with
+        | () -> not (Solver.ok s)
+        | exception Invalid_argument m -> m = "Solver.add_clause: unknown variable"
+      in
+      let want = brute_force nvars !all in
+      let got = Solver.solve s = Solver.Sat in
+      let model_ok =
+        (not got) || List.for_all (fun c -> List.exists (fun l -> Solver.value s l) c) !all
+      in
+      !ok && unknown && want = got && model_ok)
+
 let prop_incremental_differential =
   (* Two solve calls with a clause batch added in between, both checked
      against brute force: exercises arena growth and watch-list extension
@@ -339,4 +436,5 @@ let suite =
     Alcotest.test_case "model correct under arena gc" `Quick test_model_correct_under_arena_gc;
     prop_random_3sat;
     prop_incremental_differential;
+    prop_clause_intake;
   ]
