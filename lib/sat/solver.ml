@@ -770,35 +770,10 @@ let sort_prefix a n =
     Array.blit sorted 0 a 0 n
   end
 
-(* Returns the cref of the attached clause [lits.(ofs .. ofs+n-1)], or
-   [no_cref] when the clause was absorbed (tautological, satisfied, unit,
-   or empty).  The attached clause holds the distinct unassigned literals
-   in ascending order.
-
-   A literal over an eliminated variable re-activates it first
-   ([restore_var]): the variable's original clauses are replayed from the
-   eliminated-clause stack, so the incremental contract — any existing
-   variable may appear in later clauses — survives inprocessing.
-   Freezing remains worthwhile: it avoids the restore churn entirely. *)
-let rec add_clause_core s lits ofs n =
-  s.extension <- No_model;
-  if not s.ok then no_cref
-  else begin
-    (* Incremental use: callers add clauses right after a Sat answer, while
-       the trail still holds the model.  Return to the root first. *)
-    cancel_until s 0;
-    let plain = ref true in
-    for i = ofs to ofs + n - 1 do
-      let v = Lit.var lits.(i) in
-      if v >= s.nvars || s.eliminated.(v) then plain := false
-    done;
-    if !plain then intake s lits ofs n else intake_restoring s (Array.sub lits ofs n)
-  end
-
 (* Common case, no literal to restore: root values cannot change while
    the clause is read, so duplicates and complementary pairs are found
    with per-variable stamps and the kept literals collect in [lits_buf]. *)
-and intake s lits ofs n =
+let intake s lits ofs n =
   s.intake_gen <- s.intake_gen + 1;
   let gen = s.intake_gen in
   let buf = s.lits_buf in
@@ -825,6 +800,31 @@ and intake s lits ofs n =
   else begin
     sort_prefix buf !m;
     commit_clause s buf !m
+  end
+
+(* Returns the cref of the attached clause [lits.(ofs .. ofs+n-1)], or
+   [no_cref] when the clause was absorbed (tautological, satisfied, unit,
+   or empty).  The attached clause holds the distinct unassigned literals
+   in ascending order.
+
+   A literal over an eliminated variable re-activates it first
+   ([restore_var]): the variable's original clauses are replayed from the
+   eliminated-clause stack, so the incremental contract — any existing
+   variable may appear in later clauses — survives inprocessing.
+   Freezing remains worthwhile: it avoids the restore churn entirely. *)
+let rec add_clause_core s lits ofs n =
+  s.extension <- No_model;
+  if not s.ok then no_cref
+  else begin
+    (* Incremental use: callers add clauses right after a Sat answer, while
+       the trail still holds the model.  Return to the root first. *)
+    cancel_until s 0;
+    let plain = ref true in
+    for i = ofs to ofs + n - 1 do
+      let v = Lit.var lits.(i) in
+      if v >= s.nvars || s.eliminated.(v) then plain := false
+    done;
+    if !plain then intake s lits ofs n else intake_restoring s (Array.sub lits ofs n)
   end
 
 (* A literal over an eliminated or unknown variable: restore (or reject)
