@@ -26,5 +26,10 @@ val of_dimacs : int -> t
 
 val to_dimacs : t -> int
 
+val sort_prefix : t array -> int -> unit
+(** [sort_prefix a n] sorts [a.(0 .. n-1)] ascending in place (the clause
+    order of the solver's intake and of the Tseitin gate keys).  Short
+    prefixes, nearly every clause, are sorted without allocating. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints DIMACS style. *)

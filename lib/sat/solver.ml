@@ -751,25 +751,6 @@ let commit_clause s lits n =
       attach_clause s c;
       c
 
-(* Ascending sort of [a.(0 .. n-1)]: insertion sort for the short clauses
-   that make up nearly all of the intake, a sorted copy beyond. *)
-let sort_prefix a n =
-  if n <= 32 then
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      let j = ref i in
-      while !j > 0 && a.(!j - 1) > x do
-        a.(!j) <- a.(!j - 1);
-        decr j
-      done;
-      a.(!j) <- x
-    done
-  else begin
-    let sorted = Array.sub a 0 n in
-    Array.sort Int.compare sorted;
-    Array.blit sorted 0 a 0 n
-  end
-
 (* Common case, no literal to restore: root values cannot change while
    the clause is read, so duplicates and complementary pairs are found
    with per-variable stamps and the kept literals collect in [lits_buf]. *)
@@ -798,7 +779,7 @@ let intake s lits ofs n =
   done;
   if !absorbed then no_cref
   else begin
-    sort_prefix buf !m;
+    Lit.sort_prefix buf !m;
     commit_clause s buf !m
   end
 

@@ -136,16 +136,7 @@ let set_probe env tag ?(tbl = "") ~sorted xs n =
   let m =
     if (not sorted) || n <= 1 then n
     else begin
-      (* Insertion sort: gate fanins are short. *)
-      for i = 1 to n - 1 do
-        let x = fan.(i) in
-        let j = ref i in
-        while !j > 0 && fan.(!j - 1) > x do
-          fan.(!j) <- fan.(!j - 1);
-          decr j
-        done;
-        fan.(!j) <- x
-      done;
+      Lit.sort_prefix fan n;
       let m = ref 1 in
       for i = 1 to n - 1 do
         if fan.(i) <> fan.(!m - 1) then begin

@@ -29,6 +29,19 @@ let test_negative_var_rejected () =
   Alcotest.check_raises "neg var" (Invalid_argument "Lit.pos: negative variable") (fun () ->
       ignore (Lit.pos (-1)))
 
+(* Both sides of the insertion-sort cutoff, with duplicates; the tail
+   past [n] must stay untouched. *)
+let prop_sort_prefix =
+  Helpers.qcheck_case ~count:300 "sort_prefix sorts the prefix only"
+    QCheck2.Gen.(pair (list_size (int_bound 80) (int_bound 50)) (int_bound 80))
+    (fun (xs, cut) ->
+      let a = Array.of_list xs in
+      let n = min cut (Array.length a) in
+      let tail = Array.sub a n (Array.length a - n) in
+      Lit.sort_prefix a n;
+      Array.to_list (Array.sub a 0 n) = List.sort compare (List.filteri (fun i _ -> i < n) xs)
+      && Array.sub a n (Array.length a - n) = tail)
+
 let suite =
   [
     Alcotest.test_case "construction" `Quick test_construction;
@@ -36,4 +49,5 @@ let suite =
     Alcotest.test_case "make" `Quick test_make;
     Alcotest.test_case "dimacs" `Quick test_dimacs;
     Alcotest.test_case "negative var rejected" `Quick test_negative_var_rejected;
+    prop_sort_prefix;
   ]
