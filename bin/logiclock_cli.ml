@@ -273,6 +273,14 @@ let fanout_cmd =
 let attack_cmd =
   let run locked_spec oracle_spec n parallel max_iters trace metrics watch stream prom
       ring_size interval =
+    (match max_iters with
+    | Some m when m < 0 -> fail "--max-iterations %d is negative" m
+    | _ -> ());
+    (match ring_size with
+    | Some r when r < 1 -> fail "--trace-ring-size %d must be at least 1" r
+    | _ -> ());
+    if not (interval > 0.0 && Float.is_finite interval) then
+      fail "--sample-interval %g must be a positive number of seconds" interval;
     let locked = load_design locked_spec in
     let original = load_design oracle_spec in
     if Circuit.num_keys locked = 0 then fail "attack: %s has no key inputs" locked_spec;

@@ -140,7 +140,7 @@ type prep = {
   p_miter : Circuit.t;
   p_n_in : int;
   p_n_key : int;
-  p_output_key_dep : bool array;
+  p_dep_pos : int array;  (** positions of the key-dependent outputs *)
   p_all_dep : bool;
   p_cone_prog : Compiled.t;
   p_indep : (Compiled.t * int array) option;
@@ -190,6 +190,12 @@ let prepare locked =
      ternary cofactor sweep over the flat program (no intermediate
      circuits) before the emitter adds its constraints. *)
   let cone_prog = Compiled.compile key_cone in
+  let positions keep =
+    Array.to_list output_key_dep
+    |> List.mapi (fun i dep -> (i, dep))
+    |> List.filter_map (fun (i, dep) -> if keep dep then Some i else None)
+    |> Array.of_list
+  in
   let indep =
     if all_dep then None
     else begin
@@ -203,14 +209,7 @@ let prepare locked =
           (Circuit.create ~name:locked.Circuit.name ~nodes:locked.Circuit.nodes
              ~node_names:locked.Circuit.node_names ~outputs)
       in
-      let prog = Compiled.compile indep_cone in
-      let pos =
-        Array.to_list output_key_dep
-        |> List.mapi (fun i dep -> (i, dep))
-        |> List.filter_map (fun (i, dep) -> if dep then None else Some i)
-        |> Array.of_list
-      in
-      Some (prog, pos)
+      Some (Compiled.compile indep_cone, positions (fun dep -> not dep))
     end
   in
   {
@@ -218,7 +217,7 @@ let prepare locked =
     p_miter = miter;
     p_n_in = n_in;
     p_n_key = n_key;
-    p_output_key_dep = output_key_dep;
+    p_dep_pos = positions Fun.id;
     p_all_dep = all_dep;
     p_cone_prog = cone_prog;
     p_indep = indep;
@@ -373,12 +372,17 @@ let run_prepared_core ~config prep ~condition ~oracle =
           pos;
         !ok
   in
+  (* The response restricted to the key cone's outputs, in a buffer the
+     encoder reads before the next DIP overwrites it. *)
+  let cone_buf = Array.make (Array.length prep.p_dep_pos) false in
   let cone_response_of response =
     if prep.p_all_dep then response
-    else
-      Array.to_list response
-      |> List.filteri (fun i _ -> prep.p_output_key_dep.(i))
-      |> Array.of_list
+    else begin
+      for k = 0 to Array.length cone_buf - 1 do
+        cone_buf.(k) <- response.(prep.p_dep_pos.(k))
+      done;
+      cone_buf
+    end
   in
   (* --- Clause-sharing import: replay compatible DIP constraints learned
      by ancestor cubes before the first solve.  Prefix variables map

@@ -20,8 +20,26 @@
     ({!local_scratch}), which hands every domain its own buffers keyed by
     program identity — the pattern used by [Attack.Oracle] so one
     precompiled oracle serves any number of pool workers allocation-free.
-    Programs themselves are immutable after {!compile} and safe to share
-    across domains. *)
+    Programs themselves are immutable after {!compile} (apart from the
+    fan-out index that the first incremental pass builds, published
+    atomically) and safe to share across domains.
+
+    {b Incremental evaluation.}  A scratch keeps its last scalar
+    evaluation ({!eval_into}, {!eval_bv}) and its last ternary cofactor
+    ({!cofactor_into}).  The next call of the same kind compares the new
+    port values with the stored ones and re-evaluates only the nodes
+    whose value can have changed: the consumers of changed ports, and
+    transitively the consumers of every node whose value did change.
+    Results are exact — node values, [tern], [live] and [unknown] are
+    bit-identical to a full sweep from a fresh scratch — so callers see
+    no difference except the time taken.  The first call on a scratch
+    is a full sweep; so is a call where more than a quarter of the
+    ports changed, and a scan that re-evaluates more than a quarter of
+    the nodes finishes as one, which keeps uncorrelated (random-pattern)
+    callers at the cost of a plain sweep.  The liveness pass of
+    {!cofactor_into} is always a full backward sweep.  The packed kernel
+    ({!eval_lanes_into}) is always a full sweep and leaves the scalar and
+    ternary state untouched. *)
 
 (** {1 The flat program} *)
 
@@ -44,7 +62,13 @@ type t = private {
   outputs : int array;  (** driving node of every output, port order *)
   input_node : int array;  (** node index of every primary input port *)
   key_node : int array;  (** node index of every key port *)
+  fanout : fanout Atomic.t;
+      (** consumer index for incremental evaluation, built on the
+          program's first incremental pass *)
 }
+
+and fanout
+(** Opaque CSR consumer index. *)
 
 (** Opcodes ([op] entries).  Fixed small ints so kernel dispatch compiles
     to a jump table; exposed for the Tseitin emitter. *)
@@ -77,7 +101,9 @@ val op_lut : int
 
 val compile : Circuit.t -> t
 (** One linear pass over the circuit.  Emits a [kernel.compile] telemetry
-    span (value: node count) and bumps the [kernel.compiles] counter. *)
+    span (value: node count) and bumps the [kernel.compiles] counter.
+    The scalar and ternary kernels add the nodes they evaluate to the
+    [kernel.node_evals] counter (the whole program on a full sweep). *)
 
 val cached : Circuit.t -> t
 (** [compile] behind a small per-domain memo keyed by physical equality
@@ -95,6 +121,11 @@ type scratch = private {
   live : Bytes.t;  (** 1 = node needed by a non-constant output *)
   lits : int array;  (** per-node literal slots for the Tseitin emitter *)
   mutable unknown : int;  (** #X nodes after the last {!cofactor_into} *)
+  ports : Bytes.t;  (** staged port values, inputs then keys *)
+  changed : int array;  (** nodes of the ports the current call changed *)
+  dirty : Bytes.t;  (** per-node re-evaluation marks; clear between calls *)
+  mutable vals_full : bool;  (** [vals] holds a complete evaluation *)
+  mutable tern_full : bool;  (** [tern] holds a complete cofactor *)
 }
 
 val scratch : t -> scratch
@@ -108,7 +139,8 @@ val local_scratch : t -> scratch
 (** {1 Simulation kernels} *)
 
 val eval_into : t -> scratch -> inputs:bool array -> keys:bool array -> unit
-(** Scalar simulation of every node into [scratch.vals].  Raises
+(** Scalar simulation of every node into [scratch.vals], incrementally
+    from the scratch's previous evaluation (see above).  Raises
     [Invalid_argument] on port-count mismatches. *)
 
 val eval_lanes_into : t -> scratch -> inputs:int64 array -> keys:int64 array -> unit
@@ -152,8 +184,9 @@ val cofactor_into : t -> scratch -> inputs:bool array -> unit
     (constant fanins are not live; a MUX with a constant select keeps
     only its selected branch live) — the node set the Tseitin emitter
     encodes.  No intermediate circuit is built.  [scratch.unknown] is the
-    number of X nodes.  Raises [Invalid_argument] on an input-count
-    mismatch. *)
+    number of X nodes.  The forward sweep is incremental from the
+    scratch's previous cofactor (see above).  Raises [Invalid_argument]
+    on an input-count mismatch. *)
 
 val tern_val : scratch -> int -> int
 (** Ternary value (0/1/2) of a node after {!cofactor_into}. *)

@@ -254,6 +254,91 @@ let test_scratch_rules () =
   Alcotest.check bool_array "scratch reuse deterministic" first
     (Compiled.read_outputs p1 s1)
 
+(* Incremental exactness: one scratch reused across a random sequence of
+   scalar, bit-vector, packed and ternary calls must match a fresh
+   scratch after every call — node values, ternary values, liveness and
+   the X count, each against the ports of the last call of its kind (a
+   packed call must leave both untouched).  Steps flip no port, one, a
+   few or redraw them all, so the incremental scan and both full-sweep
+   fallbacks run. *)
+let incremental_matches_fresh (seed, steps) =
+  let num_inputs = 4 + (seed mod 13) and num_keys = seed mod 5 in
+  let c =
+    random_all_gates ~seed ~num_inputs ~num_keys ~gates:(20 + (seed mod 120))
+      ~num_outputs:(1 + (seed mod 4)) ()
+  in
+  let p = Compiled.compile c in
+  let n = p.Compiled.num_nodes in
+  (* [eval_bv] runs on the domain's cached scratch, so reuse that one. *)
+  let reused = Compiled.local_scratch p in
+  let g = Prng.create (seed + 17) in
+  let inputs = Array.init num_inputs (fun _ -> Prng.bool g) in
+  let keys = Array.init num_keys (fun _ -> Prng.bool g) in
+  let change a =
+    let len = Array.length a in
+    if len > 0 then
+      match Prng.int g 4 with
+      | 0 -> ()
+      | 1 ->
+          let i = Prng.int g len in
+          a.(i) <- not a.(i)
+      | 2 ->
+          for _ = 1 to 2 + Prng.int g 2 do
+            let i = Prng.int g len in
+            a.(i) <- not a.(i)
+          done
+      | _ -> Array.iteri (fun i _ -> a.(i) <- Prng.bool g) a
+  in
+  let scalar_ports = ref None and ternary_ports = ref None in
+  let ok = ref true in
+  let check () =
+    Option.iter
+      (fun (inputs, keys) ->
+        let fresh = Compiled.scratch p in
+        Compiled.eval_into p fresh ~inputs ~keys;
+        for i = 0 to n - 1 do
+          if Compiled.node_val reused i <> Compiled.node_val fresh i then ok := false
+        done)
+      !scalar_ports;
+    Option.iter
+      (fun inputs ->
+        let fresh = Compiled.scratch p in
+        Compiled.cofactor_into p fresh ~inputs;
+        for i = 0 to n - 1 do
+          if Compiled.tern_val reused i <> Compiled.tern_val fresh i then ok := false;
+          if Compiled.is_live reused i <> Compiled.is_live fresh i then ok := false
+        done;
+        if Compiled.unknown_count reused <> Compiled.unknown_count fresh then ok := false)
+      !ternary_ports
+  in
+  for _ = 1 to steps do
+    change inputs;
+    change keys;
+    (match Prng.int g 4 with
+    | 0 ->
+        Compiled.eval_into p reused ~inputs ~keys;
+        scalar_ports := Some (Array.copy inputs, Array.copy keys)
+    | 1 ->
+        ignore
+          (Compiled.eval_bv p ~inputs:(Bitvec.of_bool_array inputs)
+             ~keys:(Bitvec.of_bool_array keys));
+        scalar_ports := Some (Array.copy inputs, Array.copy keys)
+    | 2 ->
+        let lane b = if b then -1L else 0L in
+        Compiled.eval_lanes_into p reused ~inputs:(Array.map lane inputs)
+          ~keys:(Array.map lane keys)
+    | _ ->
+        Compiled.cofactor_into p reused ~inputs;
+        ternary_ports := Some (Array.copy inputs));
+    check ()
+  done;
+  !ok
+
+let test_incremental_exact =
+  qcheck_case ~count:200 "incremental = fresh sweep"
+    QCheck2.Gen.(pair (int_bound 100000) (int_range 1 60))
+    incremental_matches_fresh
+
 let test_cached_memo () =
   let c = random_all_gates ~seed:3 ~num_inputs:3 ~num_keys:0 ~gates:8 ~num_outputs:1 () in
   let p1 = Compiled.cached c and p2 = Compiled.cached c in
@@ -269,4 +354,5 @@ let suite =
     Alcotest.test_case "mux liveness" `Quick test_mux_liveness;
     Alcotest.test_case "scratch rules" `Quick test_scratch_rules;
     Alcotest.test_case "cached memo" `Quick test_cached_memo;
+    test_incremental_exact;
   ]

@@ -3,6 +3,7 @@ module Oracle = LL.Attack.Oracle
 module Sat_attack = LL.Attack.Sat_attack
 module Equiv = LL.Attack.Equiv
 module Instantiate = LL.Netlist.Instantiate
+module Tel = LL.Telemetry.Telemetry
 
 let key_is_correct original locked key =
   match key with
@@ -172,6 +173,41 @@ let test_minor_words_per_dip () =
     (Printf.sprintf "%.0f minor words per DIP < 3,228" per_dip)
     true (per_dip < 3228.0)
 
+(* Per-DIP kernel work: consecutive DIPs differ in a few inputs, so the
+   incremental oracle, consistency and cofactor passes re-evaluate a
+   small part of their programs.  The first DIP of a run is one full
+   sweep of every program (its scratches are fresh), which gives the
+   full-sweep cost per DIP.  On c432/SARLock K=8 (N=0, one domain) that
+   is 525 nodes per DIP; the incremental passes evaluate 57.4 (about a
+   ninth).  The bound is a third. *)
+let test_node_evals_per_dip () =
+  let original = LL.Bench_suite.Iscas.get "c432" in
+  let locked =
+    (LL.Locking.Sarlock.lock ~prng:(Prng.create 1) ~key_size:8 original).LL.Locking.Locked.circuit
+  in
+  let node_evals config =
+    Tel.reset ();
+    Tel.enable ();
+    let r = Fun.protect ~finally:Tel.disable (fun () -> run_attack ~config original locked) in
+    let counters = (Tel.snapshot ()).Tel.counters in
+    (r, Option.value ~default:0 (List.assoc_opt "kernel.node_evals" counters))
+  in
+  let first, full_per_dip =
+    node_evals { Sat_attack.default_config with max_iterations = Some 1 }
+  in
+  Alcotest.(check int) "one DIP" 1 first.Sat_attack.num_dips;
+  (* Warm-up run: first-use initialisation is not per-DIP cost. *)
+  ignore (run_attack original locked);
+  let r, evals = node_evals Sat_attack.default_config in
+  let per_dip = float_of_int evals /. float_of_int r.Sat_attack.num_dips in
+  Printf.printf "c432/sarlock8 N=0: %d nodes per DIP in full sweeps, %.1f evaluated\n"
+    full_per_dip per_dip;
+  Alcotest.(check int) "DIPs" 255 r.num_dips;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f nodes per DIP < %d / 3" per_dip full_per_dip)
+    true
+    (3.0 *. per_dip < float_of_int full_per_dip)
+
 let suite =
   [
     Alcotest.test_case "breaks xor locking" `Quick test_breaks_xor_locking;
@@ -192,4 +228,5 @@ let suite =
       test_recovered_key_exact_zero_error;
     Alcotest.test_case "dips are distinct" `Quick test_dips_are_distinct;
     Alcotest.test_case "minor words per DIP" `Quick test_minor_words_per_dip;
+    Alcotest.test_case "kernel nodes per DIP" `Quick test_node_evals_per_dip;
   ]
