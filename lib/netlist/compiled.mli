@@ -39,7 +39,8 @@
     callers at the cost of a plain sweep.  The liveness pass of
     {!cofactor_into} is always a full backward sweep.  The packed kernel
     ({!eval_lanes_into}) is always a full sweep and leaves the scalar and
-    ternary state untouched. *)
+    ternary state untouched.  Callers must not write [vals] or [tern]:
+    the kernels take them as the stored evaluation. *)
 
 (** {1 The flat program} *)
 
