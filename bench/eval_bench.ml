@@ -10,7 +10,8 @@
    - per-DIP constraint generation: DIPs/sec and GC minor words per DIP
      for the circuit-rebuild path (Simplify.run ~bind + Sweep.run, then
      Tseitin.encode) against the kernel path (cofactor_into +
-     encode_cofactored), each into its own fresh solver.
+     encode_cofactored), each into its own fresh solver, and the kernel
+     path's deterministic node-evaluation count.
 
    All workloads are seed-fixed; numbers are comparable across runs and
    machines up to clock speed. *)
@@ -24,6 +25,7 @@ module Prng = LL.Util.Prng
 module Timer = LL.Util.Timer
 module Solver = LL.Sat.Solver
 module Tseitin = LL.Sat.Tseitin
+module Tel = LL.Telemetry.Telemetry
 
 let records : Bench_record.record list ref = ref []
 
@@ -125,23 +127,33 @@ let constraint_generation ~dips locked =
             Array.iteri (fun o l -> Tseitin.force env l responses.(d).(o)) outs)
           dip_pats)
   in
-  let kernel_wall, kernel_minor =
-    timed (fun () ->
-        let solver = Solver.create () in
-        let env = Tseitin.create solver in
-        let key_lits = Tseitin.fresh_lits env n_key in
-        let scratch = Compiled.scratch prog in
-        Array.iteri
-          (fun d dip ->
-            Compiled.cofactor_into prog scratch ~inputs:dip;
-            let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
-            Array.iteri (fun o l -> Tseitin.force env l responses.(d).(o)) outs)
-          dip_pats)
+  let kernel_path () =
+    let solver = Solver.create () in
+    let env = Tseitin.create solver in
+    let key_lits = Tseitin.fresh_lits env n_key in
+    let scratch = Compiled.scratch prog in
+    Array.iteri
+      (fun d dip ->
+        Compiled.cofactor_into prog scratch ~inputs:dip;
+        let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
+        Array.iteri (fun o l -> Tseitin.force env l responses.(d).(o)) outs)
+      dip_pats
+  in
+  let kernel_wall, kernel_minor = timed kernel_path in
+  (* The kernel's work, counted in a separate untimed pass so telemetry
+     does not perturb the rates: deterministic for the seed-fixed DIPs. *)
+  Tel.enable ();
+  kernel_path ();
+  let snap = Tel.snapshot () in
+  Tel.disable ();
+  let node_evals =
+    Option.value ~default:0 (List.assoc_opt "kernel.node_evals" snap.Tel.counters)
   in
   ( float_of_int dips /. rebuild_wall,
     float_of_int dips /. kernel_wall,
     rebuild_minor /. float_of_int dips,
-    kernel_minor /. float_of_int dips )
+    kernel_minor /. float_of_int dips,
+    node_evals )
 
 (* The batched-encode half of the attack pipeline in isolation: the same
    kernel-path DIP constraints, grouped [q] at a time under
@@ -197,7 +209,7 @@ let bench ~name ~reps ~dips locked =
   let m0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let interp_ps, scalar_ps, packed_ps = sim_throughput ~reps locked in
-  let rebuild_dps, kernel_dps, rebuild_wpd, kernel_wpd =
+  let rebuild_dps, kernel_dps, rebuild_wpd, kernel_wpd, kernel_node_evals =
     constraint_generation ~dips locked
   in
   let batch_dps = batched_constraint_generation ~dips locked in
@@ -226,6 +238,7 @@ let bench ~name ~reps ~dips locked =
         ("kernel_vs_rebuild", fixed 3 kernel_vs_rebuild);
         ("rebuild_minor_words_per_dip", fixed 1 rebuild_wpd);
         ("kernel_minor_words_per_dip", fixed 1 kernel_wpd);
+        ("kernel_node_evals", int kernel_node_evals);
         ("batch_qs", ints batch_qs);
         ("batch_encode_dips_per_s", fixeds 1 batch_dps);
         ("batch_q64_vs_q1", fixed 3 batch_q64_vs_q1);

@@ -281,6 +281,18 @@ let attack_cmd =
     | _ -> ());
     if not (interval > 0.0 && Float.is_finite interval) then
       fail "--sample-interval %g must be a positive number of seconds" interval;
+    (* The trace is written after the attack and the Prometheus file on
+       every sampler tick: refuse a directory that cannot hold them before
+       the attack starts. *)
+    let check_dir flag = function
+      | Some path ->
+          let dir = Filename.dirname path in
+          if not (Sys.file_exists dir && Sys.is_directory dir) then
+            fail "%s %s: %s is not a directory" flag path dir
+      | None -> ()
+    in
+    check_dir "--trace" trace;
+    check_dir "--prom" prom;
     let locked = load_design locked_spec in
     let original = load_design oracle_spec in
     if Circuit.num_keys locked = 0 then fail "attack: %s has no key inputs" locked_spec;
@@ -301,7 +313,10 @@ let attack_cmd =
     (* Live exposition: the background sampler fans each delta sample to
        the sinks the flags asked for. *)
     let subscriptions = ref [] in
-    let stream_sink = Option.map LL.Telemetry.Live.open_sink stream in
+    let stream_sink =
+      try Option.map LL.Telemetry.Live.open_sink stream
+      with Sys_error msg -> fail "--stream: %s" msg
+    in
     if live_wanted then begin
       LL.Attack.Progress.enable ();
       (match stream_sink with
@@ -350,7 +365,8 @@ let attack_cmd =
         | None -> ());
         (match trace with
         | Some path ->
-            LL.Telemetry.Export.write_chrome_trace path snap;
+            (try LL.Telemetry.Export.write_chrome_trace path snap
+             with Sys_error msg -> fail "--trace: %s" msg);
             Printf.printf "trace  : wrote %s (%d events)\n" path
               (Array.length snap.LL.Telemetry.Telemetry.events)
         | None -> ());

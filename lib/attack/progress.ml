@@ -1,4 +1,5 @@
 module Timer = Ll_util.Timer
+module J = Ll_telemetry.Trace_check
 
 (* Per-attack progress model, fed by lightweight hooks in the attack
    engines and read by the live exposition layer (--watch, --stream).
@@ -232,11 +233,32 @@ let view () =
 (* ------------------------------------------------------------------ *)
 
 let jsonl_line ?(t_ns = Timer.monotonic_ns ()) v =
-  Printf.sprintf
-    "{\"type\":\"progress\",\"t_ns\":%d,\"elapsed_s\":%.3f,\"dips\":%d,\"rounds\":%d,\"imported\":%d,\"blocking_clauses\":%d,\"q\":%d,\"dip_rate\":%.6g,\"key_bits\":%d,\"keyspace_log2\":%.6g,\"cubes\":{\"pending\":%d,\"running\":%d,\"solved\":%d,\"stopped\":%d},\"coverage\":%.6g,\"eta_s\":%.6g}"
-    t_ns v.v_elapsed_s v.v_dips v.v_rounds v.v_imported v.v_blocking_clauses v.v_q
-    v.v_dip_rate v.v_key_bits v.v_keyspace_log2 v.v_cubes_pending v.v_cubes_running
-    v.v_cubes_solved v.v_cubes_stopped v.v_coverage v.v_eta_s
+  let int n = J.Num (float_of_int n) in
+  J.to_line
+    (J.Obj
+       [
+         ("type", J.Str "progress");
+         ("t_ns", int t_ns);
+         ("elapsed_s", J.Num v.v_elapsed_s);
+         ("dips", int v.v_dips);
+         ("rounds", int v.v_rounds);
+         ("imported", int v.v_imported);
+         ("blocking_clauses", int v.v_blocking_clauses);
+         ("q", int v.v_q);
+         ("dip_rate", J.Num v.v_dip_rate);
+         ("key_bits", int v.v_key_bits);
+         ("keyspace_log2", J.Num v.v_keyspace_log2);
+         ( "cubes",
+           J.Obj
+             [
+               ("pending", int v.v_cubes_pending);
+               ("running", int v.v_cubes_running);
+               ("solved", int v.v_cubes_solved);
+               ("stopped", int v.v_cubes_stopped);
+             ] );
+         ("coverage", J.Num v.v_coverage);
+         ("eta_s", J.Num v.v_eta_s);
+       ])
 
 let status_line v =
   let eta =

@@ -1,76 +1,81 @@
 module T = Telemetry
+module J = Trace_check
 
-let json_escape = Trace_check.json_escape
-
-let us_of_ns ns = float_of_int ns /. 1e3
+let int n = J.Num (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event JSON (Perfetto / about:tracing)                  *)
 (* ------------------------------------------------------------------ *)
 
+let chrome_event (e : T.event) =
+  let event ?(instant = false) name ph args =
+    J.Obj
+      ([ ("name", J.Str name); ("cat", J.Str "ll"); ("ph", J.Str ph) ]
+      @ (if instant then [ ("s", J.Str "t") ] else [])
+      @ [
+          ("ts", J.Num (float_of_int e.T.er_ts_ns /. 1e3));
+          ("pid", int 1);
+          ("tid", int e.T.er_domain);
+          ("args", J.Obj args);
+        ])
+  in
+  let tagged =
+    [ ("a0", int e.T.er_a0); ("a1", int e.T.er_a1) ]
+    @ if e.T.er_note = "" then [] else [ ("note", J.Str e.T.er_note) ]
+  in
+  if e.T.er_kind = T.kind_begin then event e.T.er_name "B" tagged
+  else if e.T.er_kind = T.kind_end then
+    event e.T.er_name "E" [ ("dur_ns", int e.T.er_a0); ("v", int e.T.er_a1) ]
+  else if e.T.er_kind = T.kind_log then
+    event ~instant:true "log" "i" [ ("line", J.Str e.T.er_note) ]
+  else event ~instant:true e.T.er_name "i" tagged
+
+(* The events go into the buffer one per line as the snapshot is walked,
+   between a fixed head and the [otherData] tail, so the document is
+   never held as one tree. *)
 let chrome_trace buf (snap : T.snapshot) =
-  Buffer.add_string buf "{\"traceEvents\":[\n";
+  Buffer.add_string buf {|{"traceEvents":[|};
   let first = ref true in
-  let emit line =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf line
+  let emit ev =
+    Buffer.add_string buf (if !first then "\n" else ",\n");
+    first := false;
+    Buffer.add_string buf (J.to_line ev)
   in
   (* Track-naming metadata: one thread per telemetry domain. *)
   let seen = Hashtbl.create 8 in
   Array.iter
     (fun (e : T.event) ->
-      if not (Hashtbl.mem seen e.T.er_domain) then begin
-        Hashtbl.add seen e.T.er_domain ();
+      let d = e.T.er_domain in
+      if not (Hashtbl.mem seen d) then begin
+        Hashtbl.add seen d ();
         emit
-          (Printf.sprintf
-             "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-             e.T.er_domain e.T.er_domain)
+          (J.Obj
+             [
+               ("ph", J.Str "M");
+               ("name", J.Str "thread_name");
+               ("pid", int 1);
+               ("tid", int d);
+               ("args", J.Obj [ ("name", J.Str (Printf.sprintf "domain-%d" d)) ]);
+             ])
       end)
     snap.T.events;
-  Array.iter
-    (fun (e : T.event) ->
-      let common =
-        Printf.sprintf "\"ts\":%.3f,\"pid\":1,\"tid\":%d" (us_of_ns e.T.er_ts_ns) e.T.er_domain
-      in
-      let note_field =
-        if e.T.er_note = "" then "" else Printf.sprintf ",\"note\":\"%s\"" (json_escape e.T.er_note)
-      in
-      if e.T.er_kind = T.kind_begin then
-        emit
-          (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"ll\",\"ph\":\"B\",%s,\"args\":{\"a0\":%d,\"a1\":%d%s}}"
-             (json_escape e.T.er_name) common e.T.er_a0 e.T.er_a1 note_field)
-      else if e.T.er_kind = T.kind_end then
-        emit
-          (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"ll\",\"ph\":\"E\",%s,\"args\":{\"dur_ns\":%d,\"v\":%d}}"
-             (json_escape e.T.er_name) common e.T.er_a0 e.T.er_a1)
-      else if e.T.er_kind = T.kind_log then
-        emit
-          (Printf.sprintf
-             "{\"name\":\"log\",\"cat\":\"ll\",\"ph\":\"i\",\"s\":\"t\",%s,\"args\":{\"line\":\"%s\"}}"
-             common (json_escape e.T.er_note))
-      else
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"ll\",\"ph\":\"i\",\"s\":\"t\",%s,\"args\":{\"a0\":%d,\"a1\":%d%s}}"
-             (json_escape e.T.er_name) common e.T.er_a0 e.T.er_a1 note_field))
-    snap.T.events;
-  Buffer.add_string buf "\n],\n";
-  Buffer.add_string buf "\"displayTimeUnit\":\"ms\",\n";
-  Buffer.add_string buf "\"otherData\":{";
-  Buffer.add_string buf (Printf.sprintf "\"taken_at\":%.3f" snap.T.taken_at);
-  Buffer.add_string buf (Printf.sprintf ",\"domains\":%d" snap.T.domains);
-  Buffer.add_string buf (Printf.sprintf ",\"dropped_events\":%d" snap.T.dropped_events);
+  Array.iter (fun e -> emit (chrome_event e)) snap.T.events;
+  Buffer.add_string buf {|
+],
+"displayTimeUnit":"ms",
+"otherData":|};
   Buffer.add_string buf
-    (Printf.sprintf ",\"unbalanced_span_ends\":%d" snap.T.unbalanced_span_ends);
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf ",\"%s\":%d" (json_escape name) v))
-    snap.T.counters;
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf ",\"%s\":%.6g" (json_escape name) v))
-    snap.T.gauges;
-  Buffer.add_string buf "}}\n"
+    (J.to_line
+       (J.Obj
+          ([
+             ("taken_at", J.Num snap.T.taken_at);
+             ("domains", int snap.T.domains);
+             ("dropped_events", int snap.T.dropped_events);
+             ("unbalanced_span_ends", int snap.T.unbalanced_span_ends);
+           ]
+          @ List.map (fun (name, v) -> (name, int v)) snap.T.counters
+          @ List.map (fun (name, v) -> (name, J.Num v)) snap.T.gauges)));
+  Buffer.add_string buf "}\n"
 
 let chrome_trace_string snap =
   let buf = Buffer.create 65536 in
@@ -79,51 +84,6 @@ let chrome_trace_string snap =
 
 let write_chrome_trace path snap =
   Ll_util.Fileio.write_atomic_string path (chrome_trace_string snap)
-
-(* ------------------------------------------------------------------ *)
-(* Structured JSONL                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let jsonl buf (snap : T.snapshot) =
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line
-    "{\"type\":\"meta\",\"taken_at\":%.3f,\"domains\":%d,\"events\":%d,\"dropped_events\":%d,\"unbalanced_span_ends\":%d}"
-    snap.T.taken_at snap.T.domains (Array.length snap.T.events) snap.T.dropped_events
-    snap.T.unbalanced_span_ends;
-  List.iter
-    (fun (name, v) -> line "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}" (json_escape name) v)
-    snap.T.counters;
-  List.iter
-    (fun (name, v) -> line "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.6g}" (json_escape name) v)
-    snap.T.gauges;
-  List.iter
-    (fun (name, (h : T.hist)) ->
-      let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.6g") a)) in
-      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
-      line
-        "{\"type\":\"histogram\",\"name\":\"%s\",\"buckets\":[%s],\"counts\":[%s],\"count\":%d,\"sum\":%.6g}"
-        (json_escape name) (floats h.T.h_buckets) (ints h.T.h_counts) h.T.h_count h.T.h_sum)
-    snap.T.histograms;
-  Array.iter
-    (fun (e : T.event) ->
-      let kind =
-        if e.T.er_kind = T.kind_begin then "B"
-        else if e.T.er_kind = T.kind_end then "E"
-        else if e.T.er_kind = T.kind_log then "log"
-        else "I"
-      in
-      line
-        "{\"type\":\"event\",\"kind\":\"%s\",\"domain\":%d,\"ts_ns\":%d,\"name\":\"%s\",\"a0\":%d,\"a1\":%d,\"note\":\"%s\"}"
-        kind e.T.er_domain e.T.er_ts_ns (json_escape e.T.er_name) e.T.er_a0 e.T.er_a1
-        (json_escape e.T.er_note))
-    snap.T.events
-
-let jsonl_string snap =
-  let buf = Buffer.create 65536 in
-  jsonl buf snap;
-  Buffer.contents buf
-
-let write_jsonl path snap = Ll_util.Fileio.write_atomic_string path (jsonl_string snap)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition format                                   *)
@@ -201,42 +161,32 @@ let write_prometheus path snap =
    (plus "progress" lines contributed by the attack layer).  Validated
    by {!Trace_check.validate_stream}. *)
 let stream_meta_line ?(interval_s = Live.default_interval_s) () =
-  Printf.sprintf
-    "{\"type\":\"meta\",\"stream\":\"ll_telemetry\",\"version\":1,\"interval_s\":%.6g,\"t_ns\":%d,\"taken_at\":%.3f}"
-    interval_s (T.now_ns ()) (Ll_util.Timer.now ())
+  J.to_line
+    (J.Obj
+       [
+         ("type", J.Str "meta");
+         ("stream", J.Str "ll_telemetry");
+         ("version", int 1);
+         ("interval_s", J.Num interval_s);
+         ("t_ns", int (T.now_ns ()));
+         ("taken_at", J.Num (Ll_util.Timer.now ()));
+       ])
 
 let stream_delta_line (s : Live.sample) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"type\":\"delta\",\"seq\":%d,\"t_ns\":%d,\"dt_s\":%.6g" s.Live.s_seq
-       s.Live.s_t_ns s.Live.s_dt_s);
-  Buffer.add_string buf ",\"counters\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, delta, rate) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":[%d,%.6g]" (json_escape name) delta rate))
-    s.Live.s_counters;
-  Buffer.add_string buf "},\"gauges\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, v) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%.6g" (json_escape name) v))
-    s.Live.s_gauges;
-  Buffer.add_string buf "},\"hist_deltas\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, dcount, dsum) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":[%d,%.6g]" (json_escape name) dcount dsum))
-    s.Live.s_hists;
-  Buffer.add_string buf
-    (Printf.sprintf "},\"dropped_delta\":%d,\"dropped_total\":%d}" s.Live.s_dropped_delta
-       s.Live.s_snap.T.dropped_events);
-  Buffer.contents buf
+  let pairs l = J.Obj (List.map (fun (name, n, x) -> (name, J.Arr [ int n; J.Num x ])) l) in
+  J.to_line
+    (J.Obj
+       [
+         ("type", J.Str "delta");
+         ("seq", int s.Live.s_seq);
+         ("t_ns", int s.Live.s_t_ns);
+         ("dt_s", J.Num s.Live.s_dt_s);
+         ("counters", pairs s.Live.s_counters);
+         ("gauges", J.Obj (List.map (fun (name, v) -> (name, J.Num v)) s.Live.s_gauges));
+         ("hist_deltas", pairs s.Live.s_hists);
+         ("dropped_delta", int s.Live.s_dropped_delta);
+         ("dropped_total", int s.Live.s_snap.T.dropped_events);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Ring-drop warning                                                   *)

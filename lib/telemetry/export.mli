@@ -1,30 +1,27 @@
 (** Exporters for {!Telemetry.snapshot}.
 
-    Three formats cover the three consumers: Chrome [trace_event] JSON for
-    humans (load in {{:https://ui.perfetto.dev}Perfetto} or
-    [about:tracing]), JSONL for scripts, and a text summary for terminals
-    and the CLI's [--metrics] flag.  File writers go through
-    {!Ll_util.Fileio.write_atomic}, so an interrupted run never leaves a
-    truncated artifact. *)
+    Chrome [trace_event] JSON for humans (load in
+    {{:https://ui.perfetto.dev}Perfetto} or [about:tracing]), the
+    Prometheus text exposition for scrapers, the live stream's JSON lines
+    for scripts, and a text summary for terminals and the CLI's
+    [--metrics] flag.  Every JSON record is a {!Trace_check.json} value
+    printed by {!Trace_check.to_line}, so strings are escaped and numbers
+    spelt one way everywhere (integers below 2{^53} exactly, any other
+    number in the shortest text that reads back the same).  File writers
+    go through {!Ll_util.Fileio.write_atomic}, so an interrupted run
+    never leaves a truncated artifact. *)
 
 val chrome_trace : Buffer.t -> Telemetry.snapshot -> unit
 (** One JSON object: [{"traceEvents": [...], "displayTimeUnit": ...,
-    "otherData": {counters, gauges, drop counts}}].  Span B/E pairs become
-    [ph:"B"]/[ph:"E"] events; instants and log lines [ph:"i"].  Each
-    telemetry domain is a separate named track ([tid]). *)
+    "otherData": {counters, gauges, drop counts}}], one event per line.
+    Span B/E pairs become [ph:"B"]/[ph:"E"] events; instants and log
+    lines [ph:"i"].  Each telemetry domain is a separate named track
+    ([tid]). *)
 
 val chrome_trace_string : Telemetry.snapshot -> string
 
 val write_chrome_trace : string -> Telemetry.snapshot -> unit
 (** Atomic write of {!chrome_trace_string} to a path. *)
-
-val jsonl : Buffer.t -> Telemetry.snapshot -> unit
-(** One JSON object per line: a [meta] header, then [counter] / [gauge] /
-    [histogram] lines, then every [event]. *)
-
-val jsonl_string : Telemetry.snapshot -> string
-
-val write_jsonl : string -> Telemetry.snapshot -> unit
 
 (** {1 Prometheus text exposition}
 

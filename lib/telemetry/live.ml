@@ -220,11 +220,15 @@ let open_sink spec =
   if spec = "-" then sink_of_channel ~close:false stdout
   else if String.length spec > 5 && String.sub spec 0 5 = "unix:" then begin
     let path = String.sub spec 5 (String.length spec - 5) in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let fail err = raise (Sys_error (path ^ ": " ^ Unix.error_message err)) in
+    let fd =
+      try Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
+      with Unix.Unix_error (err, _, _) -> fail err
+    in
     (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
+     with Unix.Unix_error (err, _, _) ->
        Unix.close fd;
-       raise e);
+       fail err);
     sink_of_channel (Unix.out_channel_of_descr fd)
   end
   else sink_of_channel (open_out spec)

@@ -83,4 +83,6 @@ val open_sink : string -> sink
 (** Resolve a stream destination: ["-"] appends lines to stdout (left
     open), ["unix:PATH"] connects a Unix-domain stream socket, anything
     else creates/truncates a file.  Each [sink_write] appends one line
-    (adding the newline) and flushes. *)
+    (adding the newline) and flushes.  Raises [Sys_error] naming the
+    path for any destination it cannot open, a socket that cannot be
+    created or connected included. *)

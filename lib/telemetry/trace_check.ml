@@ -186,8 +186,8 @@ let to_num_opt = function Some (Num f) -> Some f | _ -> None
 
 (* JSON string escaping (the OCaml %S escapes control characters in a
    non-JSON decimal form, so roll our own). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
+let add_quoted b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -196,37 +196,35 @@ let json_escape s =
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
-
-let invalid fmt = Printf.ksprintf (fun s -> invalid_arg ("Trace_check.to_string: " ^ s)) fmt
+  Buffer.add_char b '"'
 
 (* Integral values below 2^53 are exact doubles and print as integers;
    any other value takes the shorter of %.15g / %.17g that reads back to
    the same double. *)
-let number_text ~key x =
-  if not (Float.is_finite x) then invalid "key %S holds %s" key (string_of_float x);
+let number_text x =
   if Float.is_integer x && Float.abs x < 0x1p53 then Printf.sprintf "%.0f" x
   else
     let s = Printf.sprintf "%.15g" x in
     if float_of_string s = x then s else Printf.sprintf "%.17g" x
 
-(* Objects print one field per line, arrays whose elements are all
-   objects one element per line, and every other array inline — the
-   layout of the BENCH_*.json artifacts, so regenerated files diff line
-   by line. *)
-let to_string v =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_char b '"';
-    Buffer.add_string b (json_escape s);
-    Buffer.add_char b '"'
+(* One printer behind both layouts.  [pretty] prints objects one field
+   per line, arrays whose elements are all objects one element per line
+   and every other array inline — the layout of the BENCH_*.json
+   artifacts, so regenerated files diff line by line.  Otherwise the
+   whole value goes on one line without spaces. *)
+let print ~fn ~pretty v =
+  let invalid fmt =
+    Printf.ksprintf (fun s -> invalid_arg (Printf.sprintf "Trace_check.%s: %s" fn s)) fmt
   in
+  let b = Buffer.create (if pretty then 4096 else 256) in
   let newline indent =
-    Buffer.add_char b '\n';
-    Buffer.add_string b (String.make indent ' ')
+    if pretty then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make indent ' ')
+    end
   in
   let block indent items print_item =
     List.iteri
@@ -240,8 +238,10 @@ let to_string v =
   let rec value ~key indent = function
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (string_of_bool x)
-    | Num x -> Buffer.add_string b (number_text ~key x)
-    | Str s -> str s
+    | Num x ->
+      if not (Float.is_finite x) then invalid "key %S holds %s" key (string_of_float x);
+      Buffer.add_string b (number_text x)
+    | Str s -> add_quoted b s
     | Obj [] -> Buffer.add_string b "{}"
     | Obj fields ->
       let seen = Hashtbl.create 32 in
@@ -249,8 +249,8 @@ let to_string v =
       block indent fields (fun (k, v) ->
           if Hashtbl.mem seen k then invalid "duplicate key %S" k;
           Hashtbl.add seen k ();
-          str k;
-          Buffer.add_string b ": ";
+          add_quoted b k;
+          Buffer.add_string b (if pretty then ": " else ":");
           value ~key:k (indent + 2) v);
       Buffer.add_char b '}'
     | Arr (_ :: _ as items) when List.for_all (function Obj _ -> true | _ -> false) items ->
@@ -261,13 +261,17 @@ let to_string v =
       Buffer.add_char b '[';
       List.iteri
         (fun i v ->
-          if i > 0 then Buffer.add_string b ", ";
+          if i > 0 then Buffer.add_string b (if pretty then ", " else ",");
           value ~key indent v)
         items;
       Buffer.add_char b ']'
   in
   value ~key:"" 0 v;
   Buffer.contents b
+
+let to_string v = print ~fn:"to_string" ~pretty:true v
+
+let to_line v = print ~fn:"to_line" ~pretty:false v
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace validation                                             *)
@@ -413,6 +417,11 @@ let validate_stream contents =
       err "line %d: missing numeric field %S" line_no key;
       0.0
   in
+  let require_obj line_no record obj key =
+    match member key obj with
+    | Some (Obj _) -> ()
+    | _ -> err "line %d: %s missing %s object" line_no record key
+  in
   let handle line_no line =
     match parse_json line with
     | exception Parse_error msg -> err "line %d: JSON parse error: %s" line_no msg
@@ -429,9 +438,9 @@ let validate_stream contents =
         let seq = int_of_float (require_num line_no obj "seq") in
         let t_ns = int_of_float (require_num line_no obj "t_ns") in
         ignore (require_num line_no obj "dt_s");
-        (match member "counters" obj with
-        | Some (Obj _) -> ()
-        | _ -> err "line %d: delta missing counters object" line_no);
+        List.iter (require_obj line_no "delta" obj) [ "counters"; "gauges"; "hist_deltas" ];
+        ignore (require_num line_no obj "dropped_delta");
+        ignore (require_num line_no obj "dropped_total");
         if seq <= !last_seq then
           err "line %d: delta seq %d not increasing (prev %d)" line_no seq !last_seq;
         if t_ns <= !last_delta_t && !last_delta_t <> min_int then
@@ -442,6 +451,7 @@ let validate_stream contents =
         incr progresses;
         let t_ns = int_of_float (require_num line_no obj "t_ns") in
         let dips = int_of_float (require_num line_no obj "dips") in
+        require_obj line_no "progress" obj "cubes";
         if t_ns < !last_progress_t then err "line %d: progress t_ns regressed" line_no;
         if dips < !last_dips then
           err "line %d: progress dips regressed (%d after %d)" line_no dips !last_dips;

@@ -3,8 +3,10 @@
     Backs the [trace-smoke] CI alias: parses the trace produced by
     {!Export.write_chrome_trace} with a small built-in JSON parser and
     checks that per-track span events are balanced, matched by name, and
-    time-ordered.  The same JSON value type, with {!to_string}, is what
-    the BENCH_*.json emitters build and print their records with. *)
+    time-ordered.  The same JSON value type is what the BENCH_*.json
+    emitters print their records with ({!to_string}) and what every
+    telemetry record is printed with ({!to_line}): Chrome trace events,
+    the live stream's [meta], [delta] and [progress] lines. *)
 
 type json =
   | Null
@@ -21,9 +23,6 @@ val parse_json : string -> json
 
 val member : string -> json -> json option
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
 val to_string : json -> string
 (** The inverse of {!parse_json}: [parse_json (to_string v) = v].  An
     integral [Num] below 2{^53} in magnitude prints as an integer, any
@@ -31,6 +30,11 @@ val to_string : json -> string
     per line, arrays of objects one element per line, other arrays
     inline; no trailing newline.  Raises [Invalid_argument] naming the
     key on a non-finite number or a key repeated within one [Obj]. *)
+
+val to_line : json -> string
+(** {!to_string}'s compact twin: the same string escaping, number
+    spelling and checks, but the whole value on one line with no spaces
+    and no trailing newline, so [parse_json (to_line v) = v]. *)
 
 type report = {
   total_events : int;
@@ -65,8 +69,12 @@ type stream_report = {
 }
 
 val validate_stream : string -> (stream_report, string list) result
-(** Checks: every line parses as a JSON object of a known record type,
-    exactly one [meta] record and it comes first, [delta] [seq]/[t_ns]
-    strictly increase, [progress] [t_ns] and [dips] never regress. *)
+(** Checks: every line parses as a JSON object of a known record type
+    carrying its documented fields ([meta]: [version], [t_ns]; [delta]:
+    [seq], [t_ns], [dt_s], [dropped_delta], [dropped_total] and the
+    [counters], [gauges] and [hist_deltas] objects; [progress]: [t_ns],
+    [dips] and the [cubes] object), exactly one [meta] record and it
+    comes first, [delta] [seq]/[t_ns] strictly increase, [progress]
+    [t_ns] and [dips] never regress. *)
 
 val validate_stream_file : string -> (stream_report, string list) result

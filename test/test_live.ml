@@ -272,7 +272,35 @@ let test_stream_rejects_protocol_violations () =
   rejects "delta seq going backwards" [ meta; d2; d1 ];
   rejects "progress dips regressing" [ meta; d1; p2; p1 ];
   rejects "garbage line" [ meta; d1; "{not json" ];
-  rejects "unknown record type" [ meta; {|{"type":"mystery"}|} ]
+  rejects "unknown record type" [ meta; {|{"type":"mystery"}|} ];
+  let without key line =
+    match Trace_check.parse_json line with
+    | Trace_check.Obj fields -> Trace_check.to_line (Trace_check.Obj (List.remove_assoc key fields))
+    | _ -> Alcotest.failf "not an object: %s" line
+  in
+  List.iter
+    (fun key -> rejects ("delta without " ^ key) [ meta; without key d1 ])
+    [ "counters"; "gauges"; "hist_deltas"; "dropped_delta"; "dropped_total" ];
+  rejects "progress without cubes" [ meta; d1; without "cubes" p1 ]
+
+(* Counter rates and gauges beyond six significant digits read back
+   exactly from a delta record. *)
+let test_stream_numbers_exact () =
+  with_live (fun () ->
+      let cur = Live.cursor () in
+      Tel.Metric.add m_counter 7;
+      Tel.Metric.set (Tel.Metric.gauge "live.test.gauge") 12345678.0;
+      let s = Live.sample cur in
+      let _, _, rate =
+        List.find (fun (name, _, _) -> name = "live.test.counter") s.Live.s_counters
+      in
+      let delta = Trace_check.parse_json (Export.stream_delta_line s) in
+      let field record key = Option.bind (Trace_check.member record delta) (Trace_check.member key) in
+      Alcotest.(check bool) "counter delta and rate exact" true
+        (field "counters" "live.test.counter"
+        = Some (Trace_check.Arr [ Trace_check.Num 7.0; Trace_check.Num rate ]));
+      Alcotest.(check bool) "gauge exact" true
+        (field "gauges" "live.test.gauge" = Some (Trace_check.Num 12345678.0)))
 
 (* --- prometheus exposition --- *)
 
@@ -430,6 +458,7 @@ let suite =
     Alcotest.test_case "stream round-trip validates" `Quick test_stream_validates;
     Alcotest.test_case "stream protocol violations rejected" `Quick
       test_stream_rejects_protocol_violations;
+    Alcotest.test_case "stream numbers read back exactly" `Quick test_stream_numbers_exact;
     Alcotest.test_case "prometheus metric names" `Quick test_prom_name;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
     Alcotest.test_case "file sink appends lines" `Quick test_file_sink;

@@ -287,19 +287,33 @@ let test_trace_check_rejects_unbalanced () =
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
-let test_jsonl_parses () =
+(* Numbers and strings go through [Trace_check.to_line]: a gauge beyond
+   six significant digits and a note with a quote, a newline and a
+   control character read back exactly from the parsed trace. *)
+let test_chrome_trace_reads_back () =
+  let note = "say \"hi\"\nthen\001" in
   let snap =
     with_telemetry (fun () ->
-        Tel.Metric.incr m_counter;
-        Tel.Metric.observe m_hist 1.5;
-        Tel.with_span "s" (fun () -> ());
+        Tel.Metric.set m_gauge 12345678.0;
+        Tel.with_span ~note "noted" (fun () -> ());
         Tel.snapshot ())
   in
-  let lines = String.split_on_char '\n' (Export.jsonl_string snap) in
-  List.iter
-    (fun line ->
-      if line <> "" then ignore (Trace_check.parse_json line))
-    lines
+  let trace = Trace_check.parse_json (Export.chrome_trace_string snap) in
+  let other = Option.get (Trace_check.member "otherData" trace) in
+  Alcotest.(check bool) "gauge exact" true
+    (Trace_check.member "test.gauge" other = Some (Trace_check.Num 12345678.0));
+  let notes =
+    match Trace_check.member "traceEvents" trace with
+    | Some (Trace_check.Arr events) ->
+        List.filter_map
+          (fun ev ->
+            match Option.bind (Trace_check.member "args" ev) (Trace_check.member "note") with
+            | Some (Trace_check.Str n) -> Some n
+            | _ -> None)
+          events
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  Alcotest.(check (list string)) "note intact" [ note ] notes
 
 (* --- JSON printer --- *)
 
@@ -354,11 +368,14 @@ let json_gen =
 
 let test_to_string_rejects () =
   let rejects what key v =
-    match Trace_check.to_string v with
-    | exception Invalid_argument msg ->
-        if not (contains msg (Printf.sprintf "%S" key)) then
-          Alcotest.failf "%s: message %S does not name key %S" what msg key
-    | s -> Alcotest.failf "%s printed as %s" what s
+    List.iter
+      (fun print ->
+        match print v with
+        | exception Invalid_argument msg ->
+            if not (contains msg (Printf.sprintf "%S" key)) then
+              Alcotest.failf "%s: message %S does not name key %S" what msg key
+        | s -> Alcotest.failf "%s printed as %s" what s)
+      [ Trace_check.to_string; Trace_check.to_line ]
   in
   rejects "nan" "wall_s" (Trace_check.Obj [ ("wall_s", Trace_check.Num Float.nan) ]);
   rejects "infinity" "fixed_wall_s"
@@ -532,11 +549,15 @@ let suite =
     Alcotest.test_case "log lines recorded in trace" `Quick test_log_lines_in_trace;
     Alcotest.test_case "chrome trace validates" `Quick test_chrome_trace_valid;
     Alcotest.test_case "trace_check rejects bad traces" `Quick test_trace_check_rejects_unbalanced;
-    Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_parses;
+    Alcotest.test_case "chrome trace numbers and strings read back" `Quick
+      test_chrome_trace_reads_back;
     Alcotest.test_case "golden dips unchanged by tracing" `Quick test_golden_dips_with_tracing;
     Alcotest.test_case "split attack trace structure" `Quick test_split_trace_structure;
     qcheck_case ~count:300 "json to_string round-trips through parse_json" json_gen
       (fun v -> Trace_check.parse_json (Trace_check.to_string v) = v);
+    qcheck_case ~count:300 "json to_line round-trips on one line" json_gen (fun v ->
+        let line = Trace_check.to_line v in
+        (not (String.contains line '\n')) && Trace_check.parse_json line = v);
     Alcotest.test_case "json to_string rejects non-finite and duplicate keys" `Quick
       test_to_string_rejects;
     Alcotest.test_case "json to_string layout" `Quick test_to_string_layout;
