@@ -10,14 +10,13 @@
     so the effective [N] is chosen per region of the input space, by
     measurement instead of up front.
 
-    Re-splitting wastes nothing: with [share] on, every DIP constraint a
-    preempted cube has already learned (and paid solves and oracle
-    queries for) is exported in portable form ({!Sat_attack.Share}) and
-    imported by each descendant whose cube contains the DIP, through one
-    contiguous {!Ll_sat.Solver.import_clauses} arena append at session
-    start.  Budgets scale by [growth] per extra depth, so the recursion
-    terminates; at [n0 + max_extra_depth] a cube runs to completion with
-    no budget.
+    Re-splitting wastes nothing: with [share] on, every DIP a preempted
+    cube has already learned (and paid solves and oracle queries for) is
+    exported with its oracle response ({!Sat_attack.Share}) and, at
+    session start, re-encoded by each descendant whose cube contains the
+    DIP, exactly like a DIP of its own.  Budgets scale by [growth] per
+    extra depth, so the recursion terminates; at [n0 + max_extra_depth]
+    a cube runs to completion with no budget.
 
     Every cube pins a {e prefix} of the fan-out rank, so the final cube
     set is a depth-pruned binary tree — exactly the shape
@@ -31,8 +30,8 @@
 
     {b Determinism.} A cube's solver seed is a pure function of the root
     [seed] and its pin path; conflict/DIP budgets read deterministic
-    solver counters; banks only flow parent to descendant.  Serial and
-    parallel runs therefore produce byte-identical cube trees, DIP
+    solver counters; shared DIPs only flow parent to descendant.  Serial
+    and parallel runs therefore produce byte-identical cube trees, DIP
     sequences and keys under any domain count or stealing (unless a
     wall-clock budget [wall_s] is set).  Per-iteration [log] lines are
     buffered per cube and flushed in canonical cube order after the
@@ -69,7 +68,7 @@ type config = {
       (** hard depth cap at [n0 + max_extra_depth] (clamped to leave one
           free input, but never below [n0]): cubes at the cap run with
           no budget *)
-  share : bool;  (** cross-cofactor clause sharing (default on) *)
+  share : bool;  (** cross-cofactor DIP sharing (default on) *)
   base : Sat_attack.config;
       (** per-cube attack configuration.  [solver_seed], [stop],
           [share_out], [share_in] and [log] are managed by the engine

@@ -186,8 +186,8 @@ type node = { n_cube : cube; n_logs : string list }
 let aborted sh = match sh.sh_abort with Some a -> Atomic.get a | None -> false
 
 (* Attack one cube; when its difficulty budget preempts it, return the
-   two child cubes (next ranked input pinned both ways) and the clause
-   bank every descendant may import. *)
+   two child cubes (next ranked input pinned both ways) and the DIPs,
+   one list per ancestor, every descendant may import. *)
 let attack_cube sh ~condition ~banks ~priority =
   let cfg = sh.sh_cfg in
   let depth = List.length condition in

@@ -33,42 +33,15 @@ let batched ?pool ?(adaptive = true) ?(q_max = 64) q =
   if q < 1 || q > 64 then invalid_arg "Sat_attack.batched: q must be in [1, 64]";
   { q; q_max = min 64 (max q q_max); adaptive; oracle_pool = pool }
 
-(* Cross-cofactor constraint sharing (cube-and-conquer).  A session that
-   attacks one cube can export every DIP constraint it learns as a
-   self-contained entry: the DIP, the oracle response, and the constraint's
-   clause stream rewritten into the {e canonical} variable space — the
-   deterministic solver-variable prefix every session of the same {!prep}
-   allocates identically (inputs, key copies, miter encoding, activation
-   guard), followed by stable per-session auxiliary ids in first-use
-   order.  A receiving session imports an entry by mapping prefix
-   variables through the identity and allocating one fresh variable per
-   unseen auxiliary id, provided the entry's DIP lies inside the
-   receiver's cube (agrees with every pinned input) — the constraint
-   "any correct key maps this DIP to this response" is then a true fact
-   for the receiver as well.  Entries whose DIP falls outside the cube
-   are skipped; their clauses may have defined auxiliary variables a kept
-   entry mentions, in which case those variables arrive unconstrained —
-   that only {e weakens} the imported constraint (admits more keys), so
-   soundness is preserved and only pruning strength is lost. *)
+(* Cross-cofactor DIP sharing (cube-and-conquer).  The fact a session
+   learns from one DIP is "any correct key maps this input to this
+   response"; it holds in every cube that contains the input, so a
+   receiving session re-encodes it exactly as it encodes a local DIP. *)
 module Share = struct
   type entry = {
     e_dip : bool array;  (* full-width primary input pattern *)
     e_response : bool array;  (* full-width oracle response *)
-    e_nshared : int;  (* canonical prefix size of the publishing session *)
-    e_clauses : Ll_sat.Lit.t array array;  (* canonicalized clause stream *)
   }
-
-  let dip e = Array.copy e.e_dip
-
-  let num_clauses e = Array.length e.e_clauses
-
-  (* The entry's DIP agrees with every input the cube pins: importing its
-     constraint is sound for that cube. *)
-  let compatible e ~condition =
-    List.for_all
-      (fun (pos, b) ->
-        pos >= 0 && pos < Array.length e.e_dip && e.e_dip.(pos) = b)
-      condition
 end
 
 type progress = {
@@ -337,12 +310,6 @@ let run_prepared_core ~config prep ~condition ~oracle =
   let act = (Tseitin.fresh_lits env 1).(0) in
   Solver.freeze_var solver (Lit.var act);
   Solver.add_clause solver [ Lit.negate act; diff ];
-  (* Canonical variable prefix for cross-cofactor clause sharing: variable
-     allocation up to and including [act] is a pure function of the shared
-     [prep] (fresh input/key literals, the memoized miter encoding, the
-     guard), so every session over the same prep owns an identical prefix
-     and clauses over it transfer between sessions unchanged. *)
-  let n_shared = Solver.num_vars solver in
   (* Scratches for the in-place ternary cofactor sweeps — one per in-flight
      DIP of a batch, grown on demand, owned by this run's domain. *)
   let scratches = ref [||] in
@@ -384,153 +351,48 @@ let run_prepared_core ~config prep ~condition ~oracle =
       cone_buf
     end
   in
-  (* --- Clause-sharing import: replay compatible DIP constraints learned
-     by ancestor cubes before the first solve.  Prefix variables map
-     through the identity; each unseen auxiliary id gets one fresh
-     variable per bank (entries of a bank come from one publishing
-     session, so their auxiliary ids are mutually consistent).  Imported
-     entries cost no solve and no oracle query. --- *)
+  (* Add what DIP [dip] with oracle response [response] says about the
+     key.  A response that contradicts key-independent logic leaves no
+     key: poison the solver so the attack reports Broken with no
+     surviving key, as the unrestricted encoding would have.  Both key
+     copies are constrained to reproduce the response; with
+     simplification on, the DIP's cofactor must already sit in
+     [scratch_for j]. *)
+  let add_dip j dip response =
+    if not (indep_outputs_match dip response) then Solver.add_clause solver [];
+    let cofactored =
+      if config.simplify_constraints then Some (prep.p_cone_prog, scratch_for j) else None
+    in
+    let cone_response = cone_response_of response in
+    add_dip_constraint env ~cofactored ~locked ~key_lits:key1 ~dip ~response ~cone_response;
+    add_dip_constraint env ~cofactored ~locked ~key_lits:key2 ~dip ~response ~cone_response
+  in
+  (* --- DIP-sharing import: before the first solve, every shared DIP that
+     lies inside this cube is added exactly like a local one, so its gates
+     hash-cons with the session's own.  Imported entries cost no solve and
+     no oracle query. --- *)
+  let n_out = Circuit.num_outputs locked in
   let imported = ref 0 in
   (if config.share_in <> [] then begin
      if Tel.enabled () then Tel.span_begin "attack.share_import";
-     let clauses_rev = ref [] in
-     List.iter
-       (fun bank ->
-         let entries = Array.of_list bank in
-         let n_entries = Array.length entries in
-         if n_entries > 0 then begin
-           (* The publisher's Tseitin cache hash-conses gate encodings
-              across its whole session, so an entry's clauses may
-              reference auxiliary variables whose defining clauses were
-              emitted under an earlier entry.  Non-unit clauses are pure
-              definitions (out = f(keys); satisfiable under any key
-              assignment, so importing them never excludes a key and is
-              sound for any cube); only the unit output-forcing clauses
-              constrain keys to the observed response, and a response is
-              portable only when its DIP lies inside this cube.
-
-              Importing every definition would make each receiver pay
-              for the full bank even when most forcings are dropped, so
-              prune to the cone of the kept forcings: canonical ids are
-              assigned in first-use order, which makes the max auxiliary
-              id of a definition clause its defined gate, so one
-              backward sweep from the compatible forcings keeps exactly
-              the definitions they transitively reference. *)
-           let max_var = ref (n_shared - 1) in
-           let compat = Array.make n_entries false in
-           Array.iteri
-             (fun i (e : Share.entry) ->
-               if e.Share.e_nshared <> n_shared then
-                 invalid_arg
-                   "Sat_attack.run_prepared: share entry from a different \
-                    preparation";
-               compat.(i) <- Share.compatible e ~condition;
-               Array.iter
-                 (Array.iter (fun l ->
-                      let v = Lit.var l in
-                      if v > !max_var then max_var := v))
-                 e.Share.e_clauses)
-             entries;
-           let n_aux = !max_var + 1 - n_shared in
-           let needed = Bytes.make (max 1 n_aux) '\000' in
-           let keep =
-             Array.map
-               (fun (e : Share.entry) ->
-                 Bytes.make (max 1 (Array.length e.Share.e_clauses)) '\000')
-               entries
-           in
-           for i = n_entries - 1 downto 0 do
-             let cls = entries.(i).Share.e_clauses in
-             for j = Array.length cls - 1 downto 0 do
-               let cl = cls.(j) in
-               if Array.length cl = 1 then begin
-                 if compat.(i) then begin
-                   Bytes.set keep.(i) j '\001';
-                   let v = Lit.var cl.(0) in
-                   if v >= n_shared then Bytes.set needed (v - n_shared) '\001'
-                 end
-               end
-               else begin
-                 let m = ref (-1) in
-                 Array.iter
-                   (fun l ->
-                     let v = Lit.var l in
-                     if v > !m && v >= n_shared then m := v)
-                   cl;
-                 if !m < 0 then Bytes.set keep.(i) j '\001'
-                 else if Bytes.get needed (!m - n_shared) = '\001' then begin
-                   Bytes.set keep.(i) j '\001';
-                   Array.iter
-                     (fun l ->
-                       let v = Lit.var l in
-                       if v >= n_shared then
-                         Bytes.set needed (v - n_shared) '\001')
-                     cl
-                 end
-               end
-             done
-           done;
-           (* Prefix variables map through the identity; each needed
-              auxiliary id gets one fresh variable per bank (entries of
-              a bank come from one publishing session, so their
-              auxiliary ids are mutually consistent).  Imported entries
-              cost no solve and no oracle query. *)
-           let aux_map = Array.make (max 1 n_aux) (-1) in
-           let map_lit l =
-             let v = Lit.var l in
-             let v' =
-               if v < n_shared then v
-               else begin
-                 let k = v - n_shared in
-                 if aux_map.(k) < 0 then aux_map.(k) <- Solver.new_var solver;
-                 aux_map.(k)
-               end
-             in
-             Lit.make v' (Lit.is_pos l)
-           in
-           Array.iteri
-             (fun i (e : Share.entry) ->
-               if compat.(i) then begin
-                 (* The publisher observed this DIP/response; if it
-                    contradicts key-independent logic no key exists under
-                    this cube either — poison exactly like a local DIP. *)
-                 if not (indep_outputs_match e.Share.e_dip e.Share.e_response)
-                 then Solver.add_clause solver [];
-                 incr imported
-               end;
-               let cls = e.Share.e_clauses in
-               for j = 0 to Array.length cls - 1 do
-                 if Bytes.get keep.(i) j = '\001' then
-                   clauses_rev := Array.map map_lit cls.(j) :: !clauses_rev
-               done)
-             entries
-         end)
-       config.share_in;
-     if !clauses_rev <> [] then
-       ignore (Solver.import_clauses solver (List.rev !clauses_rev));
+     Tseitin.with_batch env (fun () ->
+         List.iter
+           (List.iter (fun (e : Share.entry) ->
+                let dip = e.Share.e_dip and response = e.Share.e_response in
+                if Array.length dip <> n_in || Array.length response <> n_out then
+                  invalid_arg
+                    "Sat_attack.run_prepared: share entry from a different circuit";
+                if List.for_all (fun (pos, b) -> dip.(pos) = b) condition then begin
+                  if config.simplify_constraints then
+                    Compiled.cofactor_into prep.p_cone_prog (scratch_for 0) ~inputs:dip;
+                  add_dip 0 dip response;
+                  incr imported
+                end))
+           config.share_in);
      Tel.Metric.add m_share_imported !imported;
      Progress.add_imported !imported;
      if Tel.enabled () then Tel.span_end ~v:!imported ()
    end);
-  (* --- Clause-sharing export: canonical auxiliary ids, assigned in
-     first-use order across the whole session so the stream stays stable
-     no matter how many entries are exported. --- *)
-  let canon_tbl = Hashtbl.create 64 and canon_next = ref 0 in
-  let canon_lit l =
-    let v = Lit.var l in
-    if v < n_shared then l
-    else
-      let id =
-        match Hashtbl.find_opt canon_tbl v with
-        | Some id -> id
-        | None ->
-            let id = n_shared + !canon_next in
-            incr canon_next;
-            Hashtbl.add canon_tbl v id;
-            id
-      in
-      Lit.make id (Lit.is_pos l)
-  in
   let solve_time = ref 0.0 in
   let timed_solve assumptions =
     let r, dt = Timer.time (fun () -> Solver.solve ~assumptions solver) in
@@ -811,45 +673,16 @@ let run_prepared_core ~config prep ~condition ~oracle =
   let step_encode () =
     let k = round.b_k in
     if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.encode_batch";
-    for j = 0 to k - 1 do
-      if not (indep_outputs_match round.b_dips.(j) round.b_responses.(j)) then
-        (* The oracle contradicts key-independent logic: no key can
-           reproduce it.  Poison the solver so the attack reports Broken
-           with no surviving key, as the unrestricted encoding would
-           have. *)
-        Solver.add_clause solver []
-    done;
-    let encode_plain j =
-      let dip = round.b_dips.(j) and response = round.b_responses.(j) in
-      let cofactored =
-        if config.simplify_constraints then Some (prep.p_cone_prog, scratch_for j)
-        else None
-      in
-      let cone_response = cone_response_of response in
-      add_dip_constraint env ~cofactored ~locked ~key_lits:key1 ~dip ~response
-        ~cone_response;
-      add_dip_constraint env ~cofactored ~locked ~key_lits:key2 ~dip ~response
-        ~cone_response
-    in
-    (* With an export sink, tap the DIP's clause stream (both key copies)
-       and publish it canonicalized; the tap is read-only, so the clauses
-       reaching the solver — and hence the attack's behaviour — are
-       byte-identical with sharing on or off. *)
     let encode_one j =
+      add_dip j round.b_dips.(j) round.b_responses.(j);
       match config.share_out with
-      | None -> encode_plain j
+      | None -> ()
       | Some sink ->
-          let buf_rev = ref [] in
-          Tseitin.with_tap env
-            (fun cl -> buf_rev := Array.map canon_lit cl :: !buf_rev)
-            (fun () -> encode_plain j);
           Tel.Metric.incr m_share_exported;
           sink
             {
               Share.e_dip = Array.copy round.b_dips.(j);
               e_response = Array.copy round.b_responses.(j);
-              e_nshared = n_shared;
-              e_clauses = Array.of_list (List.rev !buf_rev);
             }
     in
     if k > 1 then

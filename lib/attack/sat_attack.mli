@@ -46,36 +46,24 @@ val batched : ?pool:Ll_runtime.Pool.t -> ?adaptive:bool -> ?q_max:int -> int -> 
     adaptive by default, [q_max] defaulting to 64.  Raises
     [Invalid_argument] unless [1 <= q <= 64]. *)
 
-(** {2 Cross-cofactor clause sharing}
+(** {2 Cross-cofactor DIP sharing}
 
     A cube-and-conquer controller re-splits a hard cofactor into two
     child cubes; without sharing, each child would rediscover every DIP
-    constraint its parent already paid solves and oracle queries for.
-    {!Share} makes those constraints portable: a session exports each
-    DIP constraint as a self-contained entry (DIP, response, clause
-    stream over a canonical variable space), and a later session over
-    the {e same} {!prep} imports every entry whose DIP lies inside its
-    own cube.  The canonical space works because variable allocation up
-    to the activation guard is a pure function of the prep — identical
-    in every session — and auxiliary variables are renumbered in
-    first-use order on export, then mapped to fresh variables on import.
-    Dropping incompatible entries can only {e weaken} what the receiver
-    imports (auxiliary definitions may go missing), never exclude a
-    valid key, so filtering is sound. *)
+    its parent already paid solves and oracle queries for.  A DIP and
+    its oracle response are the whole fact such a session learns: "any
+    correct key maps this input to this response".  A session exports
+    each DIP with its full-width response as a {!Share.entry}, and a
+    later session imports every entry whose DIP lies inside its own cube
+    (agrees with every pinned input) by encoding it exactly as it
+    encodes a local DIP: an entry that contradicts key-independent logic
+    poisons the session, the others constrain both key copies.  Entries
+    outside the cube are skipped — the fact need not hold there. *)
 
 module Share : sig
   type entry
-  (** One DIP constraint in portable form.  Immutable; safe to send
-      across domains. *)
-
-  val dip : entry -> bool array
-  (** The full-width input pattern the entry constrains (a copy). *)
-
-  val num_clauses : entry -> int
-
-  val compatible : entry -> condition:(int * bool) list -> bool
-  (** Does the entry's DIP agree with every pinned input of [condition]?
-      Import is sound exactly when it does. *)
+  (** One DIP and its oracle response.  Immutable; safe to send across
+      domains. *)
 end
 
 type progress = {
@@ -120,16 +108,15 @@ type config = {
           over [pg_conflicts]/[pg_propagations]/[pg_dips] keep the
           decision deterministic; [pg_elapsed] trades that away. *)
   share_out : (Share.entry -> unit) option;
-      (** export sink: called once per DIP constraint (after encoding)
-          with its portable form.  Capture is read-only — the session's
-          own behaviour is identical with or without a sink. *)
+      (** export sink: called once per DIP (after encoding its
+          constraint) with the DIP and its response.  The session's own
+          behaviour is identical with or without a sink. *)
   share_in : Share.entry list list;
-      (** banks of entries to import at session start, outermost ancestor
-          first.  Each inner list must come from {e one} publishing
-          session over the same {!prep} (auxiliary ids are only
-          consistent within a session); entries incompatible with this
-          session's condition are skipped.  Raises [Invalid_argument] on
-          an entry from a different preparation. *)
+      (** entries to import at session start, in list order (the cube
+          engine passes one list per ancestor, outermost first).  Entries
+          whose DIP lies outside this session's condition are skipped.
+          Raises [Invalid_argument] on an entry whose DIP or response
+          width differs from the circuit's input or output count. *)
 }
 
 val default_config : config

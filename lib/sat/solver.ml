@@ -43,8 +43,6 @@ let m_simp_eliminated = Tel.Metric.counter "sat.simp.eliminated_vars"
 
 let m_simp_vivified = Tel.Metric.counter "sat.simp.vivified"
 
-let m_imported = Tel.Metric.counter "sat.imported_clauses"
-
 let m_model_extensions = Tel.Metric.counter "sat.model_extensions"
 
 let g_arena_words = Tel.Metric.gauge "sat.arena_words"
@@ -856,22 +854,6 @@ let add_clause_batch s css =
   let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
   Arena.reserve s.ar words;
   List.iter (fun c -> add_clause_a s c) css
-
-(* Clause import from another solver session (cube-and-conquer clause
-   sharing): same one-reservation contiguous append as a batch, but the
-   count of clauses that actually attached is reported back so the
-   importer can account for absorption (root-satisfied, tautological or
-   unit clauses leave no arena clause behind). *)
-let import_clauses s css =
-  let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
-  Arena.reserve s.ar words;
-  let attached =
-    List.fold_left
-      (fun n c -> if add_clause_core s c 0 (Array.length c) <> no_cref then n + 1 else n)
-      0 css
-  in
-  Tel.Metric.add m_imported (List.length css);
-  attached
 
 (* --- Simplification host operations --- *)
 

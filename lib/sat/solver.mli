@@ -96,18 +96,6 @@ val add_clause_batch : t -> Lit.t array list -> unit
     identical to calling {!add_clause_a} on each element in turn — same
     absorption, same propagation, same final clause database. *)
 
-val import_clauses : t -> Lit.t array list -> int
-(** [import_clauses s css] adds clauses learned elsewhere (typically
-    model-blocking constraints captured in a sibling cube's solver
-    session and remapped into this session's variable space) as one
-    contiguous arena append, exactly like {!add_clause_batch}, and
-    returns the number of clauses that remained attached — absorbed
-    clauses (root-satisfied, tautological, reduced to units) leave no
-    arena clause and are not counted.  Every literal must be over an
-    existing variable of {e this} solver; the caller owns the remapping.
-    Imported clauses participate in inprocessing like any other problem
-    clause. *)
-
 val freeze_var : t -> int -> unit
 (** Exempt a variable from elimination.  Call before the solve that could
     eliminate it; freezing is the caller's promise registry for variables
@@ -140,9 +128,9 @@ val value : t -> Lit.t -> bool
     this model (counted by the [sat.model_extensions] telemetry counter),
     and later queries read the result.  Queries about surviving variables
     never trigger the replay.  The model, and its extension, stay valid
-    until the next {!solve}, {!add_clause}, {!add_clause_a},
-    {!add_clause_batch} or {!import_clauses}; after that a query about
-    an unassigned or eliminated variable raises [Invalid_argument]. *)
+    until the next {!solve}, {!add_clause}, {!add_clause_a} or
+    {!add_clause_batch}; after that a query about an unassigned or
+    eliminated variable raises [Invalid_argument]. *)
 
 val model_var : t -> int -> bool
 

@@ -58,10 +58,6 @@ type env = {
   (* When [Some acc], emitted clauses are buffered (in reverse) instead of
      added, and flushed by {!with_batch} as one contiguous arena append. *)
   mutable pending : Lit.t array list option;
-  (* Observer of every emitted clause (before batching), used by the
-     attack layer to capture a DIP constraint's clause stream for
-     cross-cofactor sharing.  Never alters what reaches the solver. *)
-  mutable tap : (Lit.t array -> unit) option;
 }
 
 let create solver =
@@ -71,13 +67,11 @@ let create solver =
     cache = Cache.create 4096;
     probe = { Key.tag = 0; tbl = ""; fan = Array.make 16 0; len = 0 };
     pending = None;
-    tap = None;
   }
 
 let solver env = env.solver
 
 let emit env lits =
-  (match env.tap with None -> () | Some f -> f lits);
   match env.pending with
   | None -> Solver.add_clause_a env.solver lits
   | Some acc -> env.pending <- Some (lits :: acc)
@@ -93,20 +87,6 @@ let with_batch env f =
           env.pending <- None;
           Solver.add_clause_batch env.solver (List.rev acc))
         f
-
-let with_tap env f body =
-  let saved = env.tap in
-  (* Compose with an enclosing tap so nested captures both observe. *)
-  let tap =
-    match saved with
-    | None -> f
-    | Some g ->
-        fun lits ->
-          g lits;
-          f lits
-  in
-  env.tap <- Some tap;
-  Fun.protect ~finally:(fun () -> env.tap <- saved) body
 
 let fresh_lits env n = Array.init n (fun _ -> Lit.pos (Solver.new_var env.solver))
 

@@ -75,17 +75,6 @@ val force : env -> Lit.t -> bool -> unit
 val force_equal : env -> Lit.t -> Lit.t -> unit
 (** Add clauses making two literals equal. *)
 
-val with_tap : env -> (Lit.t array -> unit) -> (unit -> 'a) -> 'a
-(** [with_tap env f body] invokes [f] on every clause emitted through the
-    env during [body] (both encoders, the gate constructors, {!force}),
-    {e before} any {!with_batch} buffering, in emission order — the
-    observed stream is exactly what reaches the solver.  The clause
-    array is the one handed to the solver: observers must not retain or
-    mutate it, only read (or copy) it.  Taps nest by composition (outer
-    tap fires first) and are removed on exit, exception included.  Used
-    by the attack layer to capture a DIP constraint's clauses for
-    cross-cofactor sharing. *)
-
 val with_batch : env -> (unit -> 'a) -> 'a
 (** [with_batch env f] buffers every clause emitted by [f] (through this
     env: both encoders, the gate constructors, {!force}) and flushes them

@@ -7,8 +7,11 @@
 
 val write_atomic : string -> (out_channel -> unit) -> unit
 (** [write_atomic path f] runs [f] on a temp file in [path]'s directory and
-    renames it over [path] on success.  On exception the temp file is
-    removed and the exception re-raised; [path] is untouched. *)
+    renames it over [path] on success.  On any failure (of [f], of
+    creating or closing the temp file, or of the rename) the temp file is
+    removed, [path] is untouched and the exception re-raised; a
+    [Sys_error] is re-raised as [Sys_error "<path>: <reason>"], naming
+    [path] rather than the temp file. *)
 
 val write_atomic_string : string -> string -> unit
 (** [write_atomic_string path s] — {!write_atomic} with fixed content. *)

@@ -1,5 +1,5 @@
 (* The adaptive cube-and-conquer attack: golden cube trees pinned under a
-   fixed seed (any change to re-split heuristics, budgets, clause sharing
+   fixed seed (any change to re-split heuristics, budgets, DIP sharing
    or solver behaviour that perturbs them must be deliberate and
    re-pinned), serial == parallel determinism, and differential checks of
    the composed multi-key netlist against the original design. *)
@@ -71,7 +71,7 @@ let sarlock_golden =
    1=0,2=0,4=1|broken|5|3|-;1=0,2=1|stopped|8|3|4;1=0,2=1,4=0|broken|2|6|-;\
    1=0,2=1,4=1|broken|3|5|-;1=1|stopped|4|0|2;1=1,2=0|stopped|8|2|4;\
    1=1,2=0,4=0|broken|3|5|-;1=1,2=0,4=1|broken|2|5|-;1=1,2=1|stopped|8|2|4;\
-   1=1,2=1,4=0|broken|3|5|-;1=1,2=1,4=1|broken|3|5|-"
+   1=1,2=1,4=0|broken|1|7|-;1=1,2=1,4=1|broken|5|3|-"
 
 let test_sarlock_adaptive_golden () =
   let c, locked, oracle = sarlock_fixture () in
@@ -120,7 +120,7 @@ let test_xor_adaptive_deterministic () =
 let test_serial_matches_parallel () =
   (* Acceptance: the adaptive cube tree, DIP sequences and keys are
      byte-identical between the serial runner and the pooled runner at
-     every domain count — re-splits and clause banks only depend on each
+     every domain count — re-splits and shared DIPs only depend on each
      cube's path, never on scheduling. *)
   let _, locked, oracle = sarlock_fixture () in
   let serial = Cube_attack.run ~config:sarlock_config locked ~oracle in
@@ -237,9 +237,9 @@ let test_share_off_still_correct () =
     (composed_equivalent c locked t)
 
 let test_sharing_saves_dips () =
-  (* The point of the clause exchange: descendants import the DIP
-     constraints their ancestors paid for, so the shared run re-derives
-     fewer DIPs (and queries the oracle less) than the isolated run. *)
+  (* The point of DIP sharing: descendants import the DIPs their
+     ancestors paid for, so the shared run re-derives fewer DIPs (and
+     queries the oracle less) than the isolated run. *)
   let _, locked, oracle = sarlock_fixture () in
   let shared = Cube_attack.run ~config:sarlock_config locked ~oracle in
   let isolated =
@@ -296,6 +296,56 @@ let test_inconsistent_oracle_never_resplit () =
   | Cube_attack.Incomplete counts ->
       Alcotest.(check int) "both leaves classified unsat_no_key" 2
         counts.Cube_prep.unsat_no_key
+
+let test_imported_dip_poisons_receiver () =
+  (* An imported DIP that contradicts key-independent logic: o2 = x0 and
+     x1 does not depend on the key, and the oracle answers its negation
+     on every input.  The root stops after its first DIP and re-splits;
+     the child containing that DIP imports it, is poisoned before its
+     first solve and ends Broken with no key and no DIP of its own. *)
+  let b = Builder.create ~name:"poison" () in
+  let x0 = Builder.input b "x0" in
+  let x1 = Builder.input b "x1" in
+  let k0 = Builder.key_input b "k0" in
+  Builder.output b "o1" (Builder.xor2 b x0 k0);
+  Builder.output b "o2" (Builder.and2 b x0 x1);
+  let locked = Builder.finish b in
+  let oracle =
+    Oracle.of_function ~num_inputs:2 ~num_outputs:2 (fun xs ->
+        [| xs.(0); not (xs.(0) && xs.(1)) |])
+  in
+  let config =
+    {
+      Cube_attack.default_config with
+      n0 = 0;
+      budget = { Cube_attack.default_budget with conflicts = None; dips = Some 1 };
+    }
+  in
+  let t = Cube_attack.run ~config locked ~oracle in
+  let root = t.Cube_attack.cubes.(0) in
+  Alcotest.(check string) "root first" "" (Cube_prep.condition_string root.task.condition);
+  let input =
+    match root.resplit_input with
+    | Some i -> i
+    | None -> Alcotest.fail "root was not re-split"
+  in
+  let dip =
+    match root.task.Cube_prep.result.Sat_attack.dips with
+    | [ d ] -> d
+    | _ -> Alcotest.fail "root should stop after one DIP"
+  in
+  let child =
+    Array.to_list t.Cube_attack.cubes
+    |> List.find (fun (c : Cube_attack.cube) ->
+           c.task.Cube_prep.condition = [ (input, Bitvec.get dip input) ])
+  in
+  let r = child.task.Cube_prep.result in
+  Alcotest.(check string) "child broken" "broken" (status_name r);
+  Alcotest.(check bool) "no key" true (r.Sat_attack.key = None);
+  Alcotest.(check bool) "imported the DIP" true (r.Sat_attack.imported >= 1);
+  Alcotest.(check int) "no local DIPs" 0 r.Sat_attack.num_dips;
+  let par = Cube_attack.run_parallel ~config ~num_domains:2 locked ~oracle in
+  Alcotest.(check string) "serial == parallel" (fingerprint t) (fingerprint par)
 
 let test_depth_cap_forces_completion () =
   (* max_extra_depth = 0 turns budgets off at the seed level: every seed
@@ -425,6 +475,8 @@ let suite =
     Alcotest.test_case "sharing saves dips" `Quick test_sharing_saves_dips;
     Alcotest.test_case "inconsistent oracle never resplit" `Quick
       test_inconsistent_oracle_never_resplit;
+    Alcotest.test_case "imported dip poisons receiver" `Quick
+      test_imported_dip_poisons_receiver;
     Alcotest.test_case "depth cap forces completion" `Quick
       test_depth_cap_forces_completion;
     Alcotest.test_case "differential fuzz" `Slow test_differential_fuzz;

@@ -110,6 +110,29 @@ let test_oracle_restrict_composes () =
       (Oracle.query twice pattern)
   done
 
+let test_atomic_write_failures_clean_up () =
+  (* A failing atomic write leaves its target and directory as they were
+     and names the target, not its temporary file, in the error. *)
+  let dir = Filename.temp_dir "fileio" "" in
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let target = Filename.concat dir "adir" in
+  Sys.mkdir target 0o755;
+  Alcotest.check_raises "rename onto a directory"
+    (Sys_error (target ^ ": Is a directory")) (fun () ->
+      LL.Util.Fileio.write_atomic_string target "x");
+  let file = Filename.concat dir "f.txt" in
+  LL.Util.Fileio.write_atomic_string file "old";
+  Alcotest.check_raises "writer raises" (Failure "boom") (fun () ->
+      LL.Util.Fileio.write_atomic file (fun oc ->
+          output_string oc "new";
+          failwith "boom"));
+  Alcotest.(check (list string)) "no temporary file left" [ "adir"; "f.txt" ] (listing ());
+  Alcotest.(check string) "target untouched" "old"
+    (In_channel.with_open_bin file In_channel.input_all);
+  Sys.remove file;
+  Sys.rmdir target;
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "wrong oracle terminates" `Quick
@@ -121,4 +144,6 @@ let suite =
     prop_equiv_engines_agree;
     prop_bdd_count_matches_exhaustive;
     Alcotest.test_case "oracle restrict composes" `Quick test_oracle_restrict_composes;
+    Alcotest.test_case "atomic write failures clean up" `Quick
+      test_atomic_write_failures_clean_up;
   ]

@@ -115,6 +115,37 @@ let test_rejects_oracle_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+let test_rejects_foreign_share_entry () =
+  (* Share entries carry full-width DIPs and responses; one exported by an
+     attack on a circuit of another input or output width cannot be
+     imported. *)
+  let export c =
+    let locked = (LL.Locking.Xor_lock.lock ~num_keys:2 c).circuit in
+    let entries = ref [] in
+    let config =
+      { Sat_attack.default_config with share_out = Some (fun e -> entries := e :: !entries) }
+    in
+    ignore (run_attack ~config c locked);
+    Alcotest.(check bool) "entries exported" true (!entries <> []);
+    (locked, c, List.rev !entries)
+  in
+  let five_in = export (random_circuit ~seed:110 ~num_inputs:5 ~num_outputs:3 ()) in
+  let six_in = export (random_circuit ~seed:111 ~num_inputs:6 ~num_outputs:3 ()) in
+  let two_out = export (random_circuit ~seed:112 ~num_inputs:5 ~num_outputs:2 ()) in
+  let import (locked, c, _) entries =
+    let config = { Sat_attack.default_config with share_in = [ entries ] } in
+    Sat_attack.run_prepared ~config (Sat_attack.prepare locked) ~condition:[]
+      ~oracle:(Oracle.of_circuit c)
+  in
+  let (_, _, own) = five_in in
+  Alcotest.(check int) "own entries import" (List.length own) (import five_in own).imported;
+  List.iter
+    (fun (name, (_, _, foreign)) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Sat_attack.run_prepared: share entry from a different circuit")
+        (fun () -> ignore (import five_in foreign)))
+    [ ("input width", six_in); ("output width", two_out) ]
+
 let test_recovered_key_exact_zero_error () =
   (* Cross-check recovered keys against the BDD-exact error count rather
      than SAT equivalence: a functionally correct key must corrupt exactly
@@ -224,6 +255,8 @@ let suite =
     Alcotest.test_case "log callback" `Quick test_log_callback;
     Alcotest.test_case "rejects keyless" `Quick test_rejects_keyless;
     Alcotest.test_case "rejects oracle mismatch" `Quick test_rejects_oracle_mismatch;
+    Alcotest.test_case "rejects foreign share entry" `Quick
+      test_rejects_foreign_share_entry;
     Alcotest.test_case "recovered key exact zero error" `Quick
       test_recovered_key_exact_zero_error;
     Alcotest.test_case "dips are distinct" `Quick test_dips_are_distinct;

@@ -384,34 +384,6 @@ let prop_incremental_differential =
       let second_ok = brute_force nvars (c1 @ c2) = (Solver.solve s = Solver.Sat) in
       first_ok && second_ok)
 
-let test_import_clauses () =
-  (* Bulk import (the cube attack's clause exchange): one reservation,
-     every clause attached, and the solver honours them exactly like
-     clauses added one at a time. *)
-  let s = Solver.create () in
-  let v = fresh_vars s 4 in
-  let attached =
-    Solver.import_clauses s
-      [
-        [| Lit.pos v.(0); Lit.pos v.(1) |];
-        [| Lit.neg v.(0); Lit.pos v.(2) |];
-        [| Lit.neg v.(1); Lit.neg v.(2); Lit.pos v.(3) |];
-      ]
-  in
-  Alcotest.(check int) "all attached" 3 attached;
-  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
-  (* Force a chain through the imported clauses: x0 propagates x2, which
-     with x1 demands x3. *)
-  Alcotest.(check bool) "respects imports" true
-    (Solver.solve ~assumptions:[ Lit.pos v.(0); Lit.pos v.(1); Lit.neg v.(3) ] s
-    = Solver.Unsat);
-  (* Imported units and an imported contradiction behave like add_clause. *)
-  let s2 = Solver.create () in
-  let w = fresh_vars s2 1 in
-  ignore (Solver.import_clauses s2 [ [| Lit.pos w.(0) |]; [| Lit.neg w.(0) |] ]);
-  Alcotest.(check bool) "imported contradiction unsat" true
-    (Solver.solve s2 = Solver.Unsat)
-
 let suite =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
@@ -431,7 +403,6 @@ let suite =
     Alcotest.test_case "conflict limit" `Quick test_conflict_limit;
     Alcotest.test_case "stats progress" `Quick test_stats_progress;
     Alcotest.test_case "xor chain instance" `Quick test_xor_chain_instance;
-    Alcotest.test_case "import clauses" `Quick test_import_clauses;
     Alcotest.test_case "arena gc under unsat pressure" `Quick test_arena_gc_unsat_pressure;
     Alcotest.test_case "model correct under arena gc" `Quick test_model_correct_under_arena_gc;
     prop_random_3sat;

@@ -107,51 +107,6 @@ let prop_random_circuits =
       let c = random_circuit ~seed ~num_inputs:5 ~num_outputs:3 ~gates:(5 + gates) () in
       encodes_correctly c (seed + 7))
 
-let test_with_tap () =
-  (* The clause tap observes every emitted clause without perturbing the
-     encoding; nested taps compose outer-first; removal restores the
-     previous observer. *)
-  let c = full_adder_circuit () in
-  let solver = Solver.create () in
-  let env = Tseitin.create solver in
-  let outer = ref [] and inner = ref [] and interleaved = ref [] in
-  let outs =
-    Tseitin.with_tap env
-      (fun cl ->
-        outer := Array.copy cl :: !outer;
-        interleaved := ("outer", Array.copy cl) :: !interleaved)
-      (fun () ->
-        Tseitin.with_tap env
-          (fun cl ->
-            inner := Array.copy cl :: !inner;
-            interleaved := ("inner", Array.copy cl) :: !interleaved)
-          (fun () ->
-            let input_lits = Tseitin.fresh_lits env (Circuit.num_inputs c) in
-            Tseitin.encode env c ~input_lits ~key_lits:[||]))
-  in
-  Alcotest.(check bool) "clauses observed" true (!outer <> []);
-  Alcotest.(check int) "both taps saw everything" (List.length !outer)
-    (List.length !inner);
-  (* Outer fires before inner for every clause. *)
-  let rec pairs = function
-    | ("inner", _) :: ("outer", _) :: rest -> pairs rest
-    | [] -> true
-    | _ -> false
-  in
-  Alcotest.(check bool) "outer-first composition" true (pairs !interleaved);
-  (* The tapped clause stream is the whole CNF: any model satisfies it. *)
-  Alcotest.(check bool) "sat" true (Solver.solve solver = Solver.Sat);
-  List.iter
-    (fun cl ->
-      Alcotest.(check bool) "model satisfies tapped clause" true
-        (Array.exists (fun l -> Solver.value solver l) cl))
-    !outer;
-  (* After the scope, emissions are no longer observed. *)
-  let before = List.length !outer in
-  ignore (Tseitin.fresh_lits env 2);
-  Tseitin.force_equal env (List.hd (Array.to_list outs)) (Tseitin.lit_true env);
-  Alcotest.(check int) "tap removed" before (List.length !outer)
-
 let suite =
   [
     Alcotest.test_case "full adder" `Quick test_full_adder;
@@ -161,6 +116,5 @@ let suite =
     Alcotest.test_case "force_equal" `Quick test_force_equal;
     Alcotest.test_case "lit_true cached" `Quick test_lit_true_cached;
     Alcotest.test_case "port count mismatch" `Quick test_port_count_mismatch;
-    Alcotest.test_case "clause tap" `Quick test_with_tap;
     prop_random_circuits;
   ]
