@@ -332,8 +332,12 @@ let fig1b () =
   in
   let k0 = pick [ (2, false) ] and k1 = pick [ (2, true) ] in
   let composed =
-    LL.Attack.Compose.build locked.circuit ~split_inputs:[| 2 |]
-      ~keys:[| Bitvec.of_int ~width:3 k0; Bitvec.of_int ~width:3 k1 |]
+    LL.Attack.Compose.build_cubes locked.circuit
+      ~cubes:
+        [|
+          ([ (2, false) ], Bitvec.of_int ~width:3 k0);
+          ([ (2, true) ], Bitvec.of_int ~width:3 k1);
+        |]
   in
   Printf.printf "keys used: %d (msb=0 half), %d (msb=1 half); correct key is %d\n" k0 k1
     correct;

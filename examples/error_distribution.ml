@@ -43,9 +43,12 @@ let () =
   let k0 = pick half0 correct and k1 = pick half1 correct in
   Format.printf "@.Fig. 1(b) — composing incorrect keys %d (msb=0) and %d (msb=1):@." k0 k1;
   let composed =
-    LL.Attack.Compose.build locked.circuit
-      ~split_inputs:[| 2 |]
-      ~keys:[| Bitvec.of_int ~width:3 k0; Bitvec.of_int ~width:3 k1 |]
+    LL.Attack.Compose.build_cubes locked.circuit
+      ~cubes:
+        [|
+          ([ (2, false) ], Bitvec.of_int ~width:3 k0);
+          ([ (2, true) ], Bitvec.of_int ~width:3 k1);
+        |]
   in
   match LL.Attack.Equiv.check original composed with
   | LL.Attack.Equiv.Equivalent ->

@@ -3,13 +3,8 @@ module Compiled = Ll_netlist.Compiled
 module Bitvec = Ll_util.Bitvec
 module Prng = Ll_util.Prng
 module Timer = Ll_util.Timer
-module Solver = Ll_sat.Solver
-module Tseitin = Ll_sat.Tseitin
-module Lit = Ll_sat.Lit
 module Pool = Ll_runtime.Pool
 module Tel = Ll_telemetry.Telemetry
-
-let m_dips = Tel.Metric.counter "appsat.dips"
 
 let m_estimates = Tel.Metric.counter "appsat.error_estimates"
 
@@ -96,132 +91,48 @@ let estimate_error ?pool ~prng ~samples locked oracle key =
       in
       float_of_int bad /. float_of_int samples)
 
+(* AppSAT is the exact DIP loop of {!Sat_attack} with one more stopping
+   rule: at every [check_every]-DIP boundary, and at the iteration cap,
+   the session's current candidate key is scored by sampling, and an
+   estimate within [target_error] ends the attack with that key. *)
 let run ?(prng = Prng.create 0xA99) ?(target_error = 0.01) ?(check_every = 5)
-    ?(samples = 512) ?(max_iterations = 1000) ?(dip_batch = 1) ?pool locked ~oracle =
+    ?(samples = 512) ?(max_iterations = 1000) ?pool locked ~oracle =
   if Circuit.num_keys locked = 0 then invalid_arg "Appsat.run: circuit has no keys";
-  if dip_batch < 1 || dip_batch > 64 then
-    invalid_arg "Appsat.run: dip_batch must be in [1, 64]";
-  if Circuit.num_inputs locked <> Oracle.num_inputs oracle then
-    invalid_arg "Appsat.run: oracle input count mismatch";
+  if check_every < 1 then invalid_arg "Appsat.run: check_every must be >= 1";
+  if samples < 1 then invalid_arg "Appsat.run: samples must be >= 1";
+  if max_iterations < 0 then invalid_arg "Appsat.run: max_iterations must be >= 0";
   let started = Timer.now () in
   let queries_before = Oracle.query_count oracle in
-  let n_in = Circuit.num_inputs locked and n_key = Circuit.num_keys locked in
-  Progress.set_key_bits n_key;
-  let solver = Solver.create () in
-  let env = Tseitin.create solver in
-  let miter = Ll_synth.Optimize.run (Miter.dup_key locked) in
-  let input_lits = Tseitin.fresh_lits env n_in in
-  let key_lits = Tseitin.fresh_lits env (2 * n_key) in
-  let key1 = Array.sub key_lits 0 n_key in
-  let key2 = Array.sub key_lits n_key n_key in
-  let diff =
-    match Tseitin.encode env miter ~input_lits ~key_lits with
-    | [| d |] -> d
-    | _ -> assert false
-  in
-  let act = (Tseitin.fresh_lits env 1).(0) in
-  Solver.freeze_var solver (Lit.var act);
-  Solver.add_clause solver [ Lit.negate act; diff ];
-  let candidate_key () =
-    match Solver.solve ~assumptions:[ Lit.negate act ] solver with
-    | Solver.Sat -> Some (Bitvec.init n_key (fun k -> Solver.value solver key1.(k)))
-    | Solver.Unsat -> None
-  in
-  let prog = Compiled.compile locked in
-  let scratch = Compiled.scratch prog in
-  let add_constraint dip response =
-    Compiled.cofactor_into prog scratch ~inputs:dip;
-    List.iter
-      (fun kl ->
-        let outs = Tseitin.encode_cofactored env prog scratch ~key_lits:kl in
-        Array.iteri (fun o l -> Tseitin.force env l response.(o)) outs)
-      [ key1; key2 ]
-  in
-  let finish ~exact ~dips key err =
-    {
-      key;
-      estimated_error = err;
-      exact;
-      num_dips = dips;
-      oracle_queries = Oracle.query_count oracle - queries_before;
-      total_time = Timer.now () -. started;
-    }
-  in
-  (* Enumerate up to [dip_batch] distinct DIPs from one solver session by
-     blocking each model under a per-round guard (the {!Sat_attack} batch
-     protocol), answer them in one packed oracle sweep, and encode the
-     whole round's constraints in one arena batch.  At [dip_batch = 1] the
-     loop is exactly the classic one-DIP-per-solve AppSAT. *)
-  let enumerate remaining first =
-    let budget = max 1 (min dip_batch remaining) in
-    let dips = Array.make budget [||] in
-    dips.(0) <- first;
-    let k = ref 1 in
-    if budget > 1 then begin
-      let en = (Tseitin.fresh_lits env 1).(0) in
-      Solver.freeze_var solver (Lit.var en);
-      let block model =
-        let cl =
-          Lit.negate en
-          :: Array.to_list
-               (Array.mapi
-                  (fun p l -> if model.(p) then Lit.negate l else l)
-                  input_lits)
-        in
-        Solver.add_clause solver cl
-      in
-      block first;
-      let continue_enum = ref true in
-      while !continue_enum && !k < budget do
-        match Solver.solve ~assumptions:[ act; en ] solver with
-        | Solver.Unsat -> continue_enum := false
-        | Solver.Sat ->
-            let d = Array.map (fun l -> Solver.value solver l) input_lits in
-            dips.(!k) <- d;
-            block d;
-            incr k
-      done;
-      Solver.add_clause solver [ Lit.negate en ];
-      Solver.unfreeze_var solver (Lit.var en)
-    end;
-    if !k = budget then dips else Array.sub dips 0 !k
-  in
-  let rec loop i =
-    if i >= max_iterations then
-      let key = candidate_key () in
+  (* A stopped session returns no key, so the hook keeps the last scored
+     candidate and its estimate. *)
+  let scored = ref (None, 1.0) in
+  let last_dips = ref 0 in
+  let stop (pg : Sat_attack.progress) =
+    let boundary = pg.pg_dips / check_every > !last_dips / check_every in
+    let capped = pg.pg_dips >= max_iterations in
+    last_dips := pg.pg_dips;
+    if not (boundary || capped) then false
+    else begin
+      let key = pg.pg_candidate () in
       let err =
         match key with
         | Some k -> estimate_error ?pool ~prng ~samples locked oracle k
         | None -> 1.0
       in
-      finish ~exact:false ~dips:i key err
-    else
-      match Solver.solve ~assumptions:[ act ] solver with
-      | Solver.Unsat ->
-          let key = candidate_key () in
-          finish ~exact:true ~dips:i key 0.0
-      | Solver.Sat ->
-          let first = Array.map (fun l -> Solver.value solver l) input_lits in
-          let dips = enumerate (max_iterations - i) first in
-          let responses = Oracle.query_batch oracle dips in
-          let k = Array.length dips in
-          if k > 1 then
-            Tseitin.with_batch env (fun () ->
-                Array.iteri (fun j d -> add_constraint d responses.(j)) dips)
-          else add_constraint dips.(0) responses.(0);
-          Tel.Metric.add m_dips k;
-          Progress.add_dips k;
-          Progress.add_rounds 1;
-          Progress.add_blocking_clauses k;
-          let i' = i + k in
-          if i' / check_every > i / check_every then begin
-            match candidate_key () with
-            | None -> loop i'
-            | Some key ->
-                let err = estimate_error ?pool ~prng ~samples locked oracle key in
-                if err <= target_error then finish ~exact:false ~dips:i' (Some key) err
-                else loop i'
-          end
-          else loop i'
+      scored := (key, err);
+      capped || (key <> None && err <= target_error)
+    end
   in
-  loop 0
+  let r =
+    Sat_attack.run ~config:{ Sat_attack.default_config with stop = Some stop } locked ~oracle
+  in
+  let exact = r.Sat_attack.status = Sat_attack.Broken in
+  let key, estimated_error = if exact then (r.Sat_attack.key, 0.0) else !scored in
+  {
+    key;
+    estimated_error;
+    exact;
+    num_dips = r.Sat_attack.num_dips;
+    oracle_queries = Oracle.query_count oracle - queries_before;
+    total_time = Timer.now () -. started;
+  }

@@ -1,9 +1,11 @@
 (** AppSAT-style approximate SAT attack [Shamsi et al., HOST'17].
 
-    Runs the exact DIP loop but periodically estimates the error rate of
-    the current best candidate key by random sampling against the oracle;
-    once the estimate drops to [target_error] the attack stops and returns
-    the {e approximate} key.  Against point-function schemes (SARLock,
+    AppSAT is a stopping rule on the one DIP loop: it runs {!Sat_attack}
+    (and so inherits its key-cone constraint encoding, solver and
+    telemetry) with a [stop] hook that periodically estimates the error
+    rate of the session's current candidate key by random sampling
+    against the oracle; once the estimate drops to [target_error] the
+    attack stops and returns the {e approximate} key.  Against point-function schemes (SARLock,
     Anti-SAT) this terminates after a handful of DIPs with a key that is
     wrong on only a vanishing input fraction — the classic counter to
     "provably SAT-resilient" locking, and a useful contrast to the paper's
@@ -25,22 +27,17 @@ val run :
   ?check_every:int ->
   ?samples:int ->
   ?max_iterations:int ->
-  ?dip_batch:int ->
   ?pool:Ll_runtime.Pool.t ->
   Ll_netlist.Circuit.t ->
   oracle:Oracle.t ->
   result
 (** Defaults: [target_error = 0.01], [check_every = 5] DIPs,
-    [samples = 512] random patterns per estimate, [max_iterations = 1000],
-    [dip_batch = 1].  Raises [Invalid_argument] like {!Sat_attack.run}.
-
-    [dip_batch] enumerates up to that many distinct DIPs per solver
-    session (blocking each model under a per-round guard assumption),
-    answers them in one packed oracle sweep and encodes their constraints
-    as one batch — the {!Sat_attack} batched-pipeline protocol; [1] is the
-    classic loop.  Error checks still happen every [check_every] DIPs
-    (at the first round boundary past each multiple).  Must be in
-    [\[1, 64\]].
+    [samples = 512] random patterns per estimate, [max_iterations = 1000].
+    The candidate is scored after every [check_every]-th DIP and once
+    more when the loop reaches [max_iterations] DIPs, where it stops
+    whatever the estimate.  Raises [Invalid_argument] like
+    {!Sat_attack.run}, and when [check_every < 1], [samples < 1] or
+    [max_iterations < 0].
 
     [pool] spreads each error estimate's random-pattern batches over a
     {!Ll_runtime.Pool}.  The batch structure and its [Prng.split] streams

@@ -3,50 +3,13 @@ module Builder = Ll_netlist.Builder
 module Bitvec = Ll_util.Bitvec
 module Instantiate = Ll_netlist.Instantiate
 
-let build ?(optimize = true) locked ~split_inputs ~keys =
-  let n = Array.length split_inputs in
-  if Array.length keys <> 1 lsl n then invalid_arg "Compose.build: need 2^n keys";
-  Array.iter
-    (fun k ->
-      if Bitvec.length k <> Circuit.num_keys locked then
-        invalid_arg "Compose.build: key length mismatch")
-    keys;
-  let b = Builder.create ~name:(locked.Circuit.name ^ "_multikey") () in
-  let inputs =
-    Array.map (fun j -> Builder.input b (Circuit.node_name locked j)) locked.Circuit.inputs
-  in
-  let selects = Array.map (fun pos -> inputs.(pos)) split_inputs in
-  (* One copy of the locked netlist per cofactor, keys bound to constants;
-     the MUX tree picks the copy matching the split-input value. *)
-  let copies =
-    Array.map
-      (fun key ->
-        let key_signals = Array.init (Bitvec.length key) (fun i -> Builder.const b (Bitvec.get key i)) in
-        Instantiate.append b locked ~inputs ~keys:key_signals)
-      keys
-  in
-  Array.iteri
-    (fun o (name, _) ->
-      let data = Array.map (fun outs -> outs.(o)) copies in
-      let signal = if n = 0 then data.(0) else Builder.mux_tree b ~selects ~data in
-      Builder.output b name signal)
-    locked.Circuit.outputs;
-  let composed = Builder.finish b in
-  if optimize then Ll_synth.Optimize.run composed else composed
-
-let of_attack ?optimize locked (attack : Split_attack.t) =
-  match Split_attack.keys attack with
-  | None -> None
-  | Some keys ->
-      Some (build ?optimize locked ~split_inputs:attack.Split_attack.split_inputs ~keys)
-
-(* Variable-arity composition (Fig. 1(b) generalized): the cubes form a
-   depth-pruned binary decision tree — every cube's condition list pins
-   inputs in one global order, and at each tree node all remaining cubes
-   either terminate (one leaf covering the whole subspace) or agree on
-   the next pinned input.  The MUX tree is rebuilt by recursive
-   partition on that input, so leaves at different depths (the adaptive
-   attack's output) compose as naturally as a uniform 2^N split. *)
+(* Multi-key composition (Fig. 1(b)): the cubes form a depth-pruned
+   binary decision tree — every cube's condition list pins inputs in one
+   global order, and at each tree node all remaining cubes either
+   terminate (one leaf covering the whole subspace) or agree on the next
+   pinned input.  The MUX tree is rebuilt by recursive partition on that
+   input, so leaves at different depths (the adaptive attack's output)
+   compose like a uniform 2^N split. *)
 let build_cubes ?(optimize = true) locked ~cubes =
   if Array.length cubes = 0 then invalid_arg "Compose.build_cubes: no cubes";
   Array.iter
@@ -92,7 +55,9 @@ let build_cubes ?(optimize = true) locked ~cubes =
               | _ -> invalid_arg "Compose.build_cubes: overlapping cubes")
             items
         in
-        let low = select o (step false) and high = select o (step true) in
+        (* Low branch first: the node order is part of the output. *)
+        let low = select o (step false) in
+        let high = select o (step true) in
         Builder.mux b ~select:inputs.(pos) ~low ~high
   in
   let items = Array.to_list (Array.mapi (fun i (cond, _) -> (cond, i)) cubes) in
@@ -101,6 +66,22 @@ let build_cubes ?(optimize = true) locked ~cubes =
     locked.Circuit.outputs;
   let composed = Builder.finish b in
   if optimize then Ll_synth.Optimize.run composed else composed
+
+(* A fixed split's tasks pin the split inputs in split order, in
+   condition-integer order ({!Ll_synth.Cofactor.conditions}: the first
+   split input is the least significant bit).  Reversed, every condition
+   pins the last split input first, so the root MUX selects
+   [split_inputs.(n-1)] and the copies appear in task order. *)
+let of_attack ?optimize locked (attack : Split_attack.t) =
+  match Split_attack.keys attack with
+  | None -> None
+  | Some keys ->
+      let cubes =
+        Array.map2
+          (fun (task : Split_attack.task) key -> (List.rev task.condition, key))
+          attack.Split_attack.tasks keys
+      in
+      Some (build_cubes ?optimize locked ~cubes)
 
 let of_cube_attack ?optimize locked (attack : Cube_attack.t) =
   match Cube_attack.keys attack with

@@ -46,11 +46,9 @@ end
 
 type progress = {
   pg_dips : int;
-  pg_rounds : int;
-  pg_imported : int;
   pg_conflicts : int;
-  pg_propagations : int;
   pg_elapsed : float;
+  pg_candidate : unit -> Bitvec.t option;
 }
 
 type config = {
@@ -411,25 +409,13 @@ let run_prepared_core ~config prep ~condition ~oracle =
   let interrupted () =
     match config.interrupt with Some f -> f () | None -> false
   in
-  (* The adaptive cube controller's difficulty budget, polled between
-     rounds like the other limits.  Conflict/propagation counts are
-     deterministic for a fixed seed, so budgets expressed in them make
-     re-split decisions reproducible; wall-clock budgets trade that for
-     responsiveness. *)
-  let stop_requested ~num_dips ~rounds ~imported =
-    match config.stop with
-    | None -> false
-    | Some f ->
-        let st = Solver.stats solver in
-        f
-          {
-            pg_dips = num_dips;
-            pg_rounds = rounds;
-            pg_imported = imported;
-            pg_conflicts = st.Solver.conflicts;
-            pg_propagations = st.Solver.propagations;
-            pg_elapsed = Timer.monotonic () -. started;
-          }
+  (* Key extraction: a key satisfying every DIP constraint so far, read
+     with the difference guard released.  Once the miter is UNSAT it is
+     functionally correct. *)
+  let extract_key () =
+    match timed_solve [ Lit.negate act ] with
+    | Solver.Sat, _ -> Some (Bitvec.init n_key (fun k -> Solver.value solver key1.(k)))
+    | Solver.Unsat, _ -> None
   in
   let queries_made = ref 0 in
   (* Session state of the machine. *)
@@ -451,6 +437,22 @@ let run_prepared_core ~config prep ~condition ~oracle =
       b_wit2 = [||];
       b_responses = [||];
     }
+  in
+  (* The [stop] hook, polled between rounds like the other limits.
+     Conflict counts are deterministic for a fixed seed, so budgets
+     expressed in them make re-split decisions reproducible; wall-clock
+     budgets trade that for responsiveness. *)
+  let stop_requested () =
+    match config.stop with
+    | None -> false
+    | Some f ->
+        f
+          {
+            pg_dips = !num_dips;
+            pg_conflicts = (Solver.stats solver).Solver.conflicts;
+            pg_elapsed = Timer.monotonic () -. started;
+            pg_candidate = extract_key;
+          }
   in
   let phase = ref Solve in
   let finish status key =
@@ -475,9 +477,7 @@ let run_prepared_core ~config prep ~condition ~oracle =
     if over_iterations !num_dips then finish Iteration_limit None
     else if over_time () then finish Time_limit None
     else if interrupted () then finish Cancelled None
-    else if
-      stop_requested ~num_dips:!num_dips ~rounds:!rounds ~imported:!imported
-    then finish Stopped None
+    else if stop_requested () then finish Stopped None
     else begin
       (* One span per round: a0 = round index; closed with v = the
          cofactored cone's symbolic (key-dependent) node count (Sat) or -1
@@ -486,12 +486,7 @@ let run_prepared_core ~config prep ~condition ~oracle =
       match timed_solve [ act ] with
       | Solver.Unsat, _ ->
           (* No DIP left: extract any surviving key. *)
-          let key =
-            match timed_solve [ Lit.negate act ] with
-            | Solver.Sat, _ ->
-                Some (Bitvec.init n_key (fun k -> Solver.value solver key1.(k)))
-            | Solver.Unsat, _ -> None
-          in
+          let key = extract_key () in
           if Tel.enabled () then Tel.span_end ~v:(-1) ();
           finish Broken key
       | Solver.Sat, dt ->

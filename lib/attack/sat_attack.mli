@@ -68,11 +68,14 @@ end
 
 type progress = {
   pg_dips : int;  (** DIPs accumulated so far *)
-  pg_rounds : int;  (** batch rounds executed *)
-  pg_imported : int;  (** share entries imported at session start *)
   pg_conflicts : int;  (** solver conflicts so far (deterministic) *)
-  pg_propagations : int;  (** solver propagations so far (deterministic) *)
   pg_elapsed : float;  (** wall-clock seconds since the session started *)
+  pg_candidate : unit -> Ll_util.Bitvec.t option;
+      (** extract a key satisfying every DIP constraint so far (one
+          solve with the difference guard released — the same
+          extraction a [Broken] session ends with); [None] when no key
+          survives.  The solve changes the solver's state, so a hook
+          that calls it can change the later DIP sequence. *)
 }
 (** Snapshot handed to {!config.stop} between rounds. *)
 
@@ -101,12 +104,14 @@ type config = {
   dip_batch : dip_batch;
       (** batched DIP pipeline control (default {!default_dip_batch}). *)
   stop : (progress -> bool) option;
-      (** difficulty-budget hook, polled between rounds like the other
+      (** stopping rule, polled before every round after the other
           limits; returning [true] ends the session with status
-          {!Stopped}.  The adaptive cube controller uses it to preempt a
-          cofactor that exceeded its budget and re-split it.  Budgets
-          over [pg_conflicts]/[pg_propagations]/[pg_dips] keep the
-          decision deterministic; [pg_elapsed] trades that away. *)
+          {!Stopped} and no key.  The adaptive cube controller uses it
+          to preempt a cofactor that exceeded its difficulty budget and
+          re-split it; {!Appsat} uses it to score [pg_candidate] keys
+          and settle for an approximate one.  Budgets over
+          [pg_conflicts]/[pg_dips] keep the decision deterministic;
+          [pg_elapsed] trades that away. *)
   share_out : (Share.entry -> unit) option;
       (** export sink: called once per DIP (after encoding its
           constraint) with the DIP and its response.  The session's own

@@ -67,8 +67,11 @@ let preset ?config n =
   }
 
 (* The engine returns cubes in canonical (path-lexicographic) order, in
-   which the first split input is the most significant pin; [Compose.build]
-   wants condition-integer order, in which it is the least significant. *)
+   which the first split input is the most significant pin.  A fixed
+   split reports its tasks in condition-integer order instead
+   ({!Ll_synth.Cofactor.conditions}: the first split input is the least
+   significant), so [tasks.(i)] and [keys.(i)] serve condition [i];
+   {!Compose.of_attack} composes them in that order. *)
 let of_engine (e : Cube_engine.t) =
   let index (task : task) =
     List.fold_right (fun (_, b) acc -> (2 * acc) + Bool.to_int b) task.condition 0

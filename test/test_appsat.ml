@@ -76,7 +76,30 @@ let test_validation () =
   let c = full_adder_circuit () in
   let oracle = Oracle.of_circuit c in
   Alcotest.check_raises "keyless" (Invalid_argument "Appsat.run: circuit has no keys")
-    (fun () -> ignore (Appsat.run c ~oracle))
+    (fun () -> ignore (Appsat.run c ~oracle));
+  let c = random_circuit ~seed:224 ~num_inputs:6 ~num_outputs:3 () in
+  let locked = (LL.Locking.Sarlock.lock ~key_size:4 c).circuit in
+  let oracle = Oracle.of_circuit c in
+  List.iter
+    (fun (label, msg, run) ->
+      Alcotest.check_raises label (Invalid_argument ("Appsat.run: " ^ msg)) (fun () ->
+          ignore (run ())))
+    [
+      ( "check_every 0",
+        "check_every must be >= 1",
+        fun () -> Appsat.run ~check_every:0 locked ~oracle );
+      ("samples 0", "samples must be >= 1", fun () -> Appsat.run ~samples:0 locked ~oracle);
+      ( "max_iterations -1",
+        "max_iterations must be >= 0",
+        fun () -> Appsat.run ~max_iterations:(-1) locked ~oracle );
+    ];
+  (* Same input count, one output too few. *)
+  let narrow = random_circuit ~seed:225 ~num_inputs:6 ~num_outputs:2 () in
+  Alcotest.(check bool) "oracle output count" true
+    (try
+       ignore (Appsat.run locked ~oracle:(Oracle.of_circuit narrow));
+       false
+     with Invalid_argument _ -> true)
 
 let suite =
   [

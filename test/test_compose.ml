@@ -21,8 +21,12 @@ let test_composition_with_region_unlocking_keys () =
   in
   let k0 = pick [ (0, false) ] and k1 = pick [ (0, true) ] in
   let composed =
-    Compose.build locked.circuit ~split_inputs:[| 0 |]
-      ~keys:[| Bitvec.of_int ~width:3 k0; Bitvec.of_int ~width:3 k1 |]
+    Compose.build_cubes locked.circuit
+      ~cubes:
+        [|
+          ([ (0, false) ], Bitvec.of_int ~width:3 k0);
+          ([ (0, true) ], Bitvec.of_int ~width:3 k1);
+        |]
   in
   Alcotest.(check int) "key-free" 0 (Circuit.num_keys composed);
   Alcotest.(check bool) "equivalent" true (exhaustively_equal c composed)
@@ -38,14 +42,15 @@ let test_composition_with_wrong_region_key_fails () =
     | None -> Alcotest.fail "fixture broken: every key unlocks the region"
   in
   let composed =
-    Compose.build locked.circuit ~split_inputs:[| 0 |]
-      ~keys:[| Bitvec.of_int ~width:3 bad; locked.correct_key |]
+    Compose.build_cubes locked.circuit
+      ~cubes:[| ([ (0, false) ], Bitvec.of_int ~width:3 bad); ([ (0, true) ], locked.correct_key) |]
   in
   Alcotest.(check bool) "not equivalent" false (exhaustively_equal c composed)
 
 let test_composition_respects_condition_order () =
-  (* keys.(i) must serve the region where split input bit j = bit j of i:
-     cross-check against Cofactor.conditions. *)
+  (* Each key serves the cube it is paired with, whichever split input
+     the tree selects on first: the Cofactor.conditions cubes compose
+     equivalently with their pins in either order. *)
   let c, locked = fixture () in
   let conds = LL.Synth.Cofactor.conditions ~split_inputs:[| 2; 0 |] 2 in
   let m = Analysis.error_matrix ~original:c ~locked:locked.circuit () in
@@ -60,13 +65,20 @@ let test_composition_respects_condition_order () =
         | None -> locked.correct_key)
       conds
   in
-  let composed = Compose.build locked.circuit ~split_inputs:[| 2; 0 |] ~keys in
-  Alcotest.(check bool) "equivalent" true (exhaustively_equal c composed)
+  List.iter
+    (fun order ->
+      let cubes = Array.map2 (fun cond k -> (order cond, k)) conds keys in
+      Alcotest.(check bool) "equivalent" true
+        (exhaustively_equal c (Compose.build_cubes locked.circuit ~cubes)))
+    [ Fun.id; List.rev ]
 
 let test_unoptimized_composition () =
   let c, locked = fixture () in
-  let keys = Array.make 2 locked.correct_key in
-  let composed = Compose.build ~optimize:false locked.circuit ~split_inputs:[| 1 |] ~keys in
+  let k = locked.correct_key in
+  let composed =
+    Compose.build_cubes ~optimize:false locked.circuit
+      ~cubes:[| ([ (1, false) ], k); ([ (1, true) ], k) |]
+  in
   Alcotest.(check bool) "equivalent" true (exhaustively_equal c composed);
   (* Without optimization both instantiated copies remain. *)
   Alcotest.(check bool) "bigger than locked" true
@@ -74,19 +86,21 @@ let test_unoptimized_composition () =
 
 let test_build_validation () =
   let _, locked = fixture () in
-  Alcotest.(check bool) "key count" true
-    (try
-       ignore
-         (Compose.build locked.circuit ~split_inputs:[| 0 |] ~keys:[| locked.correct_key |]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "key width" true
-    (try
-       ignore
-         (Compose.build locked.circuit ~split_inputs:[| 0 |]
-            ~keys:[| Bitvec.create 1; Bitvec.create 1 |]);
-       false
-     with Invalid_argument _ -> true)
+  let k = locked.correct_key in
+  List.iter
+    (fun (label, cubes) ->
+      Alcotest.(check bool) label true
+        (try
+           ignore (Compose.build_cubes locked.circuit ~cubes);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("no cubes", [||]);
+      ("key width", [| ([ (0, false) ], Bitvec.create 1); ([ (0, true) ], Bitvec.create 1) |]);
+      ("uncovered", [| ([ (0, false) ], k) |]);
+      ("overlapping", [| ([], k); ([ (0, true) ], k) |]);
+      ("position range", [| ([ (3, false) ], k); ([ (3, true) ], k) |]);
+    ]
 
 let prop_split_attack_composition_sound =
   qcheck_case ~count:10 "split attack composition is always equivalent"
@@ -100,6 +114,36 @@ let prop_split_attack_composition_sound =
       | None -> false
       | Some composed -> exhaustively_equal c composed)
 
+(* The composed netlist of a fixed split, byte for byte: any drift in the
+   MUX order (which split input the root selects), in which key serves
+   which cofactor, or in node order changes the digest.  The split order
+   [4; 1; 3] is not sorted, so a composition that selects by position
+   instead of by split order is caught too. *)
+let test_pinned_digests () =
+  let c = random_circuit ~seed:1170 ~num_inputs:6 ~num_outputs:2 ~gates:25 () in
+  let locked = LL.Locking.Sarlock.lock ~prng:(Prng.create 17) ~key_size:4 c in
+  List.iter
+    (fun (n, optimize, expected) ->
+      let oracle = LL.Attack.Oracle.of_circuit c in
+      let attack =
+        LL.Attack.Split_attack.run ~inputs:[| 4; 1; 3 |] ~n locked.circuit ~oracle
+      in
+      match Compose.of_attack ~optimize locked.circuit attack with
+      | None -> Alcotest.failf "N=%d: no composition" n
+      | Some composed ->
+          Alcotest.(check string)
+            (Printf.sprintf "N=%d optimize=%b" n optimize)
+            expected
+            (Digest.to_hex (Digest.string (LL.Netlist.Bench_io.to_string composed))))
+    [
+      (1, true, "65b7b4ce6db30722d9e6bb3e287b8711");
+      (1, false, "398b3fc6e51686749c199655acd0dfc9");
+      (2, true, "15b8b3ce90ee9a895eb48ae80b1ccb50");
+      (2, false, "81979c3fd723ac5d7586b390472d452f");
+      (3, true, "87885f2a68e8f34b704049b83fc7562a");
+      (3, false, "3dc55852a6b1e5a76f867bf31e1b8c73");
+    ]
+
 let suite =
   [
     Alcotest.test_case "composition with region-unlocking keys" `Quick
@@ -109,5 +153,6 @@ let suite =
     Alcotest.test_case "condition order" `Quick test_composition_respects_condition_order;
     Alcotest.test_case "unoptimized composition" `Quick test_unoptimized_composition;
     Alcotest.test_case "build validation" `Quick test_build_validation;
+    Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
     prop_split_attack_composition_sound;
   ]

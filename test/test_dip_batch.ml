@@ -12,7 +12,6 @@
 open Helpers
 module Oracle = LL.Attack.Oracle
 module Sat_attack = LL.Attack.Sat_attack
-module Appsat = LL.Attack.Appsat
 module Equiv = LL.Attack.Equiv
 module Instantiate = LL.Netlist.Instantiate
 module Solver = LL.Sat.Solver
@@ -372,22 +371,6 @@ let test_invalid_dip_batch_rejected () =
          with Invalid_argument _ -> true))
     [ 0; 65 ]
 
-let test_appsat_dip_batch () =
-  let c = random_circuit ~seed:235 ~num_inputs:8 () in
-  let sar = LL.Locking.Sarlock.lock ~key_size:6 c in
-  let oracle = Oracle.of_circuit c in
-  let r = Appsat.run ~dip_batch:8 sar.circuit ~oracle in
-  (match r.Appsat.key with
-  | None -> Alcotest.fail "no candidate key"
-  | Some _ -> ());
-  Alcotest.(check bool) "approximate or exact success" true
-    (r.Appsat.exact || r.Appsat.estimated_error <= 0.01);
-  Alcotest.(check bool) "dip_batch validated" true
-    (try
-       ignore (Appsat.run ~dip_batch:0 sar.circuit ~oracle);
-       false
-     with Invalid_argument _ -> true)
-
 let suite =
   [
     Alcotest.test_case "query_batch matches scalar" `Quick
@@ -414,5 +397,4 @@ let suite =
       test_batched_respects_iteration_limit;
     Alcotest.test_case "invalid dip_batch rejected" `Quick
       test_invalid_dip_batch_rejected;
-    Alcotest.test_case "appsat dip_batch" `Quick test_appsat_dip_batch;
   ]

@@ -159,6 +159,16 @@ let test_swept_compositions () =
   Alcotest.(check bool) "the sweep merged nodes" true
     (compositions "c880" [ "lut" ] > 0)
 
+(* The fixed split's composition with its keys replaced by [keys]. *)
+let compose_with locked (s : Split_attack.t) keys =
+  let tasks =
+    Array.map2
+      (fun (t : Split_attack.task) k ->
+        { t with Split_attack.result = { t.result with LL.Attack.Sat_attack.key = Some k } })
+      s.Split_attack.tasks keys
+  in
+  Option.get (Compose.of_attack locked { s with Split_attack.tasks })
+
 (* One key bit flipped in one cofactor: the first such mutant whose
    function differs must be refuted with a real counterexample. *)
 let test_mutated_composition () =
@@ -175,7 +185,7 @@ let test_mutated_composition () =
             let keys = Array.copy keys in
             let key = keys.(k) in
             keys.(k) <- Bitvec.init (Bitvec.length key) (fun i -> Bitvec.get key i <> (i = bit));
-            Compose.build locked ~split_inputs:s.Split_attack.split_inputs ~keys
+            compose_with locked s keys
           in
           let rec first k bit =
             if k >= Array.length keys then
@@ -248,7 +258,7 @@ let test_deterministic () =
   let s = Split_attack.run ~n:2 locked ~oracle:(Oracle.of_circuit c) in
   let keys = Option.get (Split_attack.keys s) in
   let wrong = Array.map (fun k -> Bitvec.init (Bitvec.length k) (fun _ -> false)) keys in
-  let composed = Compose.build locked ~split_inputs:s.Split_attack.split_inputs ~keys:wrong in
+  let composed = compose_with locked s wrong in
   List.iter
     (fun (a, b) ->
       let run () = Equiv.check ~samples:0 a b in

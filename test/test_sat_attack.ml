@@ -99,6 +99,68 @@ let test_log_callback () =
   let r = run_attack ~config c locked.circuit in
   Alcotest.(check int) "one line per dip" r.num_dips !lines
 
+(* The [stop] hook is the attack's stopping-rule seam (cube budgets,
+   AppSAT).  A DIP budget ends the session exactly at the budget, with
+   status Stopped and no key. *)
+let test_stop_hook_budget () =
+  let c = random_circuit ~seed:105 ~num_inputs:10 ~num_outputs:3 ~gates:40 () in
+  let locked = LL.Locking.Sarlock.lock ~key_size:8 c in
+  let stop (pg : Sat_attack.progress) = pg.pg_dips >= 3 in
+  let r = run_attack ~config:{ Sat_attack.default_config with stop = Some stop } c locked.circuit in
+  Alcotest.(check bool) "stopped" true (r.Sat_attack.status = Sat_attack.Stopped);
+  Alcotest.(check int) "at the budget" 3 r.num_dips;
+  Alcotest.(check bool) "no key" true (r.key = None)
+
+(* Every key [pg_candidate] extracts reproduces the oracle on every DIP
+   found before it was extracted. *)
+let test_stop_hook_candidate_consistent () =
+  let c = random_circuit ~seed:105 ~num_inputs:10 ~num_outputs:3 ~gates:40 () in
+  let locked = LL.Locking.Sarlock.lock ~key_size:8 c in
+  let candidates = ref [] in
+  let stop (pg : Sat_attack.progress) =
+    candidates := (pg.pg_dips, pg.pg_candidate ()) :: !candidates;
+    pg.pg_dips >= 12
+  in
+  let r = run_attack ~config:{ Sat_attack.default_config with stop = Some stop } c locked.circuit in
+  Alcotest.(check int) "one candidate per round" 13 (List.length !candidates);
+  let dips = Array.of_list (List.map Bitvec.to_bool_array r.dips) in
+  List.iter
+    (fun (seen, key) ->
+      match key with
+      | None -> Alcotest.failf "no candidate after %d DIPs" seen
+      | Some key ->
+          let keys = Bitvec.to_bool_array key in
+          for i = 0 to seen - 1 do
+            Alcotest.(check (array bool))
+              (Printf.sprintf "candidate after %d DIPs, DIP %d" seen i)
+              (Eval.eval c ~inputs:dips.(i) ~keys:[||])
+              (Eval.eval locked.circuit ~inputs:dips.(i) ~keys)
+          done)
+    !candidates
+
+(* A hook that never extracts a candidate leaves the search untouched:
+   the same DIP sequence as a run without a hook. *)
+let test_stop_hook_passive () =
+  let c = random_circuit ~seed:100 ~num_inputs:8 ~num_outputs:4 ~gates:60 () in
+  let locked = LL.Locking.Xor_lock.lock ~num_keys:10 c in
+  let plain = run_attack c locked.circuit in
+  let polls = ref 0 in
+  let stop _ =
+    incr polls;
+    false
+  in
+  let hooked =
+    run_attack ~config:{ Sat_attack.default_config with stop = Some stop } c locked.circuit
+  in
+  Alcotest.(check bool) "broken" true (hooked.Sat_attack.status = Sat_attack.Broken);
+  Alcotest.(check bool) "polled every round" true (!polls = hooked.rounds + 1);
+  Alcotest.(check (list string)) "same DIP sequence"
+    (List.map Bitvec.to_string plain.dips)
+    (List.map Bitvec.to_string hooked.dips);
+  Alcotest.(check (option string)) "same key"
+    (Option.map Bitvec.to_string plain.key)
+    (Option.map Bitvec.to_string hooked.key)
+
 let test_rejects_keyless () =
   let c = full_adder_circuit () in
   let oracle = Oracle.of_circuit c in
@@ -253,6 +315,10 @@ let suite =
       test_no_simplification_same_result;
     Alcotest.test_case "oracle query accounting" `Quick test_oracle_query_accounting;
     Alcotest.test_case "log callback" `Quick test_log_callback;
+    Alcotest.test_case "stop hook budget" `Quick test_stop_hook_budget;
+    Alcotest.test_case "stop hook candidate consistent" `Quick
+      test_stop_hook_candidate_consistent;
+    Alcotest.test_case "stop hook passive" `Quick test_stop_hook_passive;
     Alcotest.test_case "rejects keyless" `Quick test_rejects_keyless;
     Alcotest.test_case "rejects oracle mismatch" `Quick test_rejects_oracle_mismatch;
     Alcotest.test_case "rejects foreign share entry" `Quick
