@@ -176,7 +176,7 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
         let config =
           { Sat_attack.default_config with
             dip_batch =
-              { Sat_attack.q; q_max = q; adaptive = false; oracle_pool = None }
+              { Sat_attack.q; q_max = q; adaptive = false }
           }
         in
         let r, wall, _, _ = time (fun () -> Split_attack.run ~config ~n locked ~oracle) in
@@ -475,7 +475,7 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  header "Ablation: split-input selection and constraint simplification";
+  header "Ablation: split-input selection and multi-key resistance";
   let c = LL.Bench_suite.Iscas.get "c880" in
   let locked =
     LL.Locking.Lut_lock.lock ~prng:(Prng.create 7) ~stage1_luts:4 ~stage1_inputs:3 c
@@ -498,17 +498,7 @@ let ablation () =
   in
   run_with (Some random_inputs) "random inputs";
 
-  (* 2. DIP-constraint simplification on/off in the baseline attack. *)
-  Printf.printf "\nDIP-constraint simplification (baseline SAT attack, same design):\n";
-  List.iter
-    (fun simplify ->
-      let config = { Sat_attack.default_config with simplify_constraints = simplify } in
-      let r = Sat_attack.run ~config locked.circuit ~oracle in
-      Printf.printf "  simplify=%-5b  %4d DIPs  %8.2f s (%.2f s solving)\n%!" simplify
-        r.Sat_attack.num_dips r.total_time r.solve_time)
-    [ true; false ];
-
-  (* 3. Future-work defense: input-mixing SARLock vs classic SARLock under
+  (* 2. Future-work defense: input-mixing SARLock vs classic SARLock under
      the split attack (per-task #DIP should stop halving). *)
   Printf.printf
     "\nmulti-key resistance (paper future work): classic vs input-mixing SARLock\n\

@@ -33,9 +33,7 @@
     solver counters; shared DIPs only flow parent to descendant.  Serial
     and parallel runs therefore produce byte-identical cube trees, DIP
     sequences and keys under any domain count or stealing (unless a
-    wall-clock budget [wall_s] is set).  Per-iteration [log] lines are
-    buffered per cube and flushed in canonical cube order after the
-    run. *)
+    wall-clock budget [wall_s] is set). *)
 
 type budget = {
   conflicts : int option;
@@ -71,7 +69,7 @@ type config = {
   share : bool;  (** cross-cofactor DIP sharing (default on) *)
   base : Sat_attack.config;
       (** per-cube attack configuration.  [solver_seed], [stop],
-          [share_out], [share_in] and [log] are managed by the engine
+          [share_out] and [share_in] are managed by the engine
           and ignored; [interrupt], limits and [dip_batch] apply to
           every cube *)
 }

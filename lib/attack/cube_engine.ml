@@ -177,12 +177,6 @@ type shared = {
           [interrupt] hook *)
 }
 
-(* One attacked node of the cube tree, plus its buffered log lines (in
-   reverse emission order) — flushed through the caller's [log] callback
-   in canonical cube order after the run, so serial and parallel runs
-   produce identical streams. *)
-type node = { n_cube : cube; n_logs : string list }
-
 let aborted sh = match sh.sh_abort with Some a -> Atomic.get a | None -> false
 
 (* Attack one cube; when its difficulty budget preempts it, return the
@@ -191,10 +185,8 @@ let aborted sh = match sh.sh_abort with Some a -> Atomic.get a | None -> false
 let attack_cube sh ~condition ~banks ~priority =
   let cfg = sh.sh_cfg in
   let depth = List.length condition in
-  let node ?resplit_input task n_logs =
-    { n_cube = { task; depth; resplit_input; priority }; n_logs }
-  in
-  if aborted sh then (node (Cube_prep.cancelled_task ~prep:sh.sh_prep condition) [], None)
+  let cube ?resplit_input task = { task; depth; resplit_input; priority } in
+  if aborted sh then (cube (Cube_prep.cancelled_task ~prep:sh.sh_prep condition), None)
   else begin
     let can_split = depth < sh.sh_max_depth in
     let own_entries = ref [] in
@@ -203,14 +195,12 @@ let attack_cube sh ~condition ~banks ~priority =
         Some (fun e -> own_entries := e :: !own_entries)
       else None
     in
-    let logs = ref [] in
     let config =
       { cfg.base with
         Sat_attack.solver_seed = Cube_prep.cube_seed ~seed:sh.sh_seed condition;
         stop = (if can_split then budget_hook cfg ~depth else None);
         share_out;
         share_in = (if cfg.share then banks else []);
-        log = Option.map (fun _ line -> logs := line :: !logs) cfg.base.Sat_attack.log;
         interrupt =
           (match (sh.sh_abort, cfg.base.Sat_attack.interrupt) with
           | None, user -> user
@@ -235,26 +225,22 @@ let attack_cube sh ~condition ~banks ~priority =
         (* Hardest-first priority for the children: the preempted cube's
            conflict count is a deterministic difficulty proxy. *)
         let prio = task.Cube_prep.result.Sat_attack.solver_conflicts in
-        (node ~resplit_input:input task !logs, Some (input, child_banks, prio))
-    | _ -> (node task !logs, None)
+        (cube ~resplit_input:input task, Some (input, child_banks, prio))
+    | _ -> (cube task, None)
   end
 
 (* Canonical order: conditions compared as pin lists.  Every condition
    pins rank-prefix positions in rank order, so structural comparison
    sorts parents before children and 0-branches before 1-branches —
    independent of creation or completion order. *)
-let finish sh ~nodes ~t0 ~domains_used =
-  let arr = Array.of_list nodes in
+let finish sh ~cubes ~t0 ~domains_used =
+  let cubes = Array.of_list cubes in
   Array.sort
-    (fun a b -> compare a.n_cube.task.Cube_prep.condition b.n_cube.task.Cube_prep.condition)
-    arr;
-  (match sh.sh_cfg.base.Sat_attack.log with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun n -> List.iter sink (List.rev n.n_logs)) arr);
+    (fun a b -> compare a.task.Cube_prep.condition b.task.Cube_prep.condition)
+    cubes;
   {
     seed_inputs = Array.sub sh.sh_rank 0 sh.sh_cfg.n0;
-    cubes = Array.map (fun n -> n.n_cube) arr;
+    cubes;
     wall_time = Timer.monotonic () -. t0;
     domains_used;
   }
@@ -284,7 +270,7 @@ let run ?(config = default_config) ?rank ?(seed = 0) locked ~oracle =
   let sh = make_shared config ?rank ~abort:false locked ~oracle ~seed in
   let t0 = Timer.monotonic () in
   Tel.with_span ~a0:config.n0 ~note:"serial" "cube.run" (fun () ->
-      let nodes = ref [] in
+      let cubes = ref [] in
       (* Depth-first; order is irrelevant to the results (each cube's
          seed, budget and banks depend only on its path).  Siblings are
          announced to [Progress] together, so live coverage never reads
@@ -293,8 +279,8 @@ let run ?(config = default_config) ?rank ?(seed = 0) locked ~oracle =
         List.iter (fun c -> Progress.cube_created ~depth:(List.length c)) conditions;
         List.iter
           (fun condition ->
-            let node, resplit = attack_cube sh ~condition ~banks ~priority in
-            nodes := node :: !nodes;
+            let cube, resplit = attack_cube sh ~condition ~banks ~priority in
+            cubes := cube :: !cubes;
             match resplit with
             | None -> ()
             | Some (input, child_banks, prio) ->
@@ -304,7 +290,7 @@ let run ?(config = default_config) ?rank ?(seed = 0) locked ~oracle =
           conditions
       in
       process (Array.to_list (seed_conditions sh)) [] 0;
-      finish sh ~nodes:!nodes ~t0 ~domains_used:1)
+      finish sh ~cubes:!cubes ~t0 ~domains_used:1)
 
 (* [cancel_on_failure] (internal, for the {!Split_attack} preset): once a
    cube ends with a fatal status, pending cubes return cancelled
@@ -326,9 +312,6 @@ let run_parallel ?(config = default_config) ?rank ?num_domains ?pool ?(seed = 0)
         (* Never more workers than the tree can have leaves. *)
         (true, Pool.create ~num_domains:(max 1 (min d (1 lsl min 20 sh.sh_max_depth))) ())
   in
-  let sh =
-    { sh with sh_cfg = { config with base = Cube_prep.strip_own_pool config.base pool } }
-  in
   (* Cubes submit their children from inside pool workers (submit never
      blocks; workers never await, so no pool starvation) and list every
      handle.  A cube submits its children before it finishes, so once all
@@ -342,13 +325,13 @@ let run_parallel ?(config = default_config) ?rank ?num_domains ?pool ?(seed = 0)
     Progress.cube_created ~depth:(List.length condition);
     let handle =
       Pool.submit ~priority pool (fun _ctx ->
-          let node, resplit = attack_cube sh ~condition ~banks ~priority in
+          let cube, resplit = attack_cube sh ~condition ~banks ~priority in
           (match resplit with
           | None -> ()
           | Some (input, child_banks, prio) ->
               submit_cube (condition @ [ (input, false) ]) child_banks prio;
               submit_cube (condition @ [ (input, true) ]) child_banks prio);
-          node)
+          cube)
     in
     Mutex.lock lock;
     handles := handle :: !handles;
@@ -367,12 +350,12 @@ let run_parallel ?(config = default_config) ?rank ?num_domains ?pool ?(seed = 0)
   let outcomes = drain [] in
   let domains_used = Pool.num_domains pool in
   if own_pool then Pool.shutdown pool;
-  let nodes =
+  let cubes =
     List.filter_map
       (function
-        | Pool.Done node -> Some node
+        | Pool.Done cube -> Some cube
         | Pool.Failed e -> raise e
         | Pool.Cancelled -> None (* handles are never cancelled *))
       outcomes
   in
-  finish sh ~nodes ~t0 ~domains_used
+  finish sh ~cubes ~t0 ~domains_used

@@ -29,19 +29,6 @@ let cube_seed ~seed condition =
     (mix (seed land max_int) 0x5bd1e995)
     condition
 
-(* The attack pool must not double as the oracle-sweep pool: the sweep is
-   awaited from inside a running task, and awaiting a task of the pool
-   one's own task runs on can deadlock.  Sub-attacks scheduled on [pool]
-   therefore run their sweeps inline when the two coincide. *)
-let strip_own_pool base pool =
-  match base.Sat_attack.dip_batch.Sat_attack.oracle_pool with
-  | Some p when p == pool ->
-      { base with
-        Sat_attack.dip_batch =
-          { base.Sat_attack.dip_batch with Sat_attack.oracle_pool = None }
-      }
-  | _ -> base
-
 (* One cofactor sub-attack over the shared preparation: the miter is
    synthesized, analysed and compiled exactly once per split attack (in
    {!Sat_attack.prepare}); each cube only pins its inputs as root units in
@@ -133,5 +120,3 @@ let count_failure fc (r : Sat_attack.result) =
 
 let classify results =
   List.fold_left count_failure no_failures results
-
-let clean fc = fc = no_failures

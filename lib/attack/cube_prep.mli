@@ -10,9 +10,13 @@
 type task = {
   condition : (int * bool) list;  (** pinned input positions and values *)
   sub_inputs : int;  (** free inputs of the conditional netlist *)
-  sub_gates : int;  (** gate count of the shared synthesized miter *)
+  sub_gates : int;
+      (** gate count of the shared synthesized miter: the same for every
+          task, 0 for a task cancelled before it started *)
   result : Sat_attack.result;
-  task_time : float;  (** cofactoring + attack, wall clock *)
+  task_time : float;
+      (** wall clock of the task's attack session; cubes pin their inputs
+          in the shared miter, so no cofactor circuit is built *)
 }
 
 val condition_string : (int * bool) list -> string
@@ -23,10 +27,6 @@ val cube_seed : seed:int -> (int * bool) list -> int
     cube's pin path, so runs are reproducible under any scheduling and a
     fixed split at [N] seeds its cofactors exactly like a budgets-off
     adaptive run at [n0 = N]. *)
-
-val strip_own_pool : Sat_attack.config -> Ll_runtime.Pool.t -> Sat_attack.config
-(** Drop [dip_batch.oracle_pool] when it is the pool the sub-attacks
-    themselves run on (awaiting it from inside a task would deadlock). *)
 
 val run_task :
   config:Sat_attack.config ->
@@ -58,13 +58,6 @@ type failure_counts = {
   time_limit : int;
 }
 
-val no_failures : failure_counts
-
-val count_failure : failure_counts -> Sat_attack.result -> failure_counts
-(** Fold one sub-result into the counts ([Broken] {e with} a key counts
-    as success and changes nothing). *)
-
 val classify : Sat_attack.result list -> failure_counts
-
-val clean : failure_counts -> bool
-(** No failures at all — every sub-result carries a key. *)
+(** Count the failures among merged sub-results ([Broken] {e with} a key
+    counts as success). *)

@@ -35,7 +35,7 @@ val add_dips : int -> unit
 val add_rounds : int -> unit
 
 val add_imported : int -> unit
-(** DIP constraints imported from a sibling cube's shared bank. *)
+(** DIP constraints imported from the DIPs an ancestor cube shared. *)
 
 val add_blocking_clauses : int -> unit
 (** Model-blocking / DIP constraints added to the solver. *)

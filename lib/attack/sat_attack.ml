@@ -5,7 +5,6 @@ module Timer = Ll_util.Timer
 module Solver = Ll_sat.Solver
 module Tseitin = Ll_sat.Tseitin
 module Lit = Ll_sat.Lit
-module Pool = Ll_runtime.Pool
 module Tel = Ll_telemetry.Telemetry
 
 let m_dips = Tel.Metric.counter "attack.dips"
@@ -24,14 +23,13 @@ type dip_batch = {
   q : int;
   q_max : int;
   adaptive : bool;
-  oracle_pool : Pool.t option;
 }
 
-let default_dip_batch = { q = 1; q_max = 1; adaptive = false; oracle_pool = None }
+let default_dip_batch = { q = 1; q_max = 1; adaptive = false }
 
-let batched ?pool ?(adaptive = true) ?(q_max = 64) q =
+let batched ?(adaptive = true) ?(q_max = 64) q =
   if q < 1 || q > 64 then invalid_arg "Sat_attack.batched: q must be in [1, 64]";
-  { q; q_max = min 64 (max q q_max); adaptive; oracle_pool = pool }
+  { q; q_max = min 64 (max q q_max); adaptive }
 
 (* Cross-cofactor DIP sharing (cube-and-conquer).  The fact a session
    learns from one DIP is "any correct key maps this input to this
@@ -52,10 +50,8 @@ type progress = {
 }
 
 type config = {
-  simplify_constraints : bool;
   max_iterations : int option;
   time_limit : float option;
-  log : (string -> unit) option;
   interrupt : (unit -> bool) option;
   solver_seed : int;
   solver_simp : bool;
@@ -67,10 +63,8 @@ type config = {
 
 let default_config =
   {
-    simplify_constraints = true;
     max_iterations = None;
     time_limit = None;
-    log = None;
     interrupt = None;
     solver_seed = 0;
     solver_simp = true;
@@ -194,8 +188,6 @@ let prepare locked =
     p_indep = indep;
   }
 
-let prep_circuit prep = prep.p_locked
-
 let prep_inputs prep = prep.p_n_in
 
 let prep_gates prep = Circuit.gate_count prep.p_miter
@@ -204,27 +196,13 @@ let prep_gates prep = Circuit.gate_count prep.p_miter
 (* Per-DIP constraint emission                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Force an encoded circuit's outputs to the observed oracle response. *)
-let constrain_outputs env outs response =
-  Array.iteri (fun i o -> Tseitin.force env o response.(i)) outs
-
-(* Encode "C_l(dip, K) = y" for one key-literal vector.  With
-   simplification on, the key cone was compiled once up front and the
-   current DIP's cofactor sits in [scratch]; the emitter encodes just its
-   live key logic.  Otherwise a full copy with constant input literals is
-   added (the unpreprocessed baseline). *)
-let add_dip_constraint env ~cofactored ~locked ~key_lits ~dip ~response ~cone_response =
-  match cofactored with
-  | Some (prog, scratch) ->
-      let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
-      constrain_outputs env outs cone_response
-  | None ->
-      let t = Tseitin.lit_true env in
-      let input_lits =
-        Array.init (Array.length dip) (fun i -> if dip.(i) then t else Lit.negate t)
-      in
-      let outs = Tseitin.encode env locked ~input_lits ~key_lits in
-      constrain_outputs env outs response
+(* Encode "C_l(dip, K) = y" for one key-literal vector: the key cone was
+   compiled once up front and the current DIP's cofactor sits in
+   [scratch]; the emitter encodes just its live key logic and forces its
+   outputs to the key cone's part of the oracle response. *)
+let add_dip_constraint env prog scratch ~key_lits ~cone_response =
+  let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
+  Array.iteri (fun i o -> Tseitin.force env o cone_response.(i)) outs
 
 (* ------------------------------------------------------------------ *)
 (* The batched DIP pipeline                                           *)
@@ -238,11 +216,10 @@ let add_dip_constraint env ~cofactored ~locked ~key_lits ~dip ~response ~cone_re
    either finishes the attack (Unsat: extract the key) or hands its model
    to [Enumerate], which blocks each found input assignment under a fresh
    per-round guard literal and re-solves until up to [q] distinct DIPs are
-   in hand.  [Oracle_sweep] answers all of them in one packed pass
-   (optionally on a runtime pool, overlapped with the per-DIP ternary
-   cofactor sweeps), and [Encode] appends every model-blocking constraint
-   as one arena batch, retires the round's guard and updates the adaptive
-   [q].  Each phase is a [step_*] function over the mutable session below:
+   in hand.  [Oracle_sweep] answers all of them in one packed pass and
+   runs the per-DIP ternary cofactor sweeps, and [Encode] appends every
+   model-blocking constraint as one arena batch, retires the round's
+   guard and updates the adaptive [q].  Each phase is a [step_*] function over the mutable session below:
    the driver is a trivial loop, and a future resumable-job daemon can
    interleave sessions at phase granularity. *)
 
@@ -261,7 +238,7 @@ type round_state = {
 
 type phase = Solve | Enumerate | Oracle_sweep | Encode | Finished of result
 
-let run_prepared_core ~config prep ~condition ~oracle =
+let run_prepared ?(config = default_config) prep ~condition ~oracle =
   let locked = prep.p_locked in
   if Circuit.num_inputs locked <> Oracle.num_inputs oracle then
     invalid_arg "Sat_attack.run: oracle input count mismatch";
@@ -353,17 +330,14 @@ let run_prepared_core ~config prep ~condition ~oracle =
      key.  A response that contradicts key-independent logic leaves no
      key: poison the solver so the attack reports Broken with no
      surviving key, as the unrestricted encoding would have.  Both key
-     copies are constrained to reproduce the response; with
-     simplification on, the DIP's cofactor must already sit in
-     [scratch_for j]. *)
+     copies are constrained to reproduce the response; the DIP's
+     cofactor must already sit in [scratch_for j]. *)
   let add_dip j dip response =
     if not (indep_outputs_match dip response) then Solver.add_clause solver [];
-    let cofactored =
-      if config.simplify_constraints then Some (prep.p_cone_prog, scratch_for j) else None
-    in
+    let prog = prep.p_cone_prog and scratch = scratch_for j in
     let cone_response = cone_response_of response in
-    add_dip_constraint env ~cofactored ~locked ~key_lits:key1 ~dip ~response ~cone_response;
-    add_dip_constraint env ~cofactored ~locked ~key_lits:key2 ~dip ~response ~cone_response
+    add_dip_constraint env prog scratch ~key_lits:key1 ~cone_response;
+    add_dip_constraint env prog scratch ~key_lits:key2 ~cone_response
   in
   (* --- DIP-sharing import: before the first solve, every shared DIP that
      lies inside this cube is added exactly like a local one, so its gates
@@ -381,8 +355,7 @@ let run_prepared_core ~config prep ~condition ~oracle =
                   invalid_arg
                     "Sat_attack.run_prepared: share entry from a different circuit";
                 if List.for_all (fun (pos, b) -> dip.(pos) = b) condition then begin
-                  if config.simplify_constraints then
-                    Compiled.cofactor_into prep.p_cone_prog (scratch_for 0) ~inputs:dip;
+                  Compiled.cofactor_into prep.p_cone_prog (scratch_for 0) ~inputs:dip;
                   add_dip 0 dip response;
                   incr imported
                 end))
@@ -567,32 +540,15 @@ let run_prepared_core ~config prep ~condition ~oracle =
       round.b_dips <- Array.sub round.b_dips 0 round.b_k;
     phase := Oracle_sweep
   in
-  (* --- Oracle_sweep: one packed pass answers the whole batch; when a
-     pool is given the sweep runs there while this domain performs the
-     per-DIP ternary cofactor sweeps, so neither waits on the other. --- *)
-  let cofactor_all () =
-    if config.simplify_constraints then
-      for j = 0 to round.b_k - 1 do
-        Compiled.cofactor_into prep.p_cone_prog (scratch_for j) ~inputs:round.b_dips.(j)
-      done
-  in
+  (* --- Oracle_sweep: one packed pass answers the whole batch, then the
+     per-DIP ternary cofactor sweeps fill the scratches [Encode] reads. --- *)
   let step_oracle () =
     let k = round.b_k in
     if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.oracle_batch";
-    let responses =
-      match db.oracle_pool with
-      | Some pool when k > 1 ->
-          let handle = Pool.submit pool (fun _ctx -> Oracle.query_batch oracle round.b_dips) in
-          cofactor_all ();
-          (match Pool.await handle with
-          | Pool.Done r -> r
-          | Pool.Cancelled -> Oracle.query_batch oracle round.b_dips
-          | Pool.Failed e -> raise e)
-      | _ ->
-          let r = Oracle.query_batch oracle round.b_dips in
-          cofactor_all ();
-          r
-    in
+    let responses = Oracle.query_batch oracle round.b_dips in
+    for j = 0 to k - 1 do
+      Compiled.cofactor_into prep.p_cone_prog (scratch_for j) ~inputs:round.b_dips.(j)
+    done;
     queries_made := !queries_made + k;
     Tel.Metric.add m_oracle_queries k;
     if batching && Tel.enabled () then Tel.span_end ~v:k ();
@@ -695,7 +651,7 @@ let run_prepared_core ~config prep ~condition ~oracle =
         round.b_en <- None
     | None -> ());
     Tel.Metric.add m_dips k;
-    if Tel.log_active () then
+    if Tel.enabled () then
       for j = 0 to k - 1 do
         Tel.log_line
           (Printf.sprintf "iter %d: dip=%s response=%s"
@@ -720,11 +676,7 @@ let run_prepared_core ~config prep ~condition ~oracle =
     if batching && Tel.enabled () then Tel.span_end ~v:k ();
     if Tel.enabled () then begin
       if batching then Tel.Metric.observe h_batch_dips (float_of_int k);
-      let cone_size =
-        if config.simplify_constraints then Compiled.unknown_count (scratch_for (k - 1))
-        else Circuit.gate_count locked
-      in
-      Tel.span_end ~v:cone_size ()
+      Tel.span_end ~v:(Compiled.unknown_count (scratch_for (k - 1))) ()
     end;
     adapt ();
     Progress.set_q !cur_q;
@@ -747,17 +699,6 @@ let run_prepared_core ~config prep ~condition ~oracle =
         drive ()
   in
   drive ()
-
-(* A caller-supplied [log] callback becomes a telemetry log subscriber for
-   the dynamic extent of the attack on this domain: attack iterations emit
-   {!Tel.log_line}, which both feeds the callback and (when enabled) lands
-   in the event trace. *)
-let run_prepared ?(config = default_config) prep ~condition ~oracle =
-  match config.log with
-  | Some sink ->
-      Tel.with_log_subscriber sink (fun () ->
-          run_prepared_core ~config prep ~condition ~oracle)
-  | None -> run_prepared_core ~config prep ~condition ~oracle
 
 let run ?(config = default_config) locked ~oracle =
   if Circuit.num_keys locked = 0 then invalid_arg "Sat_attack.run: circuit has no keys";

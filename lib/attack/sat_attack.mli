@@ -5,7 +5,10 @@
     distinguishing input patterns (DIPs), queries the oracle on each DIP
     and constrains both key copies to reproduce the observed output,
     iterating until the miter is unsatisfiable; any key satisfying the
-    accumulated constraints is then functionally correct.
+    accumulated constraints is then functionally correct.  Each DIP
+    constraint is constant-propagated before it is encoded: the key cone,
+    compiled once, is cofactored under the DIP and only its live key
+    logic reaches the solver.
 
     The miter's "find a difference" clause is guarded by an activation
     literal, so the final key extraction reuses the same incremental solver
@@ -31,17 +34,12 @@ type dip_batch = {
           same batch) or the miter runs dry mid-batch; grow it when the
           batch yield is high and enumeration solves are cheap relative to
           the round's main solve *)
-  oracle_pool : Ll_runtime.Pool.t option;
-      (** run each round's packed oracle sweep on this pool, overlapped
-          with the per-DIP cofactor sweeps on the attack's domain.  Must
-          not be the pool executing the attack itself (the sweep is
-          awaited from inside the attack). *)
 }
 
 val default_dip_batch : dip_batch
-(** [q = 1], non-adaptive, no pool: the classic one-DIP-per-solve loop. *)
+(** [q = 1], non-adaptive: the classic one-DIP-per-solve loop. *)
 
-val batched : ?pool:Ll_runtime.Pool.t -> ?adaptive:bool -> ?q_max:int -> int -> dip_batch
+val batched : ?adaptive:bool -> ?q_max:int -> int -> dip_batch
 (** [batched q] — a batched configuration starting at [q] DIPs per round,
     adaptive by default, [q_max] defaulting to 64.  Raises
     [Invalid_argument] unless [1 <= q <= 64]. *)
@@ -80,12 +78,8 @@ type progress = {
 (** Snapshot handed to {!config.stop} between rounds. *)
 
 type config = {
-  simplify_constraints : bool;
-      (** Constant-propagate each DIP constraint before encoding it (the
-          standard preprocessing; disable for the ablation study). *)
   max_iterations : int option;  (** DIP budget; [None] = unlimited *)
   time_limit : float option;  (** wall-clock seconds; checked between rounds *)
-  log : (string -> unit) option;  (** per-DIP progress callback *)
   interrupt : (unit -> bool) option;
       (** cooperative cancellation hook, polled between rounds; when it
           returns [true] the attack stops with status {!Cancelled}.  Used by
@@ -168,9 +162,6 @@ type prep
 
 val prepare : Ll_netlist.Circuit.t -> prep
 (** Raises [Invalid_argument] when the circuit has no key ports. *)
-
-val prep_circuit : prep -> Ll_netlist.Circuit.t
-(** The locked circuit the prep was built from. *)
 
 val prep_inputs : prep -> int
 (** Primary input count of the prepared circuit. *)

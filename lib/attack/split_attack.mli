@@ -20,9 +20,13 @@
 type task = Cube_prep.task = {
   condition : (int * bool) list;  (** pinned input positions and values *)
   sub_inputs : int;  (** free inputs of the conditional netlist *)
-  sub_gates : int;  (** gate count after cofactor synthesis *)
+  sub_gates : int;
+      (** gate count of the shared synthesized miter: the same for every
+          task, 0 for a task cancelled before it started *)
   result : Sat_attack.result;
-  task_time : float;  (** cofactoring + attack, wall clock *)
+  task_time : float;
+      (** wall clock of the task's attack session; cubes pin their inputs
+          in the shared miter, so no cofactor circuit is built *)
 }
 
 type t = {
@@ -67,8 +71,8 @@ val run :
     of split inputs ({!Fanout.select}); its first [n] entries are used.
     [n = 0] degenerates to the plain SAT attack as a single task.  [seed]
     (default 0) is the root of the per-cofactor solver seeds.  As in
-    {!Cube_attack.config}, [config.solver_seed], [stop], [share_out],
-    [share_in] and [log] are managed per cofactor.  Raises
+    {!Cube_attack.config}, [config.solver_seed], [stop], [share_out] and
+    [share_in] are managed per cofactor.  Raises
     [Invalid_argument] unless [0 <= n <= num_inputs]. *)
 
 val run_parallel :
@@ -97,12 +101,7 @@ val run_parallel :
     pending ones never run, running ones are interrupted cooperatively.
     Affected tasks report status {!Sat_attack.Cancelled}.  Note that
     {e which} tasks get cancelled depends on scheduling; leave the flag
-    off when reproducible per-task results matter.
-
-    Per-iteration [config.log] lines are buffered per task and flushed
-    task by task, in the engine's canonical cube order, after the join,
-    so concurrent domains never interleave through the caller's
-    callback. *)
+    off when reproducible per-task results matter. *)
 
 val recommended_effort : ?cores:int -> Ll_netlist.Circuit.t -> int
 (** The paper's "adjust N to the computational resources": the largest [n]

@@ -19,13 +19,15 @@ let cancel_requested c = c.ctx_cancelled ()
 type 'a outcome = Done of 'a | Cancelled | Failed of exn
 
 (* A job is the type-erased form of a submitted task: [job_run] executes
-   the user function and records the outcome in the handle, [job_skip]
-   records [Cancelled] without running.  Both take the pool lock only to
-   publish the result. *)
+   the user function and returns the thunk that records its outcome in the
+   handle, [job_skip] records [Cancelled] without running.  Publishing
+   takes the pool lock.  The worker publishes only after it has closed the
+   task's trace span, so a snapshot taken once [await] returns never sees
+   that span open. *)
 type job = {
   job_id : int;  (* submission sequence number, for trace labelling *)
   job_cancelled : bool Atomic.t;
-  job_run : unit -> unit;
+  job_run : unit -> unit -> unit;
   job_skip : unit -> unit;
 }
 
@@ -153,9 +155,11 @@ let worker pool w () =
         end
         else begin
           Tel.Metric.incr m_tasks;
-          if Tel.enabled () then
-            Tel.with_span ~a0:job.job_id "pool.task" job.job_run
-          else job.job_run ()
+          let publish =
+            if Tel.enabled () then Tel.with_span ~a0:job.job_id "pool.task" job.job_run
+            else job.job_run ()
+          in
+          publish ()
         end;
         Mutex.lock pool.lock;
         loop ()
@@ -229,8 +233,8 @@ let submit ?priority pool fn =
       job_run =
         (fun () ->
           match fn ctx with
-          | v -> finish (Done v)
-          | exception e -> finish (Failed e));
+          | v -> fun () -> finish (Done v)
+          | exception e -> fun () -> finish (Failed e));
       job_skip = (fun () -> finish Cancelled);
     }
   in

@@ -115,8 +115,6 @@ type state = {
   mutable hist_counts : int array array;
   mutable hist_sums : float array;
   mutable hist_ns : int array;
-  (* innermost-first log sinks (per-domain, so no cross-domain races) *)
-  mutable sinks : (string -> unit) list;
 }
 
 let all_states : state list ref = ref []
@@ -126,7 +124,7 @@ let next_tid = ref 0
 (* States are registered for good (a snapshot still reports the events and
    metrics of joined domains), so the ring is allocated on the first
    [record]: a domain that never records while telemetry is on, such as
-   one that only asks [log_active], keeps no ring alive. *)
+   one that only updates metrics, keeps no ring alive. *)
 let new_state () =
   Mutex.lock registry_lock;
   let tid = !next_tid in
@@ -147,7 +145,6 @@ let new_state () =
       hist_counts = [||];
       hist_sums = [||];
       hist_ns = [||];
-      sinks = [];
     }
   in
   all_states := st :: !all_states;
@@ -324,38 +321,11 @@ module Metric = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Event log: subscriber routing + per-task buffering                  *)
+(* Event log                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let log_active () =
-  enabled () || (state ()).sinks <> []
-
 let log_line line =
-  let st = state () in
-  (match st.sinks with sink :: _ -> sink line | [] -> ());
-  if enabled () then record st kind_log "log" (now_ns ()) 0 0 line
-
-let with_log_subscriber sink f =
-  let st = state () in
-  st.sinks <- sink :: st.sinks;
-  Fun.protect
-    ~finally:(fun () ->
-      let st = state () in
-      match st.sinks with _ :: rest -> st.sinks <- rest | [] -> ())
-    f
-
-module Log_buffer = struct
-  type t = string list array
-
-  let create n = Array.make n []
-
-  let log buf i line = buf.(i) <- line :: buf.(i)
-
-  let slot buf i = fun line -> log buf i line
-
-  let flush buf callback =
-    Array.iter (fun lines -> List.iter callback (List.rev lines)) buf
-end
+  if enabled () then record (state ()) kind_log "log" (now_ns ()) 0 0 line
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                            *)

@@ -97,39 +97,13 @@ module Metric : sig
   val observe : histogram -> float -> unit
 end
 
-(** {1 Event log}
-
-    The per-iteration [log] callbacks of the attack configs route through
-    here: the attack emits {!log_line}; a caller-supplied callback is a
-    {e subscriber} installed for the dynamic extent of the attack on its
-    domain ({!with_log_subscriber}).  Lines are delivered to the innermost
-    subscriber of the calling domain and, when enabled, recorded in the
-    event trace. *)
-
-val log_active : unit -> bool
-(** True when a line would go somewhere (subscriber installed on this
-    domain, or telemetry enabled) — guard line formatting with this. *)
+(** {1 Event log} *)
 
 val log_line : string -> unit
-
-val with_log_subscriber : (string -> unit) -> (unit -> 'a) -> 'a
-
-(** Per-task line buffering shared by the parallel attack runners: each
-    task owns one slot (no lock needed), and [flush] replays the lines
-    through the real callback in task order after the join. *)
-module Log_buffer : sig
-  type t
-
-  val create : int -> t
-
-  val log : t -> int -> string -> unit
-
-  val slot : t -> int -> string -> unit
-  (** [slot buf i] is [log buf i] partially applied — a ready-made
-      subscriber or [config.log] callback for task [i]. *)
-
-  val flush : t -> (string -> unit) -> unit
-end
+(** Record one free-text line (kind [3]) in the calling domain's trace;
+    a no-op while telemetry is disabled, so callers that format lines
+    guard the formatting with {!enabled}.  The SAT attack logs one
+    ["iter N: dip=... response=..."] line per DIP. *)
 
 (** {1 Snapshot} *)
 

@@ -152,6 +152,56 @@ let prop_roundtrip_random_circuits =
       let c = random_circuit ~seed ~num_inputs:5 ~num_outputs:3 ~gates:(5 + gates) () in
       exhaustively_equal c (Bench_io.parse_string (Bench_io.to_string c)))
 
+(* Fuzzing: [parse_string] must either return a circuit or raise one of
+   its two documented exceptions, whatever the text.  The seed is a keyed
+   netlist with a LUT gate as the writer prints it; the cases are its
+   every prefix and random 1-4 character edits of it. *)
+let fuzz_seed =
+  let b = Builder.create ~name:"fuzz" () in
+  let x = Builder.input b "x" and y = Builder.input b "y" and z = Builder.input b "z" in
+  let k0 = Builder.key_input b "keyinput0" and k1 = Builder.key_input b "keyinput1" in
+  let lut = Builder.gate b (Gate.Lut (Bitvec.of_string "01101001")) [| x; y; k0 |] in
+  Builder.output b "o" (Builder.xor2 b lut (Builder.mux b ~select:k1 ~low:z ~high:x));
+  Builder.output b "p" (Builder.nand2 b y z);
+  Bench_io.to_string (Builder.finish b)
+
+let parse_or_reject text =
+  match Bench_io.parse_string text with
+  | _ -> ()
+  | exception Bench_io.Parse_error _ -> ()
+  | exception Circuit.Ill_formed _ -> ()
+
+let test_fuzz_prefixes () =
+  Alcotest.(check bool) "seed has a LUT" true (contains fuzz_seed "LUT_");
+  for n = 0 to String.length fuzz_seed do
+    match parse_or_reject (String.sub fuzz_seed 0 n) with
+    | () -> ()
+    | exception e -> Alcotest.failf "prefix of %d chars: %s" n (Printexc.to_string e)
+  done
+
+(* An edit at [pos] (taken modulo the text length): 0 inserts [ch], 1
+   deletes a character, 2 replaces one with [ch]. *)
+let apply_edit text (pos, kind, ch) =
+  let n = String.length text in
+  let pos = pos mod (n + 1) in
+  let before = String.sub text 0 pos in
+  let after k = String.sub text (pos + k) (n - pos - k) in
+  match kind with
+  | 0 -> before ^ String.make 1 ch ^ after 0
+  | _ when pos = n -> text
+  | 1 -> before ^ after 1
+  | _ -> before ^ String.make 1 ch ^ after 1
+
+let prop_fuzz_mutations =
+  qcheck_case ~count:2000 ".bench mutations parse or are rejected"
+    QCheck2.Gen.(
+      list_size (int_range 1 4)
+        (triple (int_bound 4096) (int_bound 2)
+           (oneof [ oneofl [ '('; ')'; ','; '='; '#'; '_'; ' '; '\n'; '0'; '1' ]; char ])))
+    (fun edits ->
+      parse_or_reject (List.fold_left apply_edit fuzz_seed edits);
+      true)
+
 let suite =
   [
     Alcotest.test_case "parse c17" `Quick test_parse_c17;
@@ -169,4 +219,6 @@ let suite =
     Alcotest.test_case "roundtrip rewritten output" `Quick test_roundtrip_rewritten_output;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "const emission" `Quick test_const_emission;
+    Alcotest.test_case "fuzz: every prefix parses or is rejected" `Quick test_fuzz_prefixes;
+    prop_fuzz_mutations;
   ]

@@ -140,33 +140,6 @@ let test_serial_matches_parallel () =
         (dip_sequences serial) (dip_sequences par))
     [ 1; 2; 4 ]
 
-let test_parallel_log_canonical_order () =
-  (* Buffered logs flush in canonical cube order: serial and parallel
-     runs emit byte-identical log streams. *)
-  let _, locked, oracle = sarlock_fixture () in
-  let capture run =
-    let lines = ref [] in
-    let config =
-      {
-        sarlock_config with
-        base =
-          {
-            Sat_attack.default_config with
-            log = Some (fun l -> lines := l :: !lines);
-          };
-      }
-    in
-    ignore (run config);
-    List.rev !lines
-  in
-  let serial = capture (fun config -> Cube_attack.run ~config locked ~oracle) in
-  let par =
-    capture (fun config ->
-        Cube_attack.run_parallel ~config ~num_domains:4 locked ~oracle)
-  in
-  Alcotest.(check bool) "something was logged" true (serial <> []);
-  Alcotest.(check (list string)) "identical log streams" serial par
-
 (* One line per cofactor, sorted by condition: condition|status|key|DIP
    sequence. *)
 let cofactor_lines (tasks : Cube_prep.task list) =
@@ -467,8 +440,6 @@ let suite =
     Alcotest.test_case "xor adaptive deterministic" `Quick
       test_xor_adaptive_deterministic;
     Alcotest.test_case "serial matches parallel" `Quick test_serial_matches_parallel;
-    Alcotest.test_case "parallel log canonical order" `Quick
-      test_parallel_log_canonical_order;
     Alcotest.test_case "no budget matches split attack" `Quick
       test_no_budget_matches_split_attack;
     Alcotest.test_case "share off still correct" `Quick test_share_off_still_correct;

@@ -17,10 +17,9 @@ module Instantiate = LL.Netlist.Instantiate
 module Solver = LL.Sat.Solver
 module Tseitin = LL.Sat.Tseitin
 module Lit = LL.Sat.Lit
-module Pool = LL.Runtime.Pool
 
 let fixed q =
-  { Sat_attack.q; q_max = q; adaptive = false; oracle_pool = None }
+  { Sat_attack.q; q_max = q; adaptive = false }
 
 let attack ?(db = Sat_attack.default_dip_batch) ?(simp = true) locked ~oracle =
   let config =
@@ -309,28 +308,6 @@ let test_adaptive_control () =
   | Some k ->
       Alcotest.check bitvec_testable "recovered the sarlock key" sar.correct_key k
 
-let test_oracle_pool_overlap_deterministic () =
-  (* The overlapped oracle sweep must not change anything: same key, same
-     DIP sequence, same round count as the inline sweep. *)
-  let c = random_circuit ~seed:232 ~num_inputs:8 () in
-  let sar = LL.Locking.Sarlock.lock ~key_size:5 c in
-  let inline_r =
-    attack ~db:(fixed 8) sar.circuit ~oracle:(Oracle.of_circuit c)
-  in
-  let pooled_r =
-    Pool.with_pool ~num_domains:2 (fun pool ->
-        attack
-          ~db:(Sat_attack.batched ~pool ~adaptive:false ~q_max:8 8)
-          sar.circuit ~oracle:(Oracle.of_circuit c))
-  in
-  Alcotest.(check bool) "same key" true
-    (inline_r.Sat_attack.key = pooled_r.Sat_attack.key);
-  Alcotest.(check int) "same rounds" inline_r.Sat_attack.rounds
-    pooled_r.Sat_attack.rounds;
-  Alcotest.(check bool) "same DIP sequence" true
-    (List.map Bitvec.to_string inline_r.Sat_attack.dips
-    = List.map Bitvec.to_string pooled_r.Sat_attack.dips)
-
 let test_batched_respects_iteration_limit () =
   let c = random_circuit ~seed:233 ~num_inputs:8 () in
   let locked = (LL.Locking.Sarlock.lock ~key_size:6 c).circuit in
@@ -361,7 +338,7 @@ let test_invalid_dip_batch_rejected () =
                 locked ~oracle);
            false
          with Invalid_argument _ -> true))
-    [ fixed 0; fixed 65; { Sat_attack.q = 8; q_max = 4; adaptive = true; oracle_pool = None } ];
+    [ fixed 0; fixed 65; { Sat_attack.q = 8; q_max = 4; adaptive = true } ];
   List.iter
     (fun q ->
       Alcotest.(check bool) "batched validates" true
@@ -391,8 +368,6 @@ let suite =
     Alcotest.test_case "batched survives inprocessing" `Quick
       test_batched_survives_inprocessing;
     Alcotest.test_case "adaptive control" `Quick test_adaptive_control;
-    Alcotest.test_case "oracle pool overlap deterministic" `Quick
-      test_oracle_pool_overlap_deterministic;
     Alcotest.test_case "batched respects iteration limit" `Quick
       test_batched_respects_iteration_limit;
     Alcotest.test_case "invalid dip_batch rejected" `Quick

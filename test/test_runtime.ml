@@ -5,6 +5,7 @@
 module Pool = Logiclock.Runtime.Pool
 module Deque = Logiclock.Runtime.Deque
 module Prng = Logiclock.Util.Prng
+module Tel = Logiclock.Telemetry.Telemetry
 
 let unwrap = function
   | Pool.Done v -> v
@@ -209,6 +210,30 @@ let test_shutdown_drains_and_rejects () =
       ignore (Pool.submit pool (fun _ -> ())));
   Alcotest.(check bool) "join time measured" true ((Pool.stats pool).Pool.join_seconds >= 0.0)
 
+(* A task's "pool.task" span closes before its outcome is published, so
+   in a snapshot taken as soon as [await] returns the newest "pool.task"
+   event is a span end.  A small ring keeps each snapshot cheap. *)
+let test_task_span_closed_at_await () =
+  Tel.enable ~ring_capacity:64 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tel.disable ();
+      Tel.reset ())
+    (fun () ->
+      Pool.with_pool ~num_domains:1 (fun pool ->
+          for i = 1 to 1000 do
+            ignore (unwrap (Pool.await (Pool.submit pool (fun _ctx -> i))));
+            let newest =
+              Array.fold_left
+                (fun acc (e : Tel.event) -> if e.Tel.er_name = "pool.task" then Some e else acc)
+                None (Tel.snapshot ()).Tel.events
+            in
+            match newest with
+            | Some e when e.Tel.er_kind = Tel.kind_end -> ()
+            | Some _ -> Alcotest.failf "round %d: pool.task span still open after await" i
+            | None -> Alcotest.failf "round %d: no pool.task span recorded" i
+          done))
+
 let suite =
   [
     Alcotest.test_case "deque order" `Quick test_deque_order;
@@ -221,4 +246,5 @@ let suite =
     Alcotest.test_case "priority order" `Quick test_priority_order;
     Alcotest.test_case "failed task isolated" `Quick test_failed_task_isolated;
     Alcotest.test_case "shutdown drains and rejects" `Quick test_shutdown_drains_and_rejects;
+    Alcotest.test_case "task span closed at await" `Quick test_task_span_closed_at_await;
   ]

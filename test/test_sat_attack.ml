@@ -77,27 +77,40 @@ let test_time_limit () =
   let r = run_attack ~config c locked.circuit in
   Alcotest.(check bool) "hit limit" true (r.Sat_attack.status = Sat_attack.Time_limit)
 
-let test_no_simplification_same_result () =
-  let c = random_circuit ~seed:107 ~num_inputs:6 ~num_outputs:3 ~gates:30 () in
-  let locked = LL.Locking.Sarlock.lock ~key_size:4 c in
-  let config = { Sat_attack.default_config with simplify_constraints = false } in
-  let r = run_attack ~config c locked.circuit in
-  Alcotest.(check int) "same #DIP" 15 r.Sat_attack.num_dips;
-  Alcotest.(check bool) "key correct" true (key_is_correct c locked.circuit r.key)
-
 let test_oracle_query_accounting () =
   let c = random_circuit ~seed:108 () in
   let locked = LL.Locking.Xor_lock.lock ~num_keys:4 c in
   let r = run_attack c locked.circuit in
   Alcotest.(check int) "one query per dip" r.Sat_attack.num_dips r.oracle_queries
 
-let test_log_callback () =
+(* With telemetry on, every DIP lands in the trace as one
+   "iter N: dip=... response=..." log event, numbered from 1. *)
+let test_trace_logs_each_dip () =
   let c = random_circuit ~seed:109 () in
   let locked = LL.Locking.Xor_lock.lock ~num_keys:4 c in
-  let lines = ref 0 in
-  let config = { Sat_attack.default_config with log = Some (fun _ -> incr lines) } in
-  let r = run_attack ~config c locked.circuit in
-  Alcotest.(check int) "one line per dip" r.num_dips !lines
+  Tel.reset ();
+  Tel.enable ();
+  let r, snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Tel.disable ();
+        Tel.reset ())
+      (fun () ->
+        let r = run_attack c locked.circuit in
+        (r, Tel.snapshot ()))
+  in
+  let lines =
+    Array.to_list snap.Tel.events
+    |> List.filter (fun (e : Tel.event) -> e.Tel.er_kind = Tel.kind_log)
+    |> List.map (fun (e : Tel.event) -> e.Tel.er_note)
+  in
+  Alcotest.(check int) "one line per dip" r.Sat_attack.num_dips (List.length lines);
+  List.iteri
+    (fun i l ->
+      let prefix = Printf.sprintf "iter %d: dip=" (i + 1) in
+      Alcotest.(check string) "numbered in order" prefix
+        (String.sub l 0 (min (String.length l) (String.length prefix))))
+    lines
 
 (* The [stop] hook is the attack's stopping-rule seam (cube budgets,
    AppSAT).  A DIP budget ends the session exactly at the budget, with
@@ -311,10 +324,8 @@ let suite =
     Alcotest.test_case "composed locking broken" `Quick test_composed_locking_broken;
     Alcotest.test_case "iteration limit" `Quick test_iteration_limit;
     Alcotest.test_case "time limit" `Quick test_time_limit;
-    Alcotest.test_case "no simplification same result" `Quick
-      test_no_simplification_same_result;
     Alcotest.test_case "oracle query accounting" `Quick test_oracle_query_accounting;
-    Alcotest.test_case "log callback" `Quick test_log_callback;
+    Alcotest.test_case "trace logs each dip" `Quick test_trace_logs_each_dip;
     Alcotest.test_case "stop hook budget" `Quick test_stop_hook_budget;
     Alcotest.test_case "stop hook candidate consistent" `Quick
       test_stop_hook_candidate_consistent;

@@ -228,38 +228,6 @@ let test_cancel_on_failure () =
       end)
     s.tasks
 
-let test_parallel_log_flushed_in_task_order () =
-  (* The data-race fix: per-iteration log lines from concurrent domains
-     are buffered per task and flushed task-by-task — lines from
-     different tasks never interleave. *)
-  let c = random_circuit ~seed:143 ~num_inputs:8 () in
-  let locked = (LL.Locking.Sarlock.lock ~key_size:4 c).circuit in
-  let oracle = Oracle.of_circuit c in
-  let lines = ref [] in
-  let config =
-    { Sat_attack.default_config with log = Some (fun l -> lines := l :: !lines) }
-  in
-  let par = Split_attack.run_parallel ~config ~num_domains:4 ~n:2 locked ~oracle in
-  let logged = List.rev !lines in
-  Alcotest.(check bool) "something was logged" true (logged <> []);
-  (* Each task logs "iter 1", "iter 2", ... — in a task-ordered flush the
-     iteration counter resets exactly once per task with nonzero DIPs. *)
-  let resets =
-    List.filter (fun l -> String.length l >= 7 && String.sub l 0 7 = "iter 1:") logged
-  in
-  let tasks_with_dips =
-    Array.to_list par.Split_attack.tasks
-    |> List.filter (fun t -> t.Split_attack.result.Sat_attack.num_dips > 0)
-  in
-  Alcotest.(check int) "one contiguous block per task" (List.length tasks_with_dips)
-    (List.length resets);
-  let total_dips =
-    List.fold_left (fun acc t -> acc + t.Split_attack.result.Sat_attack.num_dips) 0
-      tasks_with_dips
-  in
-  Alcotest.(check int) "every iteration logged exactly once" total_dips
-    (List.length logged)
-
 let test_recommended_effort () =
   let c = random_circuit ~seed:130 ~num_inputs:8 () in
   let locked = (LL.Locking.Sarlock.lock ~key_size:4 c).circuit in
@@ -300,8 +268,6 @@ let suite =
       test_dip_sequences_byte_identical;
     Alcotest.test_case "shared pool reuse" `Quick test_shared_pool_reuse;
     Alcotest.test_case "cancel on failure" `Quick test_cancel_on_failure;
-    Alcotest.test_case "parallel log flushed in task order" `Quick
-      test_parallel_log_flushed_in_task_order;
     Alcotest.test_case "recommended effort" `Quick test_recommended_effort;
     Alcotest.test_case "failed tasks no keys" `Quick test_failed_tasks_no_keys;
   ]

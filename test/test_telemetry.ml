@@ -1,5 +1,5 @@
 (* Telemetry layer: span nesting, metrics, ring wraparound under a
-   multi-domain pool, exporter validity, log routing, and — critically —
+   multi-domain pool, exporter validity, log lines, and — critically —
    that tracing never perturbs attack behaviour (golden DIP sequences are
    byte-identical with telemetry on and off). *)
 
@@ -206,35 +206,7 @@ let test_pool_stress_wraparound () =
     per_domain;
   Alcotest.(check int) "no unbalanced ends" 0 snap.Tel.unbalanced_span_ends
 
-(* --- log routing --- *)
-
-let test_log_subscriber () =
-  Tel.reset ();
-  let outer = ref [] and inner = ref [] in
-  Tel.with_log_subscriber
-    (fun l -> outer := l :: !outer)
-    (fun () ->
-      Tel.log_line "a";
-      Tel.with_log_subscriber
-        (fun l -> inner := l :: !inner)
-        (fun () -> Tel.log_line "b");
-      Tel.log_line "c");
-  Alcotest.(check (list string)) "outer got its lines" [ "a"; "c" ] (List.rev !outer);
-  Alcotest.(check (list string)) "innermost won" [ "b" ] (List.rev !inner);
-  Alcotest.(check bool) "inactive after exit" false (Tel.log_active ())
-
-let test_log_buffer_ordering () =
-  let buf = Tel.Log_buffer.create 3 in
-  Tel.Log_buffer.log buf 2 "t2.a";
-  Tel.Log_buffer.log buf 0 "t0.a";
-  Tel.Log_buffer.log buf 2 "t2.b";
-  Tel.Log_buffer.log buf 0 "t0.b";
-  (Tel.Log_buffer.slot buf 1) "t1.a";
-  let got = ref [] in
-  Tel.Log_buffer.flush buf (fun l -> got := l :: !got);
-  Alcotest.(check (list string)) "task order, insertion order within task"
-    [ "t0.a"; "t0.b"; "t1.a"; "t2.a"; "t2.b" ]
-    (List.rev !got)
+(* --- log lines --- *)
 
 let test_log_lines_in_trace () =
   let snap =
@@ -437,8 +409,10 @@ let test_untraced_domains_keep_no_ring () =
     (Gc.stat ()).Gc.live_words
   in
   let before = live_words () in
-  List.init 16 (fun _ -> Domain.spawn (fun () -> ignore (Tel.log_active ())))
-  |> List.iter Domain.join;
+  (* A metric update creates the domain's state but records no event. *)
+  with_telemetry (fun () ->
+      List.init 16 (fun _ -> Domain.spawn (fun () -> Tel.Metric.incr m_counter))
+      |> List.iter Domain.join);
   let growth = live_words () - before in
   Alcotest.(check bool)
     (Printf.sprintf "16 untraced domains grow the heap by %d < %d words" growth ring_words)
@@ -544,8 +518,6 @@ let suite =
     Alcotest.test_case "untraced domains keep no ring" `Quick test_untraced_domains_keep_no_ring;
     Alcotest.test_case "snapshot during metric growth" `Quick
       test_snapshot_during_metric_growth;
-    Alcotest.test_case "log subscriber routing" `Quick test_log_subscriber;
-    Alcotest.test_case "log buffer ordering" `Quick test_log_buffer_ordering;
     Alcotest.test_case "log lines recorded in trace" `Quick test_log_lines_in_trace;
     Alcotest.test_case "chrome trace validates" `Quick test_chrome_trace_valid;
     Alcotest.test_case "trace_check rejects bad traces" `Quick test_trace_check_rejects_unbalanced;
