@@ -13,11 +13,11 @@
      scratch for the wall time (see [dimacs_min_wall]).
 
    Every record reports wall time, propagations/sec, conflicts/sec and
-   allocation deltas (exact [Gc.minor_words] on this domain, major and
-   promoted words from [Gc.quick_stat]), so data-layout changes in the
-   solver show up as allocation-per-conflict movements that are tracked
-   across PRs.  All instances are seed-fixed: numbers are
-   comparable between runs and machines up to clock speed. *)
+   exact minor-heap allocation deltas ([Gc.minor_words] on this
+   domain), so data-layout changes in the solver show up as
+   allocation-per-conflict movements that are tracked across PRs.  All
+   instances are seed-fixed: numbers are comparable between runs and
+   machines up to clock speed. *)
 
 module LL = Logiclock
 module Solver = LL.Sat.Solver
@@ -56,11 +56,11 @@ let tracked_solve per_round solver =
    with its rates taken over a given wall time. *)
 let measure_run ~name ~kind f =
   Tel.enable ();
-  let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
+  let m0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let solver, result, per_round = f () in
   let first_wall = Timer.monotonic () -. t0 in
-  let g1 = Gc.quick_stat () and m1 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
   let snap = Tel.snapshot () in
   Tel.disable ();
   let counter n = Option.value ~default:0 (List.assoc_opt n snap.Tel.counters) in
@@ -103,8 +103,6 @@ let measure_run ~name ~kind f =
           ("propagations_per_s", fixed 1 (per_sec propagations));
           ("conflicts_per_s", fixed 1 (per_sec conflicts));
           ("gc_minor_words", fixed 0 minor_words);
-          ("gc_major_words", fixed 0 (g1.Gc.major_words -. g0.Gc.major_words));
-          ("gc_promoted_words", fixed 0 (g1.Gc.promoted_words -. g0.Gc.promoted_words));
           ("minor_words_per_conflict", fixed 1 (per_conflict minor_words));
           ("lbd_mean", fixed 3 lbd_mean);
           ("simp_subsumed", int st.Solver.simp_subsumed);
@@ -239,26 +237,31 @@ let dimacs_workload cnf () =
   (solver, result, !per_round)
 
 (* A smoke replay lasts about a millisecond, too short a window for its
-   rate to survive a scheduler hiccup, so each DIMACS record times its
-   instance over replays adding up to [dimacs_min_wall] seconds, and
-   reports the mean replay and its rates.  The counts and allocations
+   rate to survive the scheduler: the emitters run beside the test suite
+   under [dune runtest], and on a busy host a whole 20 ms burst of
+   replays can run at a tenth of full speed.  So each DIMACS record times
+   its instance over replays adding up to [dimacs_min_wall] seconds and
+   reports the median replay and its rates.  The counts and allocations
    come from the first, measured replay.  Timing replays run only once
    every instance has been measured: run in between, they would shift
    the GC phase the next instance's allocation deltas are taken in by a
    load-dependent amount. *)
-let dimacs_min_wall = 0.02
+let dimacs_min_wall = 0.2
 
-let mean_wall ~first_wall f =
+let median_wall ~first_wall f =
   Tel.enable ();
-  let replays = ref 1 and total = ref first_wall in
+  let walls = ref [ first_wall ] and total = ref first_wall in
   while !total < dimacs_min_wall do
     let t0 = Timer.monotonic () in
     ignore (f ());
-    total := !total +. (Timer.monotonic () -. t0);
-    incr replays
+    let dt = Timer.monotonic () -. t0 in
+    total := !total +. dt;
+    walls := dt :: !walls
   done;
   Tel.disable ();
-  !total /. float_of_int !replays
+  let walls = Array.of_list !walls in
+  Array.sort Float.compare walls;
+  walls.(Array.length walls / 2)
 
 let dimacs_suite ~smoke =
   Printf.printf "\nDIMACS replays:\n";
@@ -279,7 +282,7 @@ let dimacs_suite ~smoke =
       ]
   in
   List.map (fun (name, f) -> (f, measure_run ~name ~kind:"dimacs" f)) suite
-  |> List.iter (fun (f, (first_wall, finish)) -> finish ~wall:(mean_wall ~first_wall f))
+  |> List.iter (fun (f, (first_wall, finish)) -> finish ~wall:(median_wall ~first_wall f))
 
 (* ------------------------------------------------------------------ *)
 (* Inprocessing on/off comparison                                      *)

@@ -10,13 +10,15 @@
     so the effective [N] is chosen per region of the input space, by
     measurement instead of up front.
 
-    Re-splitting wastes nothing: with [share] on, every DIP a preempted
-    cube has already learned (and paid solves and oracle queries for) is
-    exported with its oracle response ({!Sat_attack.Share}) and, at
-    session start, re-encoded by each descendant whose cube contains the
-    DIP, exactly like a DIP of its own.  Budgets scale by [growth] per
-    extra depth, so the recursion terminates; at [n0 + max_extra_depth]
-    a cube runs to completion with no budget.
+    Re-splitting wastes nothing: the preempted cube's live solver
+    session is forked into its two children ({!Sat_attack.fork}), and
+    each child pins its one new input and continues.  A child keeps
+    every DIP constraint its ancestors paid solves and oracle queries
+    for, their learnt clauses and their simplified clause database; it
+    re-encodes nothing.  Only the seed cubes build fresh sessions.
+    Budgets scale by [growth] per extra depth, so the recursion
+    terminates; at [n0 + max_extra_depth] a cube runs to completion with
+    no budget.
 
     Every cube pins a {e prefix} of the fan-out rank, so the final cube
     set is a depth-pruned binary tree — exactly the shape
@@ -30,7 +32,8 @@
 
     {b Determinism.} A cube's solver seed is a pure function of the root
     [seed] and its pin path; conflict/DIP budgets read deterministic
-    solver counters; shared DIPs only flow parent to descendant.  Serial
+    solver counters; a re-split forks both children's sessions before
+    either runs, so each child's state depends only on its path.  Serial
     and parallel runs therefore produce byte-identical cube trees, DIP
     sequences and keys under any domain count or stealing (unless a
     wall-clock budget [wall_s] is set). *)
@@ -41,8 +44,8 @@ type budget = {
           conflicts (deterministic; the main difficulty signal for
           conflict-heavy locks like XOR/LUT) *)
   dips : int option;
-      (** preempt after this many DIPs found by the session itself —
-          imported constraints do not count (the difficulty signal for
+      (** preempt after this many DIPs found by the cube itself —
+          inherited ancestor DIPs do not count (the difficulty signal for
           point-function locks like SARLock/Anti-SAT, whose cofactors
           generate many trivial DIPs but few conflicts) *)
   wall_s : float option;
@@ -66,16 +69,15 @@ type config = {
       (** hard depth cap at [n0 + max_extra_depth] (clamped to leave one
           free input, but never below [n0]): cubes at the cap run with
           no budget *)
-  share : bool;  (** cross-cofactor DIP sharing (default on) *)
   base : Sat_attack.config;
-      (** per-cube attack configuration.  [solver_seed], [stop],
-          [share_out] and [share_in] are managed by the engine
-          and ignored; [interrupt], limits and [dip_batch] apply to
-          every cube *)
+      (** per-cube attack configuration.  [solver_seed] and [stop] are
+          managed by the engine and ignored; [interrupt], limits and
+          [dip_batch] apply to every cube, and the limits count from each
+          cube's own start *)
 }
 
 val default_config : config
-(** [n0 = 1], {!default_budget}, [max_extra_depth = 8], sharing on,
+(** [n0 = 1], {!default_budget}, [max_extra_depth = 8],
     {!Sat_attack.default_config} base. *)
 
 type cube = {
@@ -86,7 +88,8 @@ type cube = {
           re-split on input [i]; its two children carry on.  [None]: a
           leaf of the final cube tree *)
   priority : int;
-      (** scheduling priority it ran at (parent's conflict count) *)
+      (** scheduling priority it ran at: its depth for a re-split
+          child, 0 for a seed cube *)
 }
 
 type t = {
@@ -119,10 +122,12 @@ val resplits : t -> int
 (** Number of cubes the budget preempted (= internal tree nodes). *)
 
 val imported_entries : t -> int
-(** Total share entries imported across all cubes. *)
+(** Sum over all cubes of [Sat_attack.result.imported]: the ancestor
+    DIPs each cube's solver inherited through forks.  A DIP found at
+    depth [d] counts once in every descendant cube's solver. *)
 
 val total_dips : t -> int
-(** Sum of per-cube DIP counts (imported constraints excluded). *)
+(** Sum of per-cube DIP counts (inherited constraints excluded). *)
 
 val max_task_time : t -> float
 
@@ -144,11 +149,11 @@ val run_parallel :
   Ll_netlist.Circuit.t ->
   oracle:Oracle.t ->
   t
-(** Pooled runner: cubes are submitted with hardest-first priorities
-    ({!Ll_runtime.Pool.submit}'s heap; a re-split cube's children carry
-    its conflict count), and workers spawn children directly from inside
-    the pool, so re-split work starts without waiting for a global
-    barrier.  When [pool] is given it is used and left running;
+(** Pooled runner: when a cube re-splits, its child 0 continues in the
+    same pool task on the stopped session and child 1, on its copy, is
+    submitted deepest-first ({!Ll_runtime.Pool.submit}'s heap, keyed by
+    depth), so re-split work starts without waiting for a global
+    barrier and few solver copies wait in the queue.  When [pool] is given it is used and left running;
     otherwise a private pool of [num_domains] workers (default
     recommended count, capped at [2^(n0 + max_extra_depth)]) is created
     and shut down around the call.

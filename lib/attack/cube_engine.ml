@@ -30,7 +30,6 @@ type config = {
   n0 : int;
   budget : budget;
   max_extra_depth : int;
-  share : bool;
   base : Sat_attack.config;
 }
 
@@ -39,7 +38,6 @@ let default_config =
     n0 = 1;
     budget = default_budget;
     max_extra_depth = 8;
-    share = true;
     base = Sat_attack.default_config;
   }
 
@@ -180,27 +178,22 @@ type shared = {
 let aborted sh = match sh.sh_abort with Some a -> Atomic.get a | None -> false
 
 (* Attack one cube; when its difficulty budget preempts it, return the
-   two child cubes (next ranked input pinned both ways) and the DIPs,
-   one list per ancestor, every descendant may import. *)
-let attack_cube sh ~condition ~banks ~priority =
+   two child cubes (next ranked input pinned both ways), each with the
+   session it continues.  Child 1 gets a copy of the stopped session,
+   reseeded with its own cube seed, and child 0 takes the original: both
+   states are fixed here, before either child runs, so the tree does not
+   depend on scheduling. *)
+let attack_cube sh ~condition ~session ~priority =
   let cfg = sh.sh_cfg in
   let depth = List.length condition in
   let cube ?resplit_input task = { task; depth; resplit_input; priority } in
   if aborted sh then (cube (Cube_prep.cancelled_task ~prep:sh.sh_prep condition), None)
   else begin
     let can_split = depth < sh.sh_max_depth in
-    let own_entries = ref [] in
-    let share_out =
-      if cfg.share && can_split then
-        Some (fun e -> own_entries := e :: !own_entries)
-      else None
-    in
     let config =
       { cfg.base with
         Sat_attack.solver_seed = Cube_prep.cube_seed ~seed:sh.sh_seed condition;
         stop = (if can_split then budget_hook cfg ~depth else None);
-        share_out;
-        share_in = (if cfg.share then banks else []);
         interrupt =
           (match (sh.sh_abort, cfg.base.Sat_attack.interrupt) with
           | None, user -> user
@@ -208,25 +201,33 @@ let attack_cube sh ~condition ~banks ~priority =
           | Some abort, Some user -> Some (fun () -> Atomic.get abort || user ()));
       }
     in
-    let task = Cube_prep.run_task ~config ~prep:sh.sh_prep ~oracle:sh.sh_oracle condition in
+    let task, stopped =
+      Cube_prep.run_task ~config ~prep:sh.sh_prep ~oracle:sh.sh_oracle ?session condition
+    in
     Tel.Metric.add m_imported task.Cube_prep.result.Sat_attack.imported;
     (match sh.sh_abort with
     | Some abort when Cube_prep.fatal task -> Atomic.set abort true
     | _ -> ());
-    match task.Cube_prep.result.Sat_attack.status with
-    | Sat_attack.Stopped ->
+    match stopped with
+    | Some original ->
         let input = sh.sh_rank.(depth) in
+        let child b = condition @ [ (input, b) ] in
+        let copy =
+          Sat_attack.fork ~seed:(Cube_prep.cube_seed ~seed:sh.sh_seed (child true)) original
+        in
         Tel.Metric.incr m_resplits;
-        if Tel.enabled () then
-          Tel.instant ~a0:depth
-            ~note:(Cube_prep.condition_string condition)
-            "cube.resplit";
-        let child_banks = banks @ [ List.rev !own_entries ] in
-        (* Hardest-first priority for the children: the preempted cube's
-           conflict count is a deterministic difficulty proxy. *)
-        let prio = task.Cube_prep.result.Sat_attack.solver_conflicts in
-        (cube ~resplit_input:input task, Some (input, child_banks, prio))
-    | _ -> (cube task, None)
+        if Tel.enabled () then begin
+          let note = Cube_prep.condition_string condition in
+          Tel.instant ~a0:depth ~note "cube.resplit";
+          Tel.instant ~a0:(Sat_attack.arena_words copy) ~note "cube.fork"
+        end;
+        (* Deepest-first: a waiting child holds a whole solver copy, and
+           the deepest children have the least work left, so this keeps
+           the copies waiting in the queue few and brief. *)
+        let prio = depth + 1 in
+        ( cube ~resplit_input:input task,
+          Some (prio, (child false, original), (child true, copy)) )
+    | None -> (cube task, None)
   end
 
 (* Canonical order: conditions compared as pin lists.  Every condition
@@ -272,24 +273,21 @@ let run ?(config = default_config) ?rank ?(seed = 0) locked ~oracle =
   Tel.with_span ~a0:config.n0 ~note:"serial" "cube.run" (fun () ->
       let cubes = ref [] in
       (* Depth-first; order is irrelevant to the results (each cube's
-         seed, budget and banks depend only on its path).  Siblings are
+         seed, budget and session depend only on its path).  Siblings are
          announced to [Progress] together, so live coverage never reads
          a region as done before its siblings exist. *)
-      let rec process conditions banks priority =
-        List.iter (fun c -> Progress.cube_created ~depth:(List.length c)) conditions;
+      let rec process cubes_here priority =
+        List.iter (fun (c, _) -> Progress.cube_created ~depth:(List.length c)) cubes_here;
         List.iter
-          (fun condition ->
-            let cube, resplit = attack_cube sh ~condition ~banks ~priority in
+          (fun (condition, session) ->
+            let cube, resplit = attack_cube sh ~condition ~session ~priority in
             cubes := cube :: !cubes;
             match resplit with
             | None -> ()
-            | Some (input, child_banks, prio) ->
-                process
-                  [ condition @ [ (input, false) ]; condition @ [ (input, true) ] ]
-                  child_banks prio)
-          conditions
+            | Some (prio, (c0, s0), (c1, s1)) -> process [ (c0, Some s0); (c1, Some s1) ] prio)
+          cubes_here
       in
-      process (Array.to_list (seed_conditions sh)) [] 0;
+      process (List.map (fun c -> (c, None)) (Array.to_list (seed_conditions sh))) 0;
       finish sh ~cubes:!cubes ~t0 ~domains_used:1)
 
 (* [cancel_on_failure] (internal, for the {!Split_attack} preset): once a
@@ -321,23 +319,29 @@ let run_parallel ?(config = default_config) ?rank ?num_domains ?pool ?(seed = 0)
      settled in the pool's books when the call returns. *)
   let lock = Mutex.create () in
   let handles = ref [] in
-  let rec submit_cube condition banks priority =
+  let rec submit_cube condition session priority =
     Progress.cube_created ~depth:(List.length condition);
     let handle =
       Pool.submit ~priority pool (fun _ctx ->
-          let cube, resplit = attack_cube sh ~condition ~banks ~priority in
-          (match resplit with
-          | None -> ()
-          | Some (input, child_banks, prio) ->
-              submit_cube (condition @ [ (input, false) ]) child_banks prio;
-              submit_cube (condition @ [ (input, true) ]) child_banks prio);
-          cube)
+          (* A re-split cube's child 0 continues in this task, on the
+             session its parent just stopped with, so only child 1's copy
+             ever waits in the queue. *)
+          let rec chain condition session priority acc =
+            let cube, resplit = attack_cube sh ~condition ~session ~priority in
+            match resplit with
+            | None -> cube :: acc
+            | Some (prio, (c0, s0), (c1, s1)) ->
+                Progress.cube_created ~depth:(List.length c0);
+                submit_cube c1 (Some s1) prio;
+                chain c0 (Some s0) prio (cube :: acc)
+          in
+          chain condition session priority [])
     in
     Mutex.lock lock;
     handles := handle :: !handles;
     Mutex.unlock lock
   in
-  Array.iter (fun cond -> submit_cube cond [] 0) (seed_conditions sh);
+  Array.iter (fun cond -> submit_cube cond None 0) (seed_conditions sh);
   let rec drain outcomes =
     Mutex.lock lock;
     let batch = !handles in
@@ -351,11 +355,11 @@ let run_parallel ?(config = default_config) ?rank ?num_domains ?pool ?(seed = 0)
   let domains_used = Pool.num_domains pool in
   if own_pool then Pool.shutdown pool;
   let cubes =
-    List.filter_map
+    List.concat_map
       (function
-        | Pool.Done cube -> Some cube
+        | Pool.Done cubes -> cubes
         | Pool.Failed e -> raise e
-        | Pool.Cancelled -> None (* handles are never cancelled *))
+        | Pool.Cancelled -> [] (* handles are never cancelled *))
       outcomes
   in
   finish sh ~cubes ~t0 ~domains_used

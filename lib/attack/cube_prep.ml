@@ -31,9 +31,10 @@ let cube_seed ~seed condition =
 
 (* One cofactor sub-attack over the shared preparation: the miter is
    synthesized, analysed and compiled exactly once per split attack (in
-   {!Sat_attack.prepare}); each cube only pins its inputs as root units in
-   a fresh solver. *)
-let run_task ~config ~prep ~oracle condition =
+   {!Sat_attack.prepare}).  A seed cube pins its inputs as root units in
+   a fresh solver; a re-split child continues its parent's forked
+   session under the one pin it adds. *)
+let run_task ~config ~prep ~oracle ?session condition =
   let t0 = Timer.monotonic () in
   let depth = List.length condition in
   if Tel.enabled () then
@@ -41,21 +42,28 @@ let run_task ~config ~prep ~oracle condition =
   Tel.Metric.incr m_subtasks;
   Progress.cube_started ~depth;
   match
-    let result = Sat_attack.run_prepared ~config prep ~condition ~oracle in
-    {
-      condition;
-      sub_inputs = Sat_attack.prep_inputs prep - depth;
-      sub_gates = Sat_attack.prep_gates prep;
-      result;
-      task_time = Timer.monotonic () -. t0;
-    }
+    let result, stopped =
+      match session with
+      | None -> Sat_attack.run_prepared ~config prep ~condition ~oracle
+      | Some s ->
+          let pin = List.nth condition (depth - 1) in
+          Sat_attack.resume ~config s ~pin ~oracle
+    in
+    ( {
+        condition;
+        sub_inputs = Sat_attack.prep_inputs prep - depth;
+        sub_gates = Sat_attack.prep_gates prep;
+        result;
+        task_time = Timer.monotonic () -. t0;
+      },
+      stopped )
   with
-  | task ->
+  | (task, _) as outcome ->
       (match task.result.Sat_attack.status with
       | Sat_attack.Broken -> Progress.cube_solved ~depth
       | _ -> Progress.cube_stopped ~depth);
       if Tel.enabled () then Tel.span_end ~v:task.result.Sat_attack.num_dips ();
-      task
+      outcome
   | exception e ->
       Progress.cube_stopped ~depth;
       if Tel.enabled () then Tel.span_end ~v:(-1) ~note:"exception" ();

@@ -1,7 +1,7 @@
 (** Per-cofactor machinery of the cube engine.
 
     The engine behind {!Cube_attack} and its fixed-split preset
-    {!Split_attack} runs many {!Sat_attack.run_prepared} sessions over one
+    {!Split_attack} runs many {!Sat_attack} sessions over one
     shared preparation, each pinned to a cube of the primary-input space.
     What a single cube session needs — span/metric bookkeeping,
     deterministic seeding, cancellation placeholders — and the
@@ -32,10 +32,16 @@ val run_task :
   config:Sat_attack.config ->
   prep:Sat_attack.prep ->
   oracle:Oracle.t ->
+  ?session:Sat_attack.session ->
   (int * bool) list ->
-  task
+  task * Sat_attack.session option
 (** Run one cube session under a ["split.task"] telemetry span: [a0] is
-    the cube's depth, the note its {!condition_string}. *)
+    the cube's depth, the note its {!condition_string}.  Without
+    [session] the cube starts a fresh session ({!Sat_attack.run_prepared});
+    with it, [session] is the parent cube's (forked) session, whose
+    condition [condition] extends by its last pin, and the cube
+    {!Sat_attack.resume}s it.  The session comes back when the task
+    ended [Stopped]. *)
 
 val cancelled_task : prep:Sat_attack.prep -> (int * bool) list -> task
 (** Placeholder for a sub-task cancelled before it started. *)

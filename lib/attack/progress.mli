@@ -35,7 +35,8 @@ val add_dips : int -> unit
 val add_rounds : int -> unit
 
 val add_imported : int -> unit
-(** DIP constraints imported from the DIPs an ancestor cube shared. *)
+(** DIP constraints a re-split cube inherited: the ancestor DIPs already
+    in the forked solver session it continues. *)
 
 val add_blocking_clauses : int -> unit
 (** Model-blocking / DIP constraints added to the solver. *)

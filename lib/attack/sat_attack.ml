@@ -15,10 +15,6 @@ let h_dip_solve = Tel.Metric.histogram "attack.dip_solve_s"
 
 let h_batch_dips = Tel.Metric.histogram "attack.batch_dips"
 
-let m_share_imported = Tel.Metric.counter "attack.share_imported"
-
-let m_share_exported = Tel.Metric.counter "attack.share_exported"
-
 type dip_batch = {
   q : int;
   q_max : int;
@@ -30,17 +26,6 @@ let default_dip_batch = { q = 1; q_max = 1; adaptive = false }
 let batched ?(adaptive = true) ?(q_max = 64) q =
   if q < 1 || q > 64 then invalid_arg "Sat_attack.batched: q must be in [1, 64]";
   { q; q_max = min 64 (max q q_max); adaptive }
-
-(* Cross-cofactor DIP sharing (cube-and-conquer).  The fact a session
-   learns from one DIP is "any correct key maps this input to this
-   response"; it holds in every cube that contains the input, so a
-   receiving session re-encodes it exactly as it encodes a local DIP. *)
-module Share = struct
-  type entry = {
-    e_dip : bool array;  (* full-width primary input pattern *)
-    e_response : bool array;  (* full-width oracle response *)
-  }
-end
 
 type progress = {
   pg_dips : int;
@@ -57,8 +42,6 @@ type config = {
   solver_simp : bool;
   dip_batch : dip_batch;
   stop : (progress -> bool) option;
-  share_out : (Share.entry -> unit) option;
-  share_in : Share.entry list list;
 }
 
 let default_config =
@@ -70,8 +53,6 @@ let default_config =
     solver_simp = true;
     dip_batch = default_dip_batch;
     stop = None;
-    share_out = None;
-    share_in = [];
   }
 
 type status = Broken | Iteration_limit | Time_limit | Cancelled | Stopped
@@ -238,7 +219,32 @@ type round_state = {
 
 type phase = Solve | Enumerate | Oracle_sweep | Encode | Finished of result
 
-let run_prepared ?(config = default_config) prep ~condition ~oracle =
+(* ------------------------------------------------------------------ *)
+(* Sessions                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A session is one cube's live solver: the miter encoded once, the
+   cube's pins as root units, the guarded difference clause and every
+   DIP constraint added so far.  The DIP loop below drives a session
+   until it ends; a [Stopped] one is handed back so the cube engine can
+   fork it into the children of a re-split instead of rebuilding them. *)
+type session = {
+  s_prep : prep;
+  s_solver : Solver.t;
+  s_env : Tseitin.env;
+  s_input_lits : Lit.t array;
+  s_key1 : Lit.t array;
+  s_key2 : Lit.t array;
+  s_act : Lit.t;  (** guard of the difference clause *)
+  s_condition : (int * bool) list;  (** pinned inputs, in pin order *)
+  s_inherited : int;  (** DIPs ancestors added to the solver *)
+}
+
+let check_pin prep condition (pos, _) =
+  if pos < 0 || pos >= prep.p_n_in then invalid_arg "Sat_attack.run: condition position";
+  if List.mem_assoc pos condition then invalid_arg "Sat_attack.run: duplicate condition"
+
+let check_run config prep oracle =
   let locked = prep.p_locked in
   if Circuit.num_inputs locked <> Oracle.num_inputs oracle then
     invalid_arg "Sat_attack.run: oracle input count mismatch";
@@ -246,29 +252,20 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
     invalid_arg "Sat_attack.run: oracle output count mismatch";
   let db = config.dip_batch in
   if db.q < 1 || db.q > 64 || db.q_max < db.q || db.q_max > 64 then
-    invalid_arg "Sat_attack.run: dip_batch q must satisfy 1 <= q <= q_max <= 64";
+    invalid_arg "Sat_attack.run: dip_batch q must satisfy 1 <= q <= q_max <= 64"
+
+let open_session config prep ~condition =
+  ignore
+    (List.fold_left
+       (fun seen pin ->
+         check_pin prep seen pin;
+         pin :: seen)
+       [] condition);
   let n_in = prep.p_n_in and n_key = prep.p_n_key in
-  let pinned = Array.make n_in None in
-  List.iter
-    (fun (pos, b) ->
-      if pos < 0 || pos >= n_in then invalid_arg "Sat_attack.run: condition position";
-      if pinned.(pos) <> None then invalid_arg "Sat_attack.run: duplicate condition";
-      pinned.(pos) <- Some b)
-    condition;
-  let free_pos =
-    Array.to_list pinned
-    |> List.mapi (fun i v -> (i, v))
-    |> List.filter_map (fun (i, v) -> match v with None -> Some i | Some _ -> None)
-    |> Array.of_list
-  in
-  let started = Timer.monotonic () in
-  Progress.set_key_bits n_key;
   let solver = Solver.create ~seed:config.solver_seed ~simp:config.solver_simp () in
   let env = Tseitin.create solver in
   let input_lits = Tseitin.fresh_lits env n_in in
   let key_lits = Tseitin.fresh_lits env (2 * n_key) in
-  let key1 = Array.sub key_lits 0 n_key in
-  let key2 = Array.sub key_lits n_key n_key in
   let diff =
     match Tseitin.encode env prep.p_miter ~input_lits ~key_lits with
     | [| d |] -> d
@@ -285,6 +282,44 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
   let act = (Tseitin.fresh_lits env 1).(0) in
   Solver.freeze_var solver (Lit.var act);
   Solver.add_clause solver [ Lit.negate act; diff ];
+  {
+    s_prep = prep;
+    s_solver = solver;
+    s_env = env;
+    s_input_lits = input_lits;
+    s_key1 = Array.sub key_lits 0 n_key;
+    s_key2 = Array.sub key_lits n_key n_key;
+    s_act = act;
+    s_condition = condition;
+    s_inherited = 0;
+  }
+
+let fork ?seed session =
+  let solver = Solver.copy ?seed session.s_solver in
+  { session with s_solver = solver; s_env = Tseitin.copy session.s_env solver }
+
+let arena_words session = (Solver.stats session.s_solver).Solver.arena_words
+
+(* Drive [session] through the DIP loop.  Every count of the result, and
+   every budget, starts at zero here: a forked session reports only what
+   it did itself. *)
+let drive config session ~oracle ~started =
+  let prep = session.s_prep in
+  let locked = prep.p_locked in
+  let db = config.dip_batch in
+  let solver = session.s_solver and env = session.s_env in
+  let input_lits = session.s_input_lits in
+  let key1 = session.s_key1 and key2 = session.s_key2 and act = session.s_act in
+  let n_in = prep.p_n_in and n_key = prep.p_n_key in
+  let free_pos =
+    Array.of_list
+      (List.filter
+         (fun i -> not (List.mem_assoc i session.s_condition))
+         (List.init n_in Fun.id))
+  in
+  let conflicts0 = (Solver.stats solver).Solver.conflicts in
+  let conflicts () = (Solver.stats solver).Solver.conflicts - conflicts0 in
+  Progress.set_key_bits n_key;
   (* Scratches for the in-place ternary cofactor sweeps — one per in-flight
      DIP of a batch, grown on demand, owned by this run's domain. *)
   let scratches = ref [||] in
@@ -339,31 +374,6 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
     add_dip_constraint env prog scratch ~key_lits:key1 ~cone_response;
     add_dip_constraint env prog scratch ~key_lits:key2 ~cone_response
   in
-  (* --- DIP-sharing import: before the first solve, every shared DIP that
-     lies inside this cube is added exactly like a local one, so its gates
-     hash-cons with the session's own.  Imported entries cost no solve and
-     no oracle query. --- *)
-  let n_out = Circuit.num_outputs locked in
-  let imported = ref 0 in
-  (if config.share_in <> [] then begin
-     if Tel.enabled () then Tel.span_begin "attack.share_import";
-     Tseitin.with_batch env (fun () ->
-         List.iter
-           (List.iter (fun (e : Share.entry) ->
-                let dip = e.Share.e_dip and response = e.Share.e_response in
-                if Array.length dip <> n_in || Array.length response <> n_out then
-                  invalid_arg
-                    "Sat_attack.run_prepared: share entry from a different circuit";
-                if List.for_all (fun (pos, b) -> dip.(pos) = b) condition then begin
-                  Compiled.cofactor_into prep.p_cone_prog (scratch_for 0) ~inputs:dip;
-                  add_dip 0 dip response;
-                  incr imported
-                end))
-           config.share_in);
-     Tel.Metric.add m_share_imported !imported;
-     Progress.add_imported !imported;
-     if Tel.enabled () then Tel.span_end ~v:!imported ()
-   end);
   let solve_time = ref 0.0 in
   let timed_solve assumptions =
     let r, dt = Timer.time (fun () -> Solver.solve ~assumptions solver) in
@@ -422,7 +432,7 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
         f
           {
             pg_dips = !num_dips;
-            pg_conflicts = (Solver.stats solver).Solver.conflicts;
+            pg_conflicts = conflicts ();
             pg_elapsed = Timer.monotonic () -. started;
             pg_candidate = extract_key;
           }
@@ -440,8 +450,8 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
           oracle_queries = !queries_made;
           total_time = Timer.monotonic () -. started;
           solve_time = !solve_time;
-          solver_conflicts = (Solver.stats solver).Solver.conflicts;
-          imported = !imported;
+          solver_conflicts = conflicts ();
+          imported = session.s_inherited;
         }
   in
   let model_of lits = Array.map (fun l -> Solver.value solver l) lits in
@@ -624,18 +634,7 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
   let step_encode () =
     let k = round.b_k in
     if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.encode_batch";
-    let encode_one j =
-      add_dip j round.b_dips.(j) round.b_responses.(j);
-      match config.share_out with
-      | None -> ()
-      | Some sink ->
-          Tel.Metric.incr m_share_exported;
-          sink
-            {
-              Share.e_dip = Array.copy round.b_dips.(j);
-              e_response = Array.copy round.b_responses.(j);
-            }
-    in
+    let encode_one j = add_dip j round.b_dips.(j) round.b_responses.(j) in
     if k > 1 then
       Tseitin.with_batch env (fun () ->
           for j = 0 to k - 1 do
@@ -682,24 +681,43 @@ let run_prepared ?(config = default_config) prep ~condition ~oracle =
     Progress.set_q !cur_q;
     phase := Solve
   in
-  let rec drive () =
+  let rec loop () =
     match !phase with
     | Finished r -> r
     | Solve ->
         step_solve ();
-        drive ()
+        loop ()
     | Enumerate ->
         step_enumerate ();
-        drive ()
+        loop ()
     | Oracle_sweep ->
         step_oracle ();
-        drive ()
+        loop ()
     | Encode ->
         step_encode ();
-        drive ()
+        loop ()
   in
-  drive ()
+  let r = loop () in
+  (* [stop] is polled only between rounds, so a stopped session holds no
+     round guard and no pending batch: it is safe to fork. *)
+  match r.status with
+  | Stopped -> (r, Some { session with s_inherited = session.s_inherited + r.num_dips })
+  | Broken | Iteration_limit | Time_limit | Cancelled -> (r, None)
+
+let run_prepared ?(config = default_config) prep ~condition ~oracle =
+  check_run config prep oracle;
+  let started = Timer.monotonic () in
+  drive config (open_session config prep ~condition) ~oracle ~started
+
+let resume ?(config = default_config) session ~pin ~oracle =
+  check_run config session.s_prep oracle;
+  check_pin session.s_prep session.s_condition pin;
+  let started = Timer.monotonic () in
+  let pos, b = pin in
+  Tseitin.force session.s_env session.s_input_lits.(pos) b;
+  Progress.add_imported session.s_inherited;
+  drive config { session with s_condition = session.s_condition @ [ pin ] } ~oracle ~started
 
 let run ?(config = default_config) locked ~oracle =
   if Circuit.num_keys locked = 0 then invalid_arg "Sat_attack.run: circuit has no keys";
-  run_prepared ~config (prepare locked) ~condition:[] ~oracle
+  fst (run_prepared ~config (prepare locked) ~condition:[] ~oracle)

@@ -44,26 +44,6 @@ val batched : ?adaptive:bool -> ?q_max:int -> int -> dip_batch
     adaptive by default, [q_max] defaulting to 64.  Raises
     [Invalid_argument] unless [1 <= q <= 64]. *)
 
-(** {2 Cross-cofactor DIP sharing}
-
-    A cube-and-conquer controller re-splits a hard cofactor into two
-    child cubes; without sharing, each child would rediscover every DIP
-    its parent already paid solves and oracle queries for.  A DIP and
-    its oracle response are the whole fact such a session learns: "any
-    correct key maps this input to this response".  A session exports
-    each DIP with its full-width response as a {!Share.entry}, and a
-    later session imports every entry whose DIP lies inside its own cube
-    (agrees with every pinned input) by encoding it exactly as it
-    encodes a local DIP: an entry that contradicts key-independent logic
-    poisons the session, the others constrain both key copies.  Entries
-    outside the cube are skipped — the fact need not hold there. *)
-
-module Share : sig
-  type entry
-  (** One DIP and its oracle response.  Immutable; safe to send across
-      domains. *)
-end
-
 type progress = {
   pg_dips : int;  (** DIPs accumulated so far *)
   pg_conflicts : int;  (** solver conflicts so far (deterministic) *)
@@ -106,21 +86,10 @@ type config = {
           and settle for an approximate one.  Budgets over
           [pg_conflicts]/[pg_dips] keep the decision deterministic;
           [pg_elapsed] trades that away. *)
-  share_out : (Share.entry -> unit) option;
-      (** export sink: called once per DIP (after encoding its
-          constraint) with the DIP and its response.  The session's own
-          behaviour is identical with or without a sink. *)
-  share_in : Share.entry list list;
-      (** entries to import at session start, in list order (the cube
-          engine passes one list per ancestor, outermost first).  Entries
-          whose DIP lies outside this session's condition are skipped.
-          Raises [Invalid_argument] on an entry whose DIP or response
-          width differs from the circuit's input or output count. *)
 }
 
 val default_config : config
-(** No limits, no sharing, classic pipeline — byte-identical to earlier
-    releases. *)
+(** No limits, classic pipeline — byte-identical to earlier releases. *)
 
 type status =
   | Broken  (** miter proved UNSAT; the returned key is functionally correct *)
@@ -141,7 +110,11 @@ type result = {
   total_time : float;
   solve_time : float;  (** time inside the SAT solver *)
   solver_conflicts : int;
-  imported : int;  (** share entries imported at session start *)
+  imported : int;
+      (** DIPs the session's solver inherited from its ancestors when it
+          was forked from a stopped cube (see {!resume}); 0 for a session
+          that started fresh.  Their constraints are in the solver but
+          they count nowhere else in this result. *)
 }
 
 val run : ?config:config -> Ll_netlist.Circuit.t -> oracle:Oracle.t -> result
@@ -169,13 +142,63 @@ val prep_inputs : prep -> int
 val prep_gates : prep -> int
 (** Gate count of the shared synthesized miter. *)
 
+type session
+(** A cube's live solver session (see "Forkable sessions" below):
+    mutable, owned by one caller at a time.  Use {!fork} to obtain an independent
+    copy before handing it to another domain. *)
+
 val run_prepared :
-  ?config:config -> prep -> condition:(int * bool) list -> oracle:Oracle.t -> result
+  ?config:config ->
+  prep ->
+  condition:(int * bool) list ->
+  oracle:Oracle.t ->
+  result * session option
 (** [run_prepared prep ~condition ~oracle] attacks the cofactor of the
     prepared circuit under [condition] (primary input positions pinned to
     constants; [[]] is the full attack, identical to {!run}).  The oracle
     is the {e full-width} oracle of the original circuit — queries carry
     the pinned values.  Reported [dips] contain only the free input
-    positions, in their original relative order.  Raises
-    [Invalid_argument] on oracle port mismatches, out-of-range or
-    duplicate condition positions, or an invalid [dip_batch]. *)
+    positions, in their original relative order.  The session comes
+    back with a [Stopped] result ([None] with any other), for
+    {!resume}.  Raises [Invalid_argument] on oracle port mismatches,
+    out-of-range or duplicate condition positions, or an invalid
+    [dip_batch]. *)
+
+(** {2 Forkable sessions}
+
+    A session is one cube's live solver: the miter, the cube's pins, the
+    guarded difference clause and every DIP constraint added so far.  A
+    session the [stop] hook ends is returned to the caller, who may copy
+    it with {!fork} and continue each copy under one more pinned input
+    with {!resume}.  This is how the cube engine re-splits a cube: the
+    children keep the parent's DIP constraints, learnt clauses and
+    simplified clause database instead of rebuilding them.
+
+    A child also keeps the constraints of parent DIPs that lie outside
+    its cube.  The correct key satisfies them as well, so they only
+    narrow the keys that survive; the key a child returns is still
+    correct inside its cube. *)
+
+val resume :
+  ?config:config ->
+  session ->
+  pin:int * bool ->
+  oracle:Oracle.t ->
+  result * session option
+(** [resume session ~pin ~oracle] pins one more input of a stopped
+    session and runs the DIP loop on.  The result counts only what this
+    run did: [dips], [num_dips], [rounds], [oracle_queries],
+    [solver_conflicts], [total_time] and the [max_iterations],
+    [time_limit] and [stop] budgets all start from zero, and [imported]
+    is the number of DIPs the session inherited.  [config.solver_seed]
+    and [solver_simp] are ignored: they were fixed when the session was
+    created or forked.  [Invalid_argument] as for {!run_prepared}, also
+    when [pin]'s position is already pinned. *)
+
+val fork : ?seed:int -> session -> session
+(** An independent copy of a stopped session ({!Ll_sat.Solver.copy} and
+    {!Ll_sat.Tseitin.copy}); [seed] reseeds the copy's decision PRNG. *)
+
+val arena_words : session -> int
+(** Live words in the session solver's clause arena: what a {!fork}
+    copies. *)

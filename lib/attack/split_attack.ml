@@ -62,7 +62,6 @@ let preset ?config n =
     Cube_engine.n0 = n;
     budget = { conflicts = None; dips = None; wall_s = None; growth = 1.0 };
     max_extra_depth = 0;
-    share = false;
     base = Option.value config ~default:Sat_attack.default_config;
   }
 

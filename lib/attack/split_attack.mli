@@ -71,8 +71,8 @@ val run :
     of split inputs ({!Fanout.select}); its first [n] entries are used.
     [n = 0] degenerates to the plain SAT attack as a single task.  [seed]
     (default 0) is the root of the per-cofactor solver seeds.  As in
-    {!Cube_attack.config}, [config.solver_seed], [stop], [share_out] and
-    [share_in] are managed per cofactor.  Raises
+    {!Cube_attack.config}, [config.solver_seed] and [stop] are managed
+    per cofactor.  Raises
     [Invalid_argument] unless [0 <= n <= num_inputs]. *)
 
 val run_parallel :

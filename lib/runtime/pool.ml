@@ -68,10 +68,22 @@ let num_domains pool = Array.length pool.deques
 
 let heap_before (p1, s1, _) (p2, s2, _) = p1 > p2 || (p1 = p2 && s1 < s2)
 
+(* Fills every slot past [prio_len]: a job left there would keep its
+   closure, and whatever the closure captured, alive after it ran. *)
+let vacant =
+  ( min_int,
+    -1,
+    {
+      job_id = -1;
+      job_cancelled = Atomic.make true;
+      job_run = (fun () () -> ());
+      job_skip = ignore;
+    } )
+
 let heap_push pool entry =
   if pool.prio_len = Array.length pool.prio_heap then begin
     let grown =
-      Array.make (max 8 (2 * Array.length pool.prio_heap)) entry
+      Array.make (max 8 (2 * Array.length pool.prio_heap)) vacant
     in
     Array.blit pool.prio_heap 0 grown 0 pool.prio_len;
     pool.prio_heap <- grown
@@ -99,6 +111,7 @@ let heap_pop pool =
     let (_, _, top) = h.(0) in
     pool.prio_len <- pool.prio_len - 1;
     h.(0) <- h.(pool.prio_len);
+    h.(pool.prio_len) <- vacant;
     let i = ref 0 in
     let continue = ref true in
     while !continue do

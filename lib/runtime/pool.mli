@@ -65,8 +65,9 @@ val submit : ?priority:int -> t -> (ctx -> 'a) -> 'a handle
     tie-break) regardless of which worker frees up.  Priorities are
     scheduling {e hints} only — they affect wall time, never results;
     callers must not rely on execution order for correctness.  The
-    adaptive cube-and-conquer attack uses them to start the most
-    conflict-laden cubes first so the longest chains finish earliest. *)
+    adaptive cube-and-conquer attack uses them to run the deepest
+    waiting cubes first, so the solver copies they hold are freed
+    early. *)
 
 val await : 'a handle -> 'a outcome
 (** Block until the task reaches a terminal state. *)

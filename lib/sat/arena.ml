@@ -19,6 +19,8 @@ let no_cref = -1
 
 let create () = { a = Array.make 1024 0; len = 0; dead = 0 }
 
+let copy t = { t with a = Array.sub t.a 0 (max 1024 t.len) }
+
 let size t c = t.a.(c) lsr hdr_size_shift
 
 let learnt t c = t.a.(c) land 1 = 1
@@ -56,12 +58,15 @@ let set_lit t c k l = t.a.(c + 2 + k) <- l
 
 let lits t c = Array.init (size t c) (fun k -> t.a.(c + 2 + k))
 
+(* Growth by half, not doubling: a forked solver starts from an exact-size
+   copy, and doubling on its first clause would leave most of the new
+   array unused. *)
 let ensure t extra =
   let need = t.len + extra in
   if need > Array.length t.a then begin
-    let cap = ref (2 * Array.length t.a) in
+    let cap = ref (Array.length t.a + (Array.length t.a / 2)) in
     while !cap < need do
-      cap := 2 * !cap
+      cap := !cap + (!cap / 2)
     done;
     let fresh = Array.make !cap 0 in
     Array.blit t.a 0 fresh 0 t.len;

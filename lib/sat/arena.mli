@@ -36,6 +36,10 @@ val no_cref : int
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent arena with the same words, offsets and hole
+    accounting, so every cref stays valid in the copy. *)
+
 val reserve : t -> int -> unit
 (** [reserve t words] grows the backing array once so the next [words]
     words of allocation proceed without reallocation — a batch of clauses

@@ -12,6 +12,14 @@ let create score = { score; data = Array.make 64 0; len = 0; pos = Array.make 64
 
 let set_scores h score = h.score <- score
 
+let copy h score =
+  {
+    score;
+    data = Array.sub h.data 0 (max 1 h.len);
+    len = h.len;
+    pos = Array.sub h.pos 0 (min (Array.length h.pos) (Array.length score));
+  }
+
 let ensure_pos h v =
   if v >= Array.length h.pos then begin
     let fresh = Array.make (max (2 * Array.length h.pos) (v + 1)) (-1) in

@@ -16,6 +16,10 @@ val set_scores : t -> float array -> unit
 (** Re-point the heap at a grown copy of its score array (same values for
     the variables already present).  No reordering takes place. *)
 
+val copy : t -> float array -> t
+(** [copy h score] is an independent heap with [h]'s contents, ordered by
+    [score] (a copy of [h]'s score array, with the same values). *)
+
 val mem : t -> int -> bool
 val is_empty : t -> bool
 val size : t -> int

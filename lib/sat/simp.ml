@@ -94,7 +94,11 @@ type t = {
   neg : int Vec.t;  (* try_eliminate: live clauses with [neg v] *)
   mutable res_buf : Lit.t array;  (* try_eliminate: resolvents, back to back *)
   res_ofs : int Vec.t;  (* start of each resolvent in [res_buf] *)
-  elim : int Vec.t;  (* eliminated-clause stack (see extend_model) *)
+  mutable elim : int Vec.t;  (* eliminated-clause stack (see extend_model) *)
+  mutable elim_frozen : int array list;
+      (* older part of the stack, newest chunk first: what the stack held
+         at each earlier [copy].  Never written again, so a copy shares
+         it; a chunk holds whole frames. *)
   mutable budget : int;
   mutable processed_trail : int;
   mutable viv_cursor : int;  (* rotating start into the problem-clause vector *)
@@ -126,9 +130,32 @@ let create ?(config = default_config ()) () =
     res_buf = Array.make 256 0;
     res_ofs = Vec.create ~dummy:0;
     elim = Vec.create ~dummy:0;
+    elim_frozen = [];
     budget = 0;
     processed_trail = 0;
     viv_cursor = 0;
+  }
+
+(* Only the state that outlives a session is copied: the configuration,
+   the statistics, the eliminated-clause stack and the cursors.  The
+   occurrence lists, queues and buffers are scratch that every session
+   rebuilds, so the copy starts them empty.  [lit_mark] may start zeroed
+   because the next generation is [mark_gen + 1 >= 1].  The stack is the
+   bulk of the state; it is frozen into a chunk both engines share
+   instead of being copied. *)
+let copy t =
+  if Vec.length t.elim > 0 then begin
+    t.elim_frozen <- Array.init (Vec.length t.elim) (Vec.get t.elim) :: t.elim_frozen;
+    t.elim <- Vec.create ~dummy:0
+  end;
+  {
+    (create ~config:{ t.config with session_growth = t.config.session_growth } ()) with
+    stats = { t.stats with subsumed = t.stats.subsumed };
+    elim_frozen = t.elim_frozen;
+    mark_gen = t.mark_gen;
+    budget = t.budget;
+    processed_trail = t.processed_trail;
+    viv_cursor = t.viv_cursor;
   }
 
 let config t = t.config
@@ -645,7 +672,11 @@ let session t host ~new_from =
      out. *)
   for i = t.qhead to Vec.length t.queue - 1 do
     Arena.set_queued ar (Vec.get t.queue i) false
-  done
+  done;
+  (* The next session rebuilds the occurrence lists from scratch; holding
+     them until then only costs memory in every solver between
+     sessions. *)
+  t.occs <- [||]
 
 (* --- Vivification --- *)
 
@@ -735,24 +766,44 @@ let vivify t host =
 
 (* --- Restoring eliminated variables --- *)
 
-let restore t ~var ~unelim ~readd =
-  let e = t.elim in
-  (* Decode frame boundaries backwards (lengths live at frame ends), then
-     work chronologically. *)
-  let frames = ref [] in
-  let i = ref (Vec.length e - 1) in
+(* The frames of a stack [get 0 .. get (len - 1)], oldest first, as
+   (base, length) pairs: lengths live at frame ends, so decode backwards. *)
+let frames get len =
+  let acc = ref [] in
+  let i = ref (len - 1) in
   while !i >= 0 do
-    let n = Vec.get e !i in
+    let n = get !i in
     let base = !i - n in
-    frames := (base, n) :: !frames;
+    acc := (base, n) :: !acc;
     i := base - 1
   done;
+  !acc
+
+let restore t ~var ~unelim ~readd =
+  (* A frame of [var] in a frozen chunk: take the chunks back into the
+     engine's own stack (rare — callers freeze what they re-mention). *)
+  if
+    List.exists
+      (fun chunk ->
+        List.exists
+          (fun (base, _) -> Lit.var chunk.(base) = var)
+          (frames (Array.get chunk) (Array.length chunk)))
+      t.elim_frozen
+  then begin
+    let e = Vec.create ~dummy:0 in
+    List.iter (Array.iter (Vec.push e)) (List.rev t.elim_frozen);
+    Vec.iter (Vec.push e) t.elim;
+    t.elim <- e;
+    t.elim_frozen <- []
+  end;
+  let e = t.elim in
+  let frames = frames (Vec.get e) (Vec.length e) in
   let rec find = function
     | [] -> None
     | (base, _) :: _ when Lit.var (Vec.get e base) = var -> Some base
     | _ :: rest -> find rest
   in
-  match find !frames with
+  match find frames with
   | None -> ()
   | Some start ->
       (* Restore the whole stack suffix: clauses of variables eliminated
@@ -760,7 +811,7 @@ let restore t ~var ~unelim ~readd =
          frame only holds variables that were alive at its push time.)
          Un-eliminate every suffix pivot first so the re-adds see only
          active variables. *)
-      let suffix = List.filter (fun (base, _) -> base >= start) !frames in
+      let suffix = List.filter (fun (base, _) -> base >= start) frames in
       List.iter (fun (base, _) -> unelim (Lit.var (Vec.get e base))) suffix;
       List.iter
         (fun (base, n) -> readd (Array.init n (fun k -> Vec.get e (base + k))))
@@ -770,26 +821,31 @@ let restore t ~var ~unelim ~readd =
 (* --- Model extension --- *)
 
 let extend_model t ~value ~set =
-  let e = t.elim in
-  let i = ref (Vec.length e - 1) in
-  while !i >= 0 do
-    let n = Vec.get e !i in
-    let base = !i - n in
-    (* The frame satisfies MiniSAT's extension invariant: if every
-       literal except the pivot (stored first) is false, the pivot must
-       be made true; otherwise the clause is already satisfied by a
-       surviving variable or a later-eliminated one. *)
-    let others_false = ref true in
-    for j = base + 1 to base + n - 1 do
-      let l = Vec.get e j in
-      let v = value (Lit.var l) in
-      if not (v >= 0 && v lxor (l land 1) = 0) then others_false := false
-    done;
-    let pivot = Vec.get e base in
-    if !others_false then set (Lit.var pivot) (1 lxor (pivot land 1))
-    else if value (Lit.var pivot) < 0 then
-      (* any value works for this clause; default the pivot literal to
-         false so later (earlier-pushed) frames can still flip it *)
-      set (Lit.var pivot) (pivot land 1);
-    i := base - 1
-  done
+  (* Newest frames first: the engine's own stack, then the frozen chunks
+     from newest to oldest. *)
+  let replay get len =
+    let i = ref (len - 1) in
+    while !i >= 0 do
+      let n = get !i in
+      let base = !i - n in
+      (* The frame satisfies MiniSAT's extension invariant: if every
+         literal except the pivot (stored first) is false, the pivot must
+         be made true; otherwise the clause is already satisfied by a
+         surviving variable or a later-eliminated one. *)
+      let others_false = ref true in
+      for j = base + 1 to base + n - 1 do
+        let l = get j in
+        let v = value (Lit.var l) in
+        if not (v >= 0 && v lxor (l land 1) = 0) then others_false := false
+      done;
+      let pivot = get base in
+      if !others_false then set (Lit.var pivot) (1 lxor (pivot land 1))
+      else if value (Lit.var pivot) < 0 then
+        (* any value works for this clause; default the pivot literal to
+           false so later (earlier-pushed) frames can still flip it *)
+        set (Lit.var pivot) (pivot land 1);
+      i := base - 1
+    done
+  in
+  replay (Vec.get t.elim) (Vec.length t.elim);
+  List.iter (fun chunk -> replay (Array.get chunk) (Array.length chunk)) t.elim_frozen

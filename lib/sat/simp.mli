@@ -107,6 +107,14 @@ type t
 
 val create : ?config:config -> unit -> t
 
+val copy : t -> t
+(** An independent engine in the same state: configuration and
+    statistics are copied.  The eliminated-clause stack as it stands is
+    frozen into a chunk that both engines share read-only (neither ever
+    writes it again), so the copy costs nothing per stored clause.  Only
+    meaningful together with a copy of the host's clause database (see
+    [Solver.copy]). *)
+
 val config : t -> config
 
 val stats : t -> stats

@@ -206,6 +206,48 @@ let create ?(seed = 0) ?(simp = true) () =
   s.order <- Heap.create s.activity;
   s
 
+(* Every field that holds a mutable structure is replaced; the rest are
+   immutable values.  Capacity is not observable, so per-variable arrays
+   are cut to the variables that exist ([grow_arrays] regrows them
+   together) and vectors to their live prefix.  The trail is copied above
+   the root too, so the copy continues exactly where the original
+   stands. *)
+let copy ?seed s =
+  let n = s.nvars in
+  let cut a = Array.sub a 0 n in
+  let activity = cut s.activity in
+  {
+    s with
+    ar = Arena.copy s.ar;
+    clauses = Vec.copy s.clauses;
+    learnts = Vec.copy s.learnts;
+    watches = Array.init (2 * n) (fun l -> Vec.copy s.watches.(l));
+    assigns = cut s.assigns;
+    level = cut s.level;
+    reason = cut s.reason;
+    activity;
+    polarity = cut s.polarity;
+    seen = cut s.seen;
+    level_stamp = Array.sub s.level_stamp 0 (n + 1);
+    lits_buf = cut s.lits_buf;
+    intake_mark = cut s.intake_mark;
+    reloc_old = Vec.create ~dummy:0;
+    reloc_new = Vec.create ~dummy:0;
+    learnt_var = Bytes.sub s.learnt_var 0 n;
+    order = Heap.copy s.order activity;
+    trail = Vec.copy s.trail;
+    trail_lim = Vec.copy s.trail_lim;
+    prng =
+      (match seed with
+      | Some seed -> Ll_util.Prng.create seed
+      | None -> Ll_util.Prng.copy s.prng);
+    proof_log = Vec.copy s.proof_log;
+    simp = Simp.copy s.simp;
+    frozen = cut s.frozen;
+    eliminated = cut s.eliminated;
+    ext_model = cut s.ext_model;
+  }
+
 let num_vars s = s.nvars
 
 let num_clauses s = Vec.length s.clauses
@@ -232,10 +274,12 @@ let clause_lit s c k = Arena.lit s.ar c k
 
 let clause_lits s c = Arena.lits s.ar c
 
+(* Per-variable arrays grow by half, not doubling, for the same reason as
+   the arena's (see [Arena.ensure]). *)
 let grow_arrays s needed =
   let old = Array.length s.assigns in
   if needed > old then begin
-    let n = max needed (2 * old) in
+    let n = max needed (old + (old / 2) + 8) in
     let grown (type a) (a : a array) (fill : a) =
       let fresh = Array.make n fill in
       Array.blit a 0 fresh 0 old;
@@ -262,7 +306,7 @@ let grow_arrays s needed =
   end;
   let old_w = Array.length s.watches in
   if 2 * needed > old_w then begin
-    let n = max (2 * needed) (2 * old_w) in
+    let n = max (2 * needed) (old_w + (old_w / 2) + 16) in
     s.watches <-
       Array.init n (fun i -> if i < old_w then s.watches.(i) else Vec.create ~dummy:0)
   end

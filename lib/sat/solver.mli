@@ -69,6 +69,18 @@ val create : ?seed:int -> ?simp:bool -> unit -> t
     deterministic behaviour.  [simp] (default [true]) enables the
     inprocessing engine; pass [false] for a plain CDCL solver. *)
 
+val copy : ?seed:int -> t -> t
+(** [copy s] is an independent solver in [s]'s exact state: clause
+    arena, learnt clauses, watches, assignment and trail, activities,
+    saved phases, the decision heap, frozen and eliminated variables,
+    the inprocessing engine and the statistics.  Nothing mutable is
+    shared (the eliminated-clause stack as it stands becomes a frozen
+    chunk both solvers read, see {!Simp.copy}), so each solver can be
+    extended and solved apart, also from different domains.  Without
+    [seed] the copy's decision PRNG continues [s]'s stream and the copy
+    behaves exactly as [s] would; [seed] restarts it from that seed.
+    The cost is one pass over the solver's arrays. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
 

@@ -49,11 +49,16 @@ let tag_lut = 4
 
 (* The env memoizes every encoded gate by (operator, fanin literals): a
    subcircuit appearing in several [encode] calls (e.g. the key cone shared
-   by all DIP constraints of a SAT attack) is encoded once and reused. *)
+   by all DIP constraints of a SAT attack) is encoded once and reused.
+   New entries go to [cache]; [frozen] holds the memo as it stood at each
+   earlier {!copy}, newest first.  Frozen tables are never written again,
+   so every copy of an env can read them, from any domain, without
+   copying them. *)
 type env = {
   solver : Solver.t;
   mutable true_lit : Lit.t option;
-  cache : Lit.t Cache.t;
+  mutable cache : Lit.t Cache.t;
+  mutable frozen : Lit.t Cache.t list;
   probe : Key.t;  (* lookup key, refilled by every gate constructor *)
   (* When [Some acc], emitted clauses are buffered (in reverse) instead of
      added, and flushed by {!with_batch} as one contiguous arena append. *)
@@ -65,7 +70,27 @@ let create solver =
     solver;
     true_lit = None;
     cache = Cache.create 4096;
+    frozen = [];
     probe = { Key.tag = 0; tbl = ""; fan = Array.make 16 0; len = 0 };
+    pending = None;
+  }
+
+(* The memo is not copied: [env]'s table joins the frozen layers, which
+   both envs then share read-only, and each continues with an empty table
+   of its own.  A copy therefore costs nothing per memo entry, and the
+   memos of a tree of copies share every ancestor's entries. *)
+let copy env solver =
+  if env.pending <> None then invalid_arg "Tseitin.copy: inside with_batch";
+  if Cache.length env.cache > 0 then begin
+    env.frozen <- env.cache :: env.frozen;
+    env.cache <- Cache.create 256
+  end;
+  {
+    solver;
+    true_lit = env.true_lit;
+    cache = Cache.create 256;
+    frozen = env.frozen;
+    probe = { env.probe with Key.fan = Array.copy env.probe.Key.fan };
     pending = None;
   }
 
@@ -137,9 +162,15 @@ let set_probe env tag ?(tbl = "") ~sorted xs n =
    eliminated hit the caller re-encodes the gate onto a fresh variable
    (the fanins are checked bottom-up, so they are valid). *)
 let lookup env =
-  match Cache.find env.cache env.probe with
-  | l -> if Solver.is_eliminated env.solver (Lit.var l) then -1 else l
-  | exception Not_found -> -1
+  let rec find = function
+    | [] -> -1
+    | t :: rest -> (
+        match Cache.find t env.probe with l -> l | exception Not_found -> find rest)
+  in
+  let l =
+    match Cache.find env.cache env.probe with l -> l | exception Not_found -> find env.frozen
+  in
+  if l >= 0 && Solver.is_eliminated env.solver (Lit.var l) then -1 else l
 
 (* A fresh output variable for the gate in [env.probe], cached before the
    caller emits its definition. *)

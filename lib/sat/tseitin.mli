@@ -10,6 +10,15 @@ type env
 
 val create : Solver.t -> env
 
+val copy : env -> Solver.t -> env
+(** [copy env solver'] binds [env]'s gate memo and constant literal to
+    [solver'], which must be a {!Solver.copy} of [env]'s solver:
+    re-encoding a gate [env] already encoded then reuses its literal and
+    emits no clause.  The memo as it stands is shared read-only by both
+    envs (it is never written again, so the envs may be used from
+    different domains); what either encodes afterwards goes to a table
+    of its own.  Raises [Invalid_argument] inside {!with_batch}. *)
+
 val solver : env -> Solver.t
 
 val fresh_lits : env -> int -> Lit.t array

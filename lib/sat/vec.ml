@@ -1,8 +1,12 @@
 type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
-let create ~dummy = { data = Array.make 8 dummy; len = 0; dummy }
+let create ~dummy = { data = [||]; len = 0; dummy }
 
 let make ~dummy capacity = { data = Array.make (max 8 capacity) dummy; len = 0; dummy }
+
+(* Capacity is not observable, so a copy keeps only the live prefix
+   ([grow] restarts an empty one at 8). *)
+let copy v = { v with data = Array.sub v.data 0 v.len }
 
 let length v = v.len
 
@@ -23,7 +27,7 @@ let unsafe_get v i = Array.unsafe_get v.data i
 let unsafe_set v i x = Array.unsafe_set v.data i x
 
 let grow v =
-  let data = Array.make (2 * Array.length v.data) v.dummy in
+  let data = Array.make (max 8 (2 * Array.length v.data)) v.dummy in
   Array.blit v.data 0 data 0 v.len;
   v.data <- data
 

@@ -9,6 +9,10 @@ val create : dummy:'a -> 'a t
 val make : dummy:'a -> int -> 'a t
 (** [make ~dummy capacity] pre-allocates capacity (length stays 0). *)
 
+val copy : 'a t -> 'a t
+(** An independent vector with the same elements (the elements themselves
+    are shared). *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a

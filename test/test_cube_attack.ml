@@ -1,5 +1,5 @@
 (* The adaptive cube-and-conquer attack: golden cube trees pinned under a
-   fixed seed (any change to re-split heuristics, budgets, DIP sharing
+   fixed seed (any change to re-split heuristics, budgets, session forking
    or solver behaviour that perturbs them must be deliberate and
    re-pinned), serial == parallel determinism, and differential checks of
    the composed multi-key netlist against the original design. *)
@@ -22,7 +22,7 @@ let status_name (r : Sat_attack.result) =
   | Sat_attack.Stopped -> "stopped"
 
 (* One line per cube in canonical tree order:
-   condition|status|#DIP|#imported|resplit-input. *)
+   condition|status|#DIP|#inherited|resplit-input. *)
 let fingerprint (t : Cube_attack.t) =
   Array.to_list t.Cube_attack.cubes
   |> List.map (fun (c : Cube_attack.cube) ->
@@ -64,21 +64,21 @@ let sarlock_fixture () =
   (c, locked, Oracle.of_circuit c)
 
 (* Pinned golden: the exact adaptive cube tree (conditions, statuses,
-   per-cube DIP and import counts, re-split inputs) for sarlock6 under
+   per-cube DIP and inherited-DIP counts, re-split inputs) for sarlock6 under
    seed 0 and a dips=4 budget. *)
 let sarlock_golden =
-  "1=0|stopped|4|0|2;1=0,2=0|stopped|8|1|4;1=0,2=0,4=0|broken|2|6|-;\
-   1=0,2=0,4=1|broken|5|3|-;1=0,2=1|stopped|8|3|4;1=0,2=1,4=0|broken|2|6|-;\
-   1=0,2=1,4=1|broken|3|5|-;1=1|stopped|4|0|2;1=1,2=0|stopped|8|2|4;\
-   1=1,2=0,4=0|broken|3|5|-;1=1,2=0,4=1|broken|2|5|-;1=1,2=1|stopped|8|2|4;\
-   1=1,2=1,4=0|broken|1|7|-;1=1,2=1,4=1|broken|5|3|-"
+  "1=0|stopped|4|0|2;1=0,2=0|stopped|8|4|4;1=0,2=0,4=0|broken|5|12|-;\
+   1=0,2=0,4=1|broken|2|12|-;1=0,2=1|stopped|8|4|4;1=0,2=1,4=0|broken|4|12|-;\
+   1=0,2=1,4=1|broken|1|12|-;1=1|stopped|4|0|2;1=1,2=0|stopped|8|4|4;\
+   1=1,2=0,4=0|broken|4|12|-;1=1,2=0,4=1|broken|1|12|-;1=1,2=1|stopped|8|4|4;\
+   1=1,2=1,4=0|broken|4|12|-;1=1,2=1,4=1|broken|2|12|-"
 
 let test_sarlock_adaptive_golden () =
   let c, locked, oracle = sarlock_fixture () in
   let t = Cube_attack.run ~config:sarlock_config locked ~oracle in
   Alcotest.(check string) "cube tree" sarlock_golden (fingerprint t);
   Alcotest.(check bool) "resplits happened" true (Cube_attack.resplits t > 0);
-  Alcotest.(check bool) "constraints were shared" true
+  Alcotest.(check bool) "children inherited DIPs" true
     (Cube_attack.imported_entries t > 0);
   (match Cube_attack.verdict t with
   | Cube_attack.Keys _ -> ()
@@ -120,8 +120,8 @@ let test_xor_adaptive_deterministic () =
 let test_serial_matches_parallel () =
   (* Acceptance: the adaptive cube tree, DIP sequences and keys are
      byte-identical between the serial runner and the pooled runner at
-     every domain count — re-splits and shared DIPs only depend on each
-     cube's path, never on scheduling. *)
+     every domain count — re-splits and forked sessions only depend on
+     each cube's path, never on scheduling. *)
   let _, locked, oracle = sarlock_fixture () in
   let serial = Cube_attack.run ~config:sarlock_config locked ~oracle in
   List.iter
@@ -200,32 +200,85 @@ let test_no_budget_matches_split_attack () =
             (LL.Locking.Lut_lock.lock ~stage1_luts:2 ~stage1_inputs:3 c).circuit) );
     ]
 
-let test_share_off_still_correct () =
-  let c, locked, oracle = sarlock_fixture () in
-  let config = { sarlock_config with share = false } in
-  let t = Cube_attack.run ~config locked ~oracle in
-  Alcotest.(check int) "nothing imported" 0 (Cube_attack.imported_entries t);
-  Alcotest.(check bool) "still resplits" true (Cube_attack.resplits t > 0);
-  Alcotest.(check bool) "composed equivalent" true
-    (composed_equivalent c locked t)
+(* The cube whose condition is [condition] minus its last pin. *)
+let parent_of (t : Cube_attack.t) (c : Cube_attack.cube) =
+  let cond = c.task.Cube_prep.condition in
+  let pcond = List.filteri (fun i _ -> i < List.length cond - 1) cond in
+  Array.to_list t.Cube_attack.cubes
+  |> List.find (fun (p : Cube_attack.cube) -> p.task.Cube_prep.condition = pcond)
 
-let test_sharing_saves_dips () =
-  (* The point of DIP sharing: descendants import the DIPs their
-     ancestors paid for, so the shared run re-derives fewer DIPs (and
-     queries the oracle less) than the isolated run. *)
-  let _, locked, oracle = sarlock_fixture () in
-  let shared = Cube_attack.run ~config:sarlock_config locked ~oracle in
-  let isolated =
-    Cube_attack.run
-      ~config:{ sarlock_config with share = false }
-      locked ~oracle
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "shared %d < isolated %d total DIPs"
-       (Cube_attack.total_dips shared)
-       (Cube_attack.total_dips isolated))
-    true
-    (Cube_attack.total_dips shared < Cube_attack.total_dips isolated)
+let test_children_inherit_ancestor_dips () =
+  (* A re-split forks the parent's session: each child's solver holds
+     every DIP its ancestors found, so its [imported] count is its
+     parent's plus the parent's own DIPs; seed cubes inherit nothing. *)
+  let c, locked, oracle = sarlock_fixture () in
+  let t = Cube_attack.run ~config:sarlock_config locked ~oracle in
+  Alcotest.(check bool) "resplits happened" true (Cube_attack.resplits t > 0);
+  Array.iter
+    (fun (cube : Cube_attack.cube) ->
+      let r = cube.task.Cube_prep.result in
+      let name = Cube_prep.condition_string cube.task.condition in
+      if cube.depth <= sarlock_config.n0 then
+        Alcotest.(check int) (name ^ ": seed inherits nothing") 0 r.Sat_attack.imported
+      else begin
+        let p = (parent_of t cube).task.Cube_prep.result in
+        Alcotest.(check int) (name ^ ": inherits the path")
+          (p.Sat_attack.imported + p.Sat_attack.num_dips) r.Sat_attack.imported
+      end)
+    t.Cube_attack.cubes;
+  Alcotest.(check bool) "composed equivalent" true (composed_equivalent c locked t)
+
+(* A cube's DIPs at full input width: the free-input bits in position
+   order, the pinned bits from its condition. *)
+let full_dips n_in (cube : Cube_attack.cube) =
+  let cond = cube.task.Cube_prep.condition in
+  List.map
+    (fun d ->
+      let d = Bitvec.to_bool_array d in
+      let next = ref 0 in
+      Array.init n_in (fun i ->
+          match List.assoc_opt i cond with
+          | Some b -> b
+          | None ->
+              incr next;
+              d.(!next - 1)))
+    cube.task.Cube_prep.result.Sat_attack.dips
+
+let test_no_cube_rederives_ancestor_dip () =
+  (* Children continue their parent's solver, which already excludes
+     every ancestor DIP: no cube may find one of them again.  (Before
+     forking, a child rebuilt its solver and re-encoded those DIPs.) *)
+  List.iter
+    (fun (name, (_, locked, oracle), config) ->
+      let t = Cube_attack.run ~config locked ~oracle in
+      let n_in = LL.Netlist.Circuit.num_inputs locked in
+      Alcotest.(check bool) (name ^ ": resplits happened") true (Cube_attack.resplits t > 0);
+      Array.iter
+        (fun (cube : Cube_attack.cube) ->
+          let own = full_dips n_in cube in
+          let rec ancestors (c : Cube_attack.cube) =
+            if c.depth <= config.Cube_attack.n0 then []
+            else
+              let p = parent_of t c in
+              p :: ancestors p
+          in
+          List.iter
+            (fun a ->
+              List.iter
+                (fun d ->
+                  if List.mem d own then
+                    Alcotest.failf "%s: cube %s re-derived a DIP of %s" name
+                      (Cube_prep.condition_string cube.task.condition)
+                      (Cube_prep.condition_string a.Cube_attack.task.Cube_prep.condition))
+                (full_dips n_in a))
+            (ancestors cube))
+        t.Cube_attack.cubes)
+    [
+      ("sarlock", sarlock_fixture (), sarlock_config);
+      ( "xor",
+        xor_fixture (),
+        { xor_config with budget = { Cube_attack.default_budget with conflicts = None; dips = Some 1 } } );
+    ]
 
 let test_inconsistent_oracle_never_resplit () =
   (* An oracle no key can match: the locked circuit computes x0 xor k0 on
@@ -270,12 +323,13 @@ let test_inconsistent_oracle_never_resplit () =
       Alcotest.(check int) "both leaves classified unsat_no_key" 2
         counts.Cube_prep.unsat_no_key
 
-let test_imported_dip_poisons_receiver () =
-  (* An imported DIP that contradicts key-independent logic: o2 = x0 and
-     x1 does not depend on the key, and the oracle answers its negation
-     on every input.  The root stops after its first DIP and re-splits;
-     the child containing that DIP imports it, is poisoned before its
-     first solve and ends Broken with no key and no DIP of its own. *)
+let test_poisoned_parent_forks_poisoned_children () =
+  (* A DIP that contradicts key-independent logic: o2 = x0 and x1 does
+     not depend on the key, and the oracle answers its negation on every
+     input.  The root's first DIP poisons its solver, and the DIP budget
+     stops it before the next solve.  Both children continue that solver:
+     each ends Broken with no key and no DIP of its own, and neither is
+     re-split. *)
   let b = Builder.create ~name:"poison" () in
   let x0 = Builder.input b "x0" in
   let x1 = Builder.input b "x1" in
@@ -297,26 +351,19 @@ let test_imported_dip_poisons_receiver () =
   let t = Cube_attack.run ~config locked ~oracle in
   let root = t.Cube_attack.cubes.(0) in
   Alcotest.(check string) "root first" "" (Cube_prep.condition_string root.task.condition);
-  let input =
-    match root.resplit_input with
-    | Some i -> i
-    | None -> Alcotest.fail "root was not re-split"
-  in
-  let dip =
-    match root.task.Cube_prep.result.Sat_attack.dips with
-    | [ d ] -> d
-    | _ -> Alcotest.fail "root should stop after one DIP"
-  in
-  let child =
-    Array.to_list t.Cube_attack.cubes
-    |> List.find (fun (c : Cube_attack.cube) ->
-           c.task.Cube_prep.condition = [ (input, Bitvec.get dip input) ])
-  in
-  let r = child.task.Cube_prep.result in
-  Alcotest.(check string) "child broken" "broken" (status_name r);
-  Alcotest.(check bool) "no key" true (r.Sat_attack.key = None);
-  Alcotest.(check bool) "imported the DIP" true (r.Sat_attack.imported >= 1);
-  Alcotest.(check int) "no local DIPs" 0 r.Sat_attack.num_dips;
+  Alcotest.(check bool) "root re-split" true (root.resplit_input <> None);
+  Alcotest.(check int) "root stops after one DIP" 1
+    root.task.Cube_prep.result.Sat_attack.num_dips;
+  Alcotest.(check int) "one re-split only" 1 (Cube_attack.resplits t);
+  Alcotest.(check int) "root and two children" 3 (Array.length t.Cube_attack.cubes);
+  Array.iter
+    (fun (child : Cube_attack.cube) ->
+      let r = child.task.Cube_prep.result in
+      Alcotest.(check string) "child broken" "broken" (status_name r);
+      Alcotest.(check bool) "no key" true (r.Sat_attack.key = None);
+      Alcotest.(check int) "inherited the DIP" 1 r.Sat_attack.imported;
+      Alcotest.(check int) "no local DIPs" 0 r.Sat_attack.num_dips)
+    (Cube_attack.leaves t);
   let par = Cube_attack.run_parallel ~config ~num_domains:2 locked ~oracle in
   Alcotest.(check string) "serial == parallel" (fingerprint t) (fingerprint par)
 
@@ -442,12 +489,14 @@ let suite =
     Alcotest.test_case "serial matches parallel" `Quick test_serial_matches_parallel;
     Alcotest.test_case "no budget matches split attack" `Quick
       test_no_budget_matches_split_attack;
-    Alcotest.test_case "share off still correct" `Quick test_share_off_still_correct;
-    Alcotest.test_case "sharing saves dips" `Quick test_sharing_saves_dips;
+    Alcotest.test_case "children inherit ancestor dips" `Quick
+      test_children_inherit_ancestor_dips;
+    Alcotest.test_case "no cube re-derives an ancestor dip" `Quick
+      test_no_cube_rederives_ancestor_dip;
     Alcotest.test_case "inconsistent oracle never resplit" `Quick
       test_inconsistent_oracle_never_resplit;
-    Alcotest.test_case "imported dip poisons receiver" `Quick
-      test_imported_dip_poisons_receiver;
+    Alcotest.test_case "poisoned parent forks poisoned children" `Quick
+      test_poisoned_parent_forks_poisoned_children;
     Alcotest.test_case "depth cap forces completion" `Quick
       test_depth_cap_forces_completion;
     Alcotest.test_case "differential fuzz" `Slow test_differential_fuzz;

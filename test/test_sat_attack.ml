@@ -190,36 +190,83 @@ let test_rejects_oracle_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-let test_rejects_foreign_share_entry () =
-  (* Share entries carry full-width DIPs and responses; one exported by an
-     attack on a circuit of another input or output width cannot be
-     imported. *)
-  let export c =
-    let locked = (LL.Locking.Xor_lock.lock ~num_keys:2 c).circuit in
-    let entries = ref [] in
-    let config =
-      { Sat_attack.default_config with share_out = Some (fun e -> entries := e :: !entries) }
-    in
-    ignore (run_attack ~config c locked);
-    Alcotest.(check bool) "entries exported" true (!entries <> []);
-    (locked, c, List.rev !entries)
+(* A stopped session forked into the two cofactors of input 0: each
+   child counts only its own work, inherits the parent's DIPs (and never
+   finds one of them again) and returns a key that is correct on its
+   whole cube. *)
+let test_fork_resumes_stopped_session () =
+  let c = random_circuit ~seed:105 ~num_inputs:10 ~num_outputs:3 ~gates:40 () in
+  let locked = (LL.Locking.Sarlock.lock ~key_size:8 c).circuit in
+  let oracle = Oracle.of_circuit c in
+  let stop_at n = { Sat_attack.default_config with stop = Some (fun pg -> pg.pg_dips >= n) } in
+  let r, session =
+    Sat_attack.run_prepared ~config:(stop_at 3) (Sat_attack.prepare locked) ~condition:[] ~oracle
   in
-  let five_in = export (random_circuit ~seed:110 ~num_inputs:5 ~num_outputs:3 ()) in
-  let six_in = export (random_circuit ~seed:111 ~num_inputs:6 ~num_outputs:3 ()) in
-  let two_out = export (random_circuit ~seed:112 ~num_inputs:5 ~num_outputs:2 ()) in
-  let import (locked, c, _) entries =
-    let config = { Sat_attack.default_config with share_in = [ entries ] } in
-    Sat_attack.run_prepared ~config (Sat_attack.prepare locked) ~condition:[]
-      ~oracle:(Oracle.of_circuit c)
+  Alcotest.(check bool) "parent stopped" true (r.Sat_attack.status = Sat_attack.Stopped);
+  let session = Option.get session in
+  let copy = Sat_attack.fork ~seed:7 session in
+  (* The stop budget counts from the child's own start. *)
+  let r1, s1 = Sat_attack.resume ~config:(stop_at 2) copy ~pin:(0, true) ~oracle in
+  Alcotest.(check bool) "child stopped" true (r1.Sat_attack.status = Sat_attack.Stopped);
+  Alcotest.(check int) "child budget from zero" 2 r1.num_dips;
+  Alcotest.(check int) "child inherited the parent's DIPs" 3 r1.imported;
+  let parent_dips = List.map Bitvec.to_bool_array r.dips in
+  let check_cube name (r : Sat_attack.result) ~fixed =
+    Alcotest.(check bool) (name ^ " broken") true (r.Sat_attack.status = Sat_attack.Broken);
+    let bound = LL.Netlist.Instantiate.bind_keys locked (Option.get r.key) in
+    for m = 0 to (1 lsl 10) - 1 do
+      let inputs = Array.init 10 (fun i -> (m lsr i) land 1 = 1) in
+      if List.for_all (fun (p, b) -> inputs.(p) = b) fixed then
+        Alcotest.(check (array bool))
+          (Printf.sprintf "%s key correct on %d" name m)
+          (Eval.eval c ~inputs ~keys:[||])
+          (Eval.eval bound ~inputs ~keys:[||])
+    done;
+    (* A reported DIP omits the pinned inputs; none is a parent DIP. *)
+    List.iter
+      (fun d ->
+        let d = Bitvec.to_bool_array d in
+        Alcotest.(check int) (name ^ " dip width") (10 - List.length fixed) (Array.length d);
+        List.iter
+          (fun p ->
+            let free = List.filteri (fun i _ -> not (List.mem_assoc i fixed)) (Array.to_list p) in
+            if List.for_all (fun (i, b) -> p.(i) = b) fixed && free = Array.to_list d then
+              Alcotest.failf "%s re-derived a parent DIP" name)
+          parent_dips)
+      r.dips
   in
-  let (_, _, own) = five_in in
-  Alcotest.(check int) "own entries import" (List.length own) (import five_in own).imported;
+  let r0, s0 = Sat_attack.resume session ~pin:(0, false) ~oracle in
+  Alcotest.(check bool) "finished session not returned" true (s0 = None);
+  Alcotest.(check int) "child 0 inherited" 3 r0.imported;
+  check_cube "child 0" r0 ~fixed:[ (0, false) ];
+  let r11, _ = Sat_attack.resume (Option.get s1) ~pin:(1, false) ~oracle in
+  Alcotest.(check int) "grandchild inherited" 5 r11.imported;
+  check_cube "grandchild" r11 ~fixed:[ (0, true); (1, false) ]
+
+let test_resume_rejects_bad_pin () =
+  let c = random_circuit ~seed:105 ~num_inputs:6 ~num_outputs:3 ~gates:30 () in
+  let locked = (LL.Locking.Sarlock.lock ~key_size:4 c).circuit in
+  let oracle = Oracle.of_circuit c in
+  let config = { Sat_attack.default_config with stop = Some (fun pg -> pg.pg_dips >= 1) } in
+  let stopped () =
+    match Sat_attack.run_prepared ~config (Sat_attack.prepare locked) ~condition:[ (2, true) ] ~oracle with
+    | _, Some s -> s
+    | _, None -> Alcotest.fail "expected a stopped session"
+  in
   List.iter
-    (fun (name, (_, _, foreign)) ->
-      Alcotest.check_raises name
-        (Invalid_argument "Sat_attack.run_prepared: share entry from a different circuit")
-        (fun () -> ignore (import five_in foreign)))
-    [ ("input width", six_in); ("output width", two_out) ]
+    (fun (name, pin, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Sat_attack.resume (stopped ()) ~pin ~oracle)))
+    [
+      ("pinned twice", (2, false), "Sat_attack.run: duplicate condition");
+      ("negative position", (-1, true), "Sat_attack.run: condition position");
+      ("past the inputs", (6, true), "Sat_attack.run: condition position");
+    ];
+  Alcotest.check_raises "foreign oracle"
+    (Invalid_argument "Sat_attack.run: oracle input count mismatch") (fun () ->
+      ignore
+        (Sat_attack.resume (stopped ()) ~pin:(0, true)
+           ~oracle:(Oracle.of_circuit (full_adder_circuit ()))))
 
 let test_recovered_key_exact_zero_error () =
   (* Cross-check recovered keys against the BDD-exact error count rather
@@ -332,8 +379,9 @@ let suite =
     Alcotest.test_case "stop hook passive" `Quick test_stop_hook_passive;
     Alcotest.test_case "rejects keyless" `Quick test_rejects_keyless;
     Alcotest.test_case "rejects oracle mismatch" `Quick test_rejects_oracle_mismatch;
-    Alcotest.test_case "rejects foreign share entry" `Quick
-      test_rejects_foreign_share_entry;
+    Alcotest.test_case "fork resumes stopped session" `Quick
+      test_fork_resumes_stopped_session;
+    Alcotest.test_case "resume rejects bad pin" `Quick test_resume_rejects_bad_pin;
     Alcotest.test_case "recovered key exact zero error" `Quick
       test_recovered_key_exact_zero_error;
     Alcotest.test_case "dips are distinct" `Quick test_dips_are_distinct;

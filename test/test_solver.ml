@@ -384,6 +384,54 @@ let prop_incremental_differential =
       let second_ok = brute_force nvars (c1 @ c2) = (Solver.solve s = Solver.Sat) in
       first_ok && second_ok)
 
+(* Solver.copy: a copy taken right after a solve (the model still on the
+   trail) must behave exactly like an uncopied twin that went through the
+   same history — same answers, models and statistics — and clauses and
+   solves applied to the copy must leave the original untouched.  The
+   instances are large enough for learning, restarts and variable
+   elimination; a few frozen variables are mentioned again later, and
+   later clauses re-mention eliminated ones, which forces restores. *)
+let prop_copy_differential =
+  qcheck_case ~count:60 "copy behaves like an uncopied twin"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let g = Prng.create seed in
+      let nvars = 20 + Prng.int g 40 in
+      let lit () = Lit.make (Prng.int g nvars) (Prng.bool g) in
+      let batch n = List.init n (fun _ -> List.init 3 (fun _ -> lit ())) in
+      let frozen = List.init 4 (fun _ -> Prng.int g nvars) in
+      let assumptions () = List.init (Prng.int g 3) (fun _ -> lit ()) in
+      let c1 = batch (3 * nvars + Prng.int g nvars) in
+      let c2 = batch (1 + Prng.int g nvars) and a2 = assumptions () in
+      let c3 = batch (1 + Prng.int g nvars) and a3 = assumptions () in
+      let build () =
+        let s = Solver.create ~seed () in
+        ignore (fresh_vars s nvars);
+        List.iter (Solver.freeze_var s) frozen;
+        List.iter (Solver.add_clause s) c1;
+        ignore (Solver.solve s);
+        s
+      in
+      let step s clauses assumptions =
+        List.iter (Solver.add_clause s) clauses;
+        let r = Solver.solve ~assumptions s in
+        let model =
+          if r = Solver.Sat then
+            List.init nvars (fun v ->
+                try Some (Solver.model_var s v) with Invalid_argument _ -> None)
+          else []
+        in
+        (r, model, Solver.stats s)
+      in
+      let original = build () and twin = build () in
+      let copy = Solver.copy original in
+      let copy_2 = step copy c2 a2 in
+      let twin_2 = step twin c2 a2 in
+      let original_2 = step original c2 a2 in
+      let copy_3 = step copy c3 a3 in
+      let original_3 = step original c3 a3 in
+      copy_2 = twin_2 && original_2 = twin_2 && copy_3 = original_3)
+
 let suite =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
@@ -408,4 +456,5 @@ let suite =
     prop_random_3sat;
     prop_incremental_differential;
     prop_clause_intake;
+    prop_copy_differential;
   ]

@@ -100,6 +100,39 @@ let test_port_count_mismatch () =
     (Invalid_argument "Tseitin.encode: input literal count mismatch") (fun () ->
       ignore (Tseitin.encode env c ~input_lits:[||] ~key_lits:[||]))
 
+(* Tseitin.copy onto a Solver.copy: the copied memo answers every gate
+   the original already encoded (same literals, no new variable or
+   clause), and what either env encodes afterwards stays its own. *)
+let test_copy_reuses_memo () =
+  let c = random_circuit ~seed:41 ~num_inputs:5 ~num_outputs:3 ~gates:40 () in
+  let solver = Solver.create () in
+  let env = Tseitin.create solver in
+  let input_lits = Tseitin.fresh_lits env (Circuit.num_inputs c) in
+  let outs = Tseitin.encode env c ~input_lits ~key_lits:[||] in
+  let t = Tseitin.lit_true env in
+  let solver' = Solver.copy solver in
+  let env' = Tseitin.copy env solver' in
+  let size s = (Solver.num_vars s, Solver.num_clauses s, (Solver.stats s).Solver.arena_words) in
+  let before = size solver' in
+  let outs' = Tseitin.encode env' c ~input_lits ~key_lits:[||] in
+  Alcotest.(check (array int)) "same output literals" outs outs';
+  Alcotest.(check int) "same constant literal" t (Tseitin.lit_true env');
+  Alcotest.(check (triple int int int)) "no variable or clause emitted" before (size solver');
+  (* A gate new to the copy: the original neither sees its variable nor
+     its memo entry. *)
+  let x' = (Tseitin.fresh_lits env' 1).(0) in
+  let g' = Tseitin.mk_and env' [| x'; input_lits.(0) |] in
+  Alcotest.(check (triple int int int)) "original untouched" before (size solver);
+  let x = (Tseitin.fresh_lits env 1).(0) in
+  Alcotest.(check int) "same fresh variable" x x';
+  let g = Tseitin.mk_and env [| x; input_lits.(0) |] in
+  Alcotest.(check int) "original encodes the gate itself" g' g;
+  Alcotest.(check int) "original grew by two variables" (Solver.num_vars solver)
+    (Solver.num_vars solver');
+  Alcotest.check_raises "no copy inside a batch"
+    (Invalid_argument "Tseitin.copy: inside with_batch") (fun () ->
+      Tseitin.with_batch env (fun () -> ignore (Tseitin.copy env (Solver.copy solver))))
+
 let prop_random_circuits =
   qcheck_case ~count:60 "random circuits encode correctly"
     QCheck2.Gen.(pair (int_bound 100000) (int_bound 60))
@@ -116,5 +149,6 @@ let suite =
     Alcotest.test_case "force_equal" `Quick test_force_equal;
     Alcotest.test_case "lit_true cached" `Quick test_lit_true_cached;
     Alcotest.test_case "port count mismatch" `Quick test_port_count_mismatch;
+    Alcotest.test_case "copy reuses memo" `Quick test_copy_reuses_memo;
     prop_random_circuits;
   ]
