@@ -323,7 +323,7 @@ let test_inconsistent_oracle_never_resplit () =
       Alcotest.(check int) "both leaves classified unsat_no_key" 2
         counts.Cube_prep.unsat_no_key
 
-let test_poisoned_parent_forks_poisoned_children () =
+let test_imported_dip_poisons_receiver () =
   (* A DIP that contradicts key-independent logic: o2 = x0 and x1 does
      not depend on the key, and the oracle answers its negation on every
      input.  The root's first DIP poisons its solver, and the DIP budget
@@ -495,8 +495,8 @@ let suite =
       test_no_cube_rederives_ancestor_dip;
     Alcotest.test_case "inconsistent oracle never resplit" `Quick
       test_inconsistent_oracle_never_resplit;
-    Alcotest.test_case "poisoned parent forks poisoned children" `Quick
-      test_poisoned_parent_forks_poisoned_children;
+    Alcotest.test_case "imported dip poisons receiver" `Quick
+      test_imported_dip_poisons_receiver;
     Alcotest.test_case "depth cap forces completion" `Quick
       test_depth_cap_forces_completion;
     Alcotest.test_case "differential fuzz" `Slow test_differential_fuzz;
