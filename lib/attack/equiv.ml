@@ -35,12 +35,18 @@ let equal_outputs a b ~inputs =
   Eval.eval a ~inputs ~keys:[||] = Eval.eval b ~inputs ~keys:[||]
 
 (* A circuit compiled for one call, with simulation and literal buffers
-   owned by that call. *)
+   owned by that call.  Its ternary state marks the constant and dead
+   nodes, which the encoder folds and skips. *)
 type side = { p : Compiled.t; s : Compiled.scratch }
 
 let side c =
   let p = Compiled.compile c in
-  { p; s = Compiled.scratch p }
+  let s = Compiled.scratch p in
+  Compiled.constants_into p s;
+  { p; s }
+
+(* Whether node [i] has a literal: constant and dead nodes have none. *)
+let encoded x i = Compiled.tern_val x.s i = 2 && Compiled.is_live x.s i
 
 let simulate x words = Compiled.eval_lanes_into x.p x.s ~inputs:words ~keys:[||]
 
@@ -74,76 +80,6 @@ let random_counterexample ~samples a b =
   round 0
 
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Literal of a non-input node from its fanins' literals in [lits].
-   Constant fanins fold (an unoptimised composition binds keys to
-   constants), and every gate is normalised before it reaches the
-   Tseitin memo — OR as a negated AND, XOR over positive literals, MUX
-   over a positive select — so De Morgan and polarity rewrites of the
-   same logic hash onto one literal. *)
-let node_lit env (p : Compiled.t) (lits : int array) (buf : int array) i =
-  let t = Tseitin.lit_true env in
-  let f = Lit.negate t in
-  let op = p.Compiled.op.(i) in
-  let lo = p.Compiled.fanin_off.(i) and hi = p.Compiled.fanin_off.(i + 1) in
-  let fan k = lits.(p.Compiled.fanin_idx.(lo + k)) in
-  let conj xs =
-    (* AND of [xs], folding constants *)
-    let m = ref 0 and zero = ref false in
-    Array.iter
-      (fun x ->
-        if x = f then zero := true
-        else if x <> t then begin
-          buf.(!m) <- x;
-          incr m
-        end)
-      xs;
-    if !zero then f
-    else if !m = 0 then t
-    else if !m = 1 then buf.(0)
-    else Tseitin.mk_and env (Array.sub buf 0 !m)
-  in
-  if op = Compiled.op_const then if p.Compiled.arg.(i) = 1 then t else f
-  else if op = Compiled.op_buf then fan 0
-  else if op = Compiled.op_not then Lit.negate (fan 0)
-  else if op = Compiled.op_and || op = Compiled.op_nand then begin
-    let r = conj (Array.init (hi - lo) fan) in
-    if op = Compiled.op_and then r else Lit.negate r
-  end
-  else if op = Compiled.op_or || op = Compiled.op_nor then begin
-    let r = conj (Array.init (hi - lo) (fun k -> Lit.negate (fan k))) in
-    if op = Compiled.op_nor then r else Lit.negate r
-  end
-  else if op = Compiled.op_xor || op = Compiled.op_xnor then begin
-    let m = ref 0 and parity = ref (op = Compiled.op_xnor) in
-    for k = 0 to hi - lo - 1 do
-      let x = fan k in
-      if x = t then parity := not !parity
-      else if x <> f then begin
-        if not (Lit.is_pos x) then parity := not !parity;
-        buf.(!m) <- (if Lit.is_pos x then x else Lit.negate x);
-        incr m
-      end
-    done;
-    let r = if !m = 0 then f else Tseitin.mk_xor env (Array.sub buf 0 !m) in
-    if !parity then Lit.negate r else r
-  end
-  else if op = Compiled.op_mux then begin
-    let s = fan 0 and a = fan 1 and b = fan 2 in
-    let s, a, b = if Lit.is_pos s then (s, a, b) else (Lit.negate s, b, a) in
-    if s = t then b
-    else if s = f || a = b then a
-    else if a = f then conj [| s; b |]
-    else if a = t then Lit.negate (conj [| s; Lit.negate b |])
-    else if b = f then conj [| Lit.negate s; a |]
-    else if b = t then Lit.negate (conj [| Lit.negate s; Lit.negate a |])
-    else Tseitin.mk_mux env s a b
-  end
-  else Tseitin.mk_lut env p.Compiled.luts.(p.Compiled.arg.(i)) (Array.init (hi - lo) fan)
-
-(* ------------------------------------------------------------------ *)
 (* The decider                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -154,7 +90,6 @@ type decider = {
   env : Tseitin.env;
   input_lits : Lit.t array;
   limit : int;  (** the caller's bound on the total conflicts; 0 = none *)
-  buf : int array;  (** fanin scratch of [node_lit] *)
 }
 
 let conflicts d = (Solver.stats d.solver).Solver.conflicts
@@ -179,16 +114,6 @@ let solve ?cap d assumptions =
 
 let model d = Array.map (Solver.value d.solver) d.input_lits
 
-let encode d x =
-  let lits = x.s.Compiled.lits in
-  for i = 0 to x.p.Compiled.num_nodes - 1 do
-    lits.(i) <-
-      (if x.p.Compiled.op.(i) = Compiled.op_input then d.input_lits.(x.p.Compiled.arg.(i))
-       else node_lit d.env x.p lits d.buf i)
-  done
-
-let output_lits x = Array.map (fun j -> x.s.Compiled.lits.(j)) x.p.Compiled.outputs
-
 (* Asserts that some output pair differs (only while [act] holds, when
    given); false, asserting nothing, when the encodings already coincide
    on every output. *)
@@ -196,7 +121,8 @@ let add_miter d ?act a b =
   let diffs = ref [] in
   Array.iter2
     (fun la lb -> if la <> lb then diffs := Tseitin.mk_xor d.env [| la; lb |] :: !diffs)
-    (output_lits a) (output_lits b);
+    (Tseitin.output_lits d.env a.p a.s)
+    (Tseitin.output_lits d.env b.p b.s);
   if !diffs = [] then false
   else begin
     let guard = match act with Some l -> [ Lit.negate l ] | None -> [] in
@@ -256,7 +182,7 @@ let sweep d ~a_vars a b =
   let index () =
     Hashtbl.reset classes;
     for j = a.p.Compiled.num_nodes - 1 downto 0 do
-      Hashtbl.replace classes sa.hash.(j) j
+      if encoded a j then Hashtbl.replace classes sa.hash.(j) j
     done
   in
   index ();
@@ -282,9 +208,8 @@ let sweep d ~a_vars a b =
   in
   let la = a.s.Compiled.lits and lb = b.s.Compiled.lits in
   for i = 0 to b.p.Compiled.num_nodes - 1 do
-    let op = b.p.Compiled.op.(i) in
-    if op <> Compiled.op_input && op <> Compiled.op_const then begin
-      let l = node_lit d.env b.p lb d.buf i in
+    if b.p.Compiled.op.(i) <> Compiled.op_input && encoded b i then begin
+      let l = Tseitin.encode_node d.env b.p b.s ~input_lits:d.input_lits ~key_lits:[||] i in
       lb.(i) <- l;
       match candidate i with
       | None -> ()
@@ -316,12 +241,14 @@ let sat_decide ?seed ?(conflict_limit = 0) a b =
       env;
       input_lits = Tseitin.fresh_lits env a.p.Compiled.num_inputs;
       limit = conflict_limit;
-      buf = Array.make (1 + max a.p.Compiled.max_fanin b.p.Compiled.max_fanin) 0;
     }
   in
-  encode d a;
+  let encode x =
+    ignore (Tseitin.encode_program env x.p x.s ~input_lits:d.input_lits ~key_lits:[||])
+  in
+  encode a;
   let a_vars = Solver.num_vars solver in
-  encode d b;
+  encode b;
   let decide ?cap assumptions =
     match solve ?cap d assumptions with
     | Some Solver.Unsat -> Some `Equivalent

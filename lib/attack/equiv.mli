@@ -3,14 +3,16 @@
     budget, and SAT sweeping when that budget runs out.
 
     Both circuits are encoded into one solver over shared input
-    variables, through one Tseitin memo that folds constants and
-    normalises gate polarity, so logic the two circuits share maps onto
-    the same literals.  The miter is asserted behind an activation
-    literal and solved for at most {e miter_budget} (200) conflicts;
-    compositions that still share most of their structure close there.
-    Otherwise the miter is retired and the sweep proves the circuits
-    equal node by node: nodes of the second circuit are re-encoded in
-    topological order, and a node whose 512-pattern simulation signature
+    variables, by the attack's CNF walk ([Tseitin.encode_program]) into
+    one Tseitin memo that folds constants and equal MUX branches, so
+    logic the two circuits share maps onto the same literals.  The
+    miter is asserted behind an activation literal and solved for at
+    most {e miter_budget} (200) conflicts; compositions that still share
+    most of their structure close there.  Otherwise the miter is retired
+    and the sweep proves the circuits equal node by node: nodes of the
+    second circuit are re-encoded in topological order (constant and
+    dead nodes have no literal and are skipped), and a node whose
+    512-pattern simulation signature
     matches a node of the first circuit, up to complement, is proved
     equal to it with two assumption solves of at most {e pair_budget}
     (100) conflicts each.  A proved pair is merged (the equality is

@@ -83,7 +83,7 @@ type result = {
    per-domain), never shared. *)
 type prep = {
   p_locked : Circuit.t;
-  p_miter : Circuit.t;
+  p_miter : Compiled.t;  (** compiled once; every session walks it *)
   p_n_in : int;
   p_n_key : int;
   p_dep_pos : int array;  (** positions of the key-dependent outputs *)
@@ -160,7 +160,7 @@ let prepare locked =
   in
   {
     p_locked = locked;
-    p_miter = miter;
+    p_miter = Compiled.compile miter;
     p_n_in = n_in;
     p_n_key = n_key;
     p_dep_pos = positions Fun.id;
@@ -171,7 +171,7 @@ let prepare locked =
 
 let prep_inputs prep = prep.p_n_in
 
-let prep_gates prep = Circuit.gate_count prep.p_miter
+let prep_gates prep = Circuit.gate_count prep.p_miter.Compiled.source
 
 (* ------------------------------------------------------------------ *)
 (* Per-DIP constraint emission                                        *)
@@ -267,7 +267,10 @@ let open_session config prep ~condition =
   let input_lits = Tseitin.fresh_lits env n_in in
   let key_lits = Tseitin.fresh_lits env (2 * n_key) in
   let diff =
-    match Tseitin.encode env prep.p_miter ~input_lits ~key_lits with
+    let prog = prep.p_miter in
+    let scratch = Compiled.scratch prog in
+    Compiled.constants_into prog scratch;
+    match Tseitin.encode_program env prog scratch ~input_lits ~key_lits with
     | [| d |] -> d
     | _ -> assert false
   in
@@ -574,7 +577,7 @@ let drive config session ~oracle ~started =
   let batch_yield () =
     let k = round.b_k in
     let prog = Compiled.cached locked in
-    let scratch = Compiled.local_scratch prog in
+    let scratch = Compiled.scratch prog in
     let n_out = Circuit.num_outputs locked in
     let pack get =
       Array.init n_in (fun p ->

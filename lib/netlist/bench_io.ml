@@ -114,8 +114,13 @@ let parse_string ?(name = "bench") text =
         | None ->
             raise (Circuit.Ill_formed (Printf.sprintf "undefined signal %S" name))
         | Some (lineno, g, args) ->
-            if not (Gate.arity_ok g (List.length args)) then
-              fail lineno "gate %S: bad fanin count" name;
+            let width = List.length args in
+            if not (Gate.arity_ok g width) then fail lineno "gate %S: bad fanin count" name;
+            (match g with
+            | Gate.Lut _ when width > Gate.max_lut_inputs ->
+                fail lineno "gate %S: LUT with %d inputs (at most %d)" name width
+                  Gate.max_lut_inputs
+            | _ -> ());
             let fanins = Array.of_list (List.map elaborate args) in
             let s = Builder.gate ~name b g fanins in
             Hashtbl.remove visiting name;

@@ -21,7 +21,8 @@
 exception Parse_error of { line : int; message : string }
 
 val parse_string : ?name:string -> string -> Circuit.t
-(** Raises {!Parse_error} on malformed input and {!Circuit.Ill_formed} on
+(** Raises {!Parse_error} on malformed input (a [LUT_] gate wider than
+    {!Gate.max_lut_inputs} included) and {!Circuit.Ill_formed} on
     combinational cycles or other structural problems. *)
 
 val parse_file : string -> Circuit.t

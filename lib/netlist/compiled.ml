@@ -44,7 +44,6 @@ type t = {
   num_inputs : int;
   num_keys : int;
   num_outputs : int;
-  max_fanin : int;
   op : int array;
   arg : int array;
   fanin_off : int array;
@@ -80,7 +79,7 @@ let compile c =
     c.Circuit.nodes;
   let fanin_idx = Array.make (max 1 !total_fanins) 0 in
   let luts = ref [] and num_luts = ref 0 in
-  let next_input = ref 0 and next_key = ref 0 and pos = ref 0 and max_fanin = ref 0 in
+  let next_input = ref 0 and next_key = ref 0 and pos = ref 0 in
   Array.iteri
     (fun i nd ->
       fanin_off.(i) <- !pos;
@@ -113,8 +112,6 @@ let compile c =
                  luts := table :: !luts;
                  incr num_luts;
                  op_lut));
-          let k = Array.length fanins in
-          if k > !max_fanin then max_fanin := k;
           Array.iter
             (fun j ->
               fanin_idx.(!pos) <- j;
@@ -130,7 +127,6 @@ let compile c =
       num_inputs = Circuit.num_inputs c;
       num_keys = Circuit.num_keys c;
       num_outputs = Circuit.num_outputs c;
-      max_fanin = !max_fanin;
       op;
       arg;
       fanin_off;
@@ -742,6 +738,16 @@ let cofactor_into p s ~inputs =
   run_liveness p s;
   Tel.Metric.add m_node_evals evals;
   Tel.Metric.incr m_cofactors
+
+let constants_into p s =
+  check_scratch p s;
+  Array.iter (fun j -> Bytes.unsafe_set s.tern j tx) p.input_node;
+  ignore (full_ternary p s 0);
+  s.unknown <- s.unknown + p.num_inputs;
+  (* The inputs hold X, not a cofactor's pins: the next {!cofactor_into}
+     starts with a full sweep. *)
+  s.tern_full <- false;
+  run_liveness p s
 
 let tern_val s i = Char.code (Bytes.get s.tern i)
 

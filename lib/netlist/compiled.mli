@@ -10,9 +10,11 @@
     - an in-place ternary (0/1/X) constant-propagation cofactor pass that
       pins every primary input and leaves key inputs symbolic
       ({!cofactor_into}), the substrate of the per-DIP constraint
-      generation in the SAT attack (the matching Tseitin emitter lives in
-      [Ll_sat.Tseitin.encode_cofactored], above this library in the
-      layering).
+      generation in the SAT attack, and its all-X variant
+      ({!constants_into}).  Both leave the ternary and liveness state
+      that the one CNF walk, [Ll_sat.Tseitin.encode_program] (above this
+      library in the layering), reads to fold constants and skip dead
+      nodes.
 
     {b Scratch ownership.}  A {!scratch} belongs to exactly one domain at
     a time: the kernels write its buffers with no synchronization.  Either
@@ -51,7 +53,6 @@ type t = private {
   num_inputs : int;
   num_keys : int;
   num_outputs : int;
-  max_fanin : int;
   op : int array;  (** opcode per node, one of the [op_*] codes below *)
   arg : int array;
       (** per-opcode argument: port position ([op_input]/[op_key]),
@@ -72,7 +73,7 @@ and fanout
 (** Opaque CSR consumer index. *)
 
 (** Opcodes ([op] entries).  Fixed small ints so kernel dispatch compiles
-    to a jump table; exposed for the Tseitin emitter. *)
+    to a jump table; exposed for the CNF walk. *)
 
 val op_const : int
 
@@ -120,7 +121,7 @@ type scratch = private {
   lanes : int64 array;  (** packed node values, one lane per bit *)
   tern : Bytes.t;  (** ternary node values after {!cofactor_into}: 0/1/2=X *)
   live : Bytes.t;  (** 1 = node needed by a non-constant output *)
-  lits : int array;  (** per-node literal slots for the Tseitin emitter *)
+  lits : int array;  (** per-node literal slots for the CNF walk *)
   mutable unknown : int;  (** #X nodes after the last {!cofactor_into} *)
   ports : Bytes.t;  (** staged port values, inputs then keys *)
   changed : int array;  (** nodes of the ports the current call changed *)
@@ -183,11 +184,19 @@ val cofactor_into : t -> scratch -> inputs:bool array -> unit
     0, 1 or 2 (= X, key-dependent).  A second, backward sweep marks in
     [scratch.live] the nodes a non-constant output still depends on
     (constant fanins are not live; a MUX with a constant select keeps
-    only its selected branch live) — the node set the Tseitin emitter
+    only its selected branch live) — the node set the CNF walk
     encodes.  No intermediate circuit is built.  [scratch.unknown] is the
     number of X nodes.  The forward sweep is incremental from the
     scratch's previous cofactor (see above).  Raises [Invalid_argument]
     on an input-count mismatch. *)
+
+val constants_into : t -> scratch -> unit
+(** The ternary state of {!cofactor_into} with every port X: a node is
+    constant only through [Const] nodes, and [scratch.live] marks the
+    nodes a non-constant output depends on.  The CNF walk reads this
+    state to encode a whole program.  Always a full sweep, not counted
+    in [kernel.node_evals] or [kernel.cofactors]; the next
+    {!cofactor_into} on the scratch is a full sweep too. *)
 
 val tern_val : scratch -> int -> int
 (** Ternary value (0/1/2) of a node after {!cofactor_into}. *)

@@ -12,6 +12,8 @@ type t =
   | Mux
   | Lut of Bitvec.t
 
+let max_lut_inputs = 16
+
 let arity_ok g n =
   match g with
   | And | Or | Nand | Nor | Xor | Xnor -> n >= 1

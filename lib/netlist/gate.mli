@@ -35,6 +35,11 @@ val eval_sub : t -> bool array -> len:int -> bool
 val eval_lanes_sub : t -> int64 array -> len:int -> int64
 (** 64-lane {!eval_sub}. *)
 
+val max_lut_inputs : int
+(** The widest LUT (16 inputs) the CNF encoder ([Ll_sat.Tseitin]) takes:
+    it writes one clause per table row.  The [.bench] parser rejects
+    wider ones. *)
+
 val arity_ok : t -> int -> bool
 (** Whether a gate of this function may take the given number of fanins. *)
 

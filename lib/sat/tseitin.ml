@@ -1,4 +1,3 @@
-module Circuit = Ll_netlist.Circuit
 module Gate = Ll_netlist.Gate
 module Compiled = Ll_netlist.Compiled
 module Bitvec = Ll_util.Bitvec
@@ -60,6 +59,8 @@ type env = {
   mutable cache : Lit.t Cache.t;
   mutable frozen : Lit.t Cache.t list;
   probe : Key.t;  (* lookup key, refilled by every gate constructor *)
+  mutable fanins : int array;  (* fanin literals of {!encode_node} *)
+  mutable xpos : int array;  (* unknown LUT fanin positions of {!encode_node} *)
   (* When [Some acc], emitted clauses are buffered (in reverse) instead of
      added, and flushed by {!with_batch} as one contiguous arena append. *)
   mutable pending : Lit.t array list option;
@@ -72,6 +73,8 @@ let create solver =
     cache = Cache.create 4096;
     frozen = [];
     probe = { Key.tag = 0; tbl = ""; fan = Array.make 16 0; len = 0 };
+    fanins = [||];
+    xpos = [||];
     pending = None;
   }
 
@@ -91,6 +94,8 @@ let copy env solver =
     cache = Cache.create 256;
     frozen = env.frozen;
     probe = { env.probe with Key.fan = Array.copy env.probe.Key.fan };
+    fanins = [||];
+    xpos = [||];
     pending = None;
   }
 
@@ -209,8 +214,6 @@ let mk_or_n env xs n =
     out
   end
 
-let mk_or env xs = mk_or_n env xs (Array.length xs)
-
 (* out <-> lo XOR hi, lo <= hi *)
 let mk_xor2 env a b =
   let lo = min a b and hi = max a b in
@@ -263,10 +266,11 @@ let mk_mux env sel lo hi =
     out
   end
 
-let mk_lut env table fanin_lits =
-  let k = Array.length fanin_lits in
-  if k > 16 then invalid_arg "Tseitin: LUT wider than 16 inputs";
-  set_probe env tag_lut ~tbl:(Bitvec.to_string table) ~sorted:false fanin_lits k;
+(* out <-> table(xs.(0 .. k-1)) *)
+let mk_lut env table xs k =
+  if k > Gate.max_lut_inputs then
+    invalid_arg (Printf.sprintf "Tseitin: LUT wider than %d inputs" Gate.max_lut_inputs);
+  set_probe env tag_lut ~tbl:(Bitvec.to_string table) ~sorted:false xs k;
   let hit = lookup env in
   if hit >= 0 then hit
   else begin
@@ -277,8 +281,8 @@ let mk_lut env table fanin_lits =
       emit env
         (Array.init (k + 1) (fun j ->
              if j = 0 then rhs
-             else if (idx lsr (j - 1)) land 1 = 1 then Lit.negate fanin_lits.(j - 1)
-             else fanin_lits.(j - 1)))
+             else if (idx lsr (j - 1)) land 1 = 1 then Lit.negate xs.(j - 1)
+             else xs.(j - 1)))
     done;
     out
   end
@@ -286,184 +290,189 @@ let mk_lut env table fanin_lits =
 let freeze_all env lits =
   Array.iter (fun l -> Solver.freeze_var env.solver (Lit.var l)) lits
 
-let encode env c ~input_lits ~key_lits =
-  if Array.length input_lits <> Circuit.num_inputs c then
-    invalid_arg "Tseitin.encode: input literal count mismatch";
-  if Array.length key_lits <> Circuit.num_keys c then
-    invalid_arg "Tseitin.encode: key literal count mismatch";
-  (* Interface variables are re-mentioned by later clauses (miters, DIP
-     constraints, model queries): exempt them from variable elimination.
-     Internal gate variables stay eliminable. *)
-  freeze_all env input_lits;
-  freeze_all env key_lits;
-  let lit_of_node = Array.make (Circuit.num_nodes c) 0 in
-  let next_input = ref 0 and next_key = ref 0 in
-  Array.iteri
-    (fun i nd ->
-      let l =
-        match nd with
-        | Circuit.Input ->
-            let l = input_lits.(!next_input) in
-            incr next_input;
-            l
-        | Circuit.Key_input ->
-            let l = key_lits.(!next_key) in
-            incr next_key;
-            l
-        | Circuit.Const v -> if v then lit_true env else Lit.negate (lit_true env)
-        | Circuit.Gate (g, fanins) -> (
-            let fl = Array.map (fun j -> lit_of_node.(j)) fanins in
-            match g with
-            | Gate.Buf -> fl.(0)
-            | Gate.Not -> Lit.negate fl.(0)
-            | Gate.And -> mk_and env fl
-            | Gate.Nand -> Lit.negate (mk_and env fl)
-            | Gate.Or -> mk_or env fl
-            | Gate.Nor -> Lit.negate (mk_or env fl)
-            | Gate.Xor -> mk_xor env fl
-            | Gate.Xnor -> Lit.negate (mk_xor env fl)
-            | Gate.Mux -> mk_mux env fl.(0) fl.(1) fl.(2)
-            | Gate.Lut table -> mk_lut env table fl)
-      in
-      lit_of_node.(i) <- l)
-    c.Circuit.nodes;
-  let outs = Array.map (fun (_, j) -> lit_of_node.(j)) c.Circuit.outputs in
-  freeze_all env outs;
-  outs
-
 (* ------------------------------------------------------------------ *)
-(* Direct emitter over a cofactored flat program                       *)
+(* The walk over a compiled program                                    *)
 (* ------------------------------------------------------------------ *)
 
-let encode_cofactored env (p : Compiled.t) (s : Compiled.scratch) ~key_lits =
-  if Array.length key_lits <> p.Compiled.num_keys then
-    invalid_arg "Tseitin.encode_cofactored: key literal count mismatch";
-  freeze_all env key_lits;
-  Tel.span_begin "kernel.encode";
-  let op = p.Compiled.op and arg = p.Compiled.arg in
-  let off = p.Compiled.fanin_off and idx = p.Compiled.fanin_idx in
-  let lits = s.Compiled.lits in
-  let n = p.Compiled.num_nodes in
-  let fl = Array.make (max 1 p.Compiled.max_fanin) 0 in
-  let encoded = ref 0 in
-  let tern j = Compiled.tern_val s j in
-  for i = 0 to n - 1 do
-    (* Only key ports and live X gates get literals; constants fold into
-       their readers and dead X nodes are skipped entirely. *)
-    if tern i = 2 && Compiled.is_live s i then begin
-      let o = op.(i) in
-      let l =
-        if o = Compiled.op_key then key_lits.(arg.(i))
-        else begin
-          incr encoded;
-          let lo = off.(i) and hi = off.(i + 1) in
-          if o = Compiled.op_and || o = Compiled.op_nand then begin
-            (* Constant fanins are all 1 (a 0 would make the node const). *)
-            let m = ref 0 in
-            for k = lo to hi - 1 do
-              let j = idx.(k) in
-              if tern j = 2 then begin
-                fl.(!m) <- lits.(j);
-                incr m
-              end
-            done;
-            let base = if !m = 1 then fl.(0) else mk_and_n env fl !m in
-            if o = Compiled.op_and then base else Lit.negate base
-          end
-          else if o = Compiled.op_or || o = Compiled.op_nor then begin
-            let m = ref 0 in
-            for k = lo to hi - 1 do
-              let j = idx.(k) in
-              if tern j = 2 then begin
-                fl.(!m) <- lits.(j);
-                incr m
-              end
-            done;
-            let base = if !m = 1 then fl.(0) else mk_or_n env fl !m in
-            if o = Compiled.op_or then base else Lit.negate base
-          end
-          else if o = Compiled.op_xor || o = Compiled.op_xnor then begin
-            let m = ref 0 and parity = ref false in
-            for k = lo to hi - 1 do
-              let j = idx.(k) in
-              let t = tern j in
-              if t = 2 then begin
-                fl.(!m) <- lits.(j);
-                incr m
-              end
-              else if t = 1 then parity := not !parity
-            done;
-            let base = if !m = 1 then fl.(0) else mk_xor_n env fl !m in
-            let base = if !parity then Lit.negate base else base in
-            if o = Compiled.op_xor then base else Lit.negate base
-          end
-          else if o = Compiled.op_not then Lit.negate lits.(idx.(lo))
-          else if o = Compiled.op_buf then lits.(idx.(lo))
-          else if o = Compiled.op_mux then begin
-            let js = idx.(lo) and ja = idx.(lo + 1) and jb = idx.(lo + 2) in
-            let ts = tern js and ta = tern ja and tb = tern jb in
-            if ts = 0 then lits.(ja)
-            else if ts = 1 then lits.(jb)
-            else begin
-              let sl = lits.(js) in
-              if ta = 2 && tb = 2 then mk_mux env sl lits.(ja) lits.(jb)
-              else if ta = 2 then
-                if tb = 1 then mk_or env [| sl; lits.(ja) |]
-                else mk_and env [| Lit.negate sl; lits.(ja) |]
-              else if tb = 2 then
-                if ta = 1 then mk_or env [| Lit.negate sl; lits.(jb) |]
-                else mk_and env [| sl; lits.(jb) |]
-              else if ta = 0 then sl
-              else Lit.negate sl
-            end
-          end
-          else begin
-            (* op_lut: restrict the table to the X fanins. *)
-            let t = p.Compiled.luts.(arg.(i)) in
-            let kf = hi - lo in
-            let xpos = Array.make kf 0 in
-            let m = ref 0 and base = ref 0 in
-            for k = 0 to kf - 1 do
-              let tv = tern idx.(lo + k) in
-              if tv = 1 then base := !base lor (1 lsl k)
-              else if tv = 2 then begin
-                xpos.(!m) <- k;
-                incr m
-              end
-            done;
-            let mm = !m in
-            if mm = 1 then begin
-              let l = lits.(idx.(lo + xpos.(0))) in
-              if Bitvec.get t (!base lor (1 lsl xpos.(0))) then l else Lit.negate l
-            end
-            else begin
-              let sub =
-                Bitvec.init (1 lsl mm) (fun j ->
-                    let v = ref !base in
-                    for b = 0 to mm - 1 do
-                      if (j lsr b) land 1 = 1 then v := !v lor (1 lsl xpos.(b))
-                    done;
-                    Bitvec.get t !v)
-              in
-              let fls = Array.init mm (fun b -> lits.(idx.(lo + xpos.(b)))) in
-              mk_lut env sub fls
-            end
-          end
-        end
-      in
-      lits.(i) <- l
+(* [env.fanins] holds the literals of a node's unknown fanins, [env.xpos]
+   the positions of a LUT's unknown fanins; both grow to the widest node
+   seen, so the builder allocates nothing for ordinary gates. *)
+let reserve env k =
+  if Array.length env.fanins < k then begin
+    env.fanins <- Array.make k 0;
+    env.xpos <- Array.make k 0
+  end
+
+(* The literals of the X fanins [fanin_idx.(lo .. hi-1)] of a node into
+   [env.fanins]; returns their count. *)
+let gather env (p : Compiled.t) (s : Compiled.scratch) lo hi =
+  let fl = env.fanins and idx = p.Compiled.fanin_idx in
+  let m = ref 0 in
+  for k = lo to hi - 1 do
+    let j = idx.(k) in
+    if Compiled.tern_val s j = 2 then begin
+      fl.(!m) <- s.Compiled.lits.(j);
+      incr m
     end
   done;
-  let outs =
-    Array.map
-      (fun j ->
-        match tern j with
-        | 2 -> lits.(j)
-        | 1 -> lit_true env
-        | _ -> Lit.negate (lit_true env))
-      p.Compiled.outputs
-  in
+  !m
+
+(* Whether an odd number of the constant fanins of a node is 1. *)
+let const_parity (p : Compiled.t) (s : Compiled.scratch) lo hi =
+  let parity = ref false in
+  for k = lo to hi - 1 do
+    if Compiled.tern_val s p.Compiled.fanin_idx.(k) = 1 then parity := not !parity
+  done;
+  !parity
+
+(* [f env.fanins 2] over the two literals [a] and [b]. *)
+let pair env f a b =
+  env.fanins.(0) <- a;
+  env.fanins.(1) <- b;
+  f env env.fanins 2
+
+(* The literal of node [i], which is X in [s]'s ternary state: its
+   fanins' literals are in [s.lits], and constant fanins fold into it. *)
+let encode_node env (p : Compiled.t) (s : Compiled.scratch) ~input_lits ~key_lits i =
+  let o = p.Compiled.op.(i) and arg = p.Compiled.arg.(i) in
+  if o = Compiled.op_input then input_lits.(arg)
+  else if o = Compiled.op_key then key_lits.(arg)
+  else begin
+    let idx = p.Compiled.fanin_idx and lits = s.Compiled.lits in
+    let lo = p.Compiled.fanin_off.(i) and hi = p.Compiled.fanin_off.(i + 1) in
+    reserve env (hi - lo);
+    let fl = env.fanins in
+    if o = Compiled.op_and || o = Compiled.op_nand then begin
+      (* Constant fanins are all 1 (a 0 would make the node constant). *)
+      let m = gather env p s lo hi in
+      let base = if m = 1 then fl.(0) else mk_and_n env fl m in
+      if o = Compiled.op_and then base else Lit.negate base
+    end
+    else if o = Compiled.op_or || o = Compiled.op_nor then begin
+      let m = gather env p s lo hi in
+      let base = if m = 1 then fl.(0) else mk_or_n env fl m in
+      if o = Compiled.op_or then base else Lit.negate base
+    end
+    else if o = Compiled.op_xor || o = Compiled.op_xnor then begin
+      let m = gather env p s lo hi in
+      let base = if m = 1 then fl.(0) else mk_xor_n env fl m in
+      let base = if const_parity p s lo hi then Lit.negate base else base in
+      if o = Compiled.op_xor then base else Lit.negate base
+    end
+    else if o = Compiled.op_not then Lit.negate lits.(idx.(lo))
+    else if o = Compiled.op_buf then lits.(idx.(lo))
+    else if o = Compiled.op_mux then begin
+      let js = idx.(lo) and ja = idx.(lo + 1) and jb = idx.(lo + 2) in
+      let ts = Compiled.tern_val s js in
+      let ta = Compiled.tern_val s ja and tb = Compiled.tern_val s jb in
+      if ts = 0 then lits.(ja)
+      else if ts = 1 then lits.(jb)
+      else begin
+        let sl = lits.(js) in
+        if ta = 2 && tb = 2 then
+          if lits.(ja) = lits.(jb) then lits.(ja) else mk_mux env sl lits.(ja) lits.(jb)
+        else if ta = 2 then
+          if tb = 1 then pair env mk_or_n sl lits.(ja)
+          else pair env mk_and_n (Lit.negate sl) lits.(ja)
+        else if tb = 2 then
+          if ta = 1 then pair env mk_or_n (Lit.negate sl) lits.(jb)
+          else pair env mk_and_n sl lits.(jb)
+        else if ta = 0 then sl
+        else Lit.negate sl
+      end
+    end
+    else begin
+      (* op_lut: restrict the table to the X fanins. *)
+      let t = p.Compiled.luts.(arg) in
+      let kf = hi - lo in
+      let xpos = env.xpos in
+      let m = ref 0 and base = ref 0 in
+      for k = 0 to kf - 1 do
+        let tv = Compiled.tern_val s idx.(lo + k) in
+        if tv = 1 then base := !base lor (1 lsl k)
+        else if tv = 2 then begin
+          xpos.(!m) <- k;
+          incr m
+        end
+      done;
+      let mm = !m and base = !base in
+      if mm = 1 then begin
+        let l = lits.(idx.(lo + xpos.(0))) in
+        if Bitvec.get t (base lor (1 lsl xpos.(0))) then l else Lit.negate l
+      end
+      else begin
+        let sub =
+          if mm = kf then t
+          else
+            Bitvec.init (1 lsl mm) (fun j ->
+                let v = ref base in
+                for b = 0 to mm - 1 do
+                  if (j lsr b) land 1 = 1 then v := !v lor (1 lsl xpos.(b))
+                done;
+                Bitvec.get t !v)
+        in
+        for b = 0 to mm - 1 do
+          fl.(b) <- lits.(idx.(lo + xpos.(b)))
+        done;
+        mk_lut env sub fl mm
+      end
+    end
+  end
+
+let output_lits env (p : Compiled.t) (s : Compiled.scratch) =
+  Array.map
+    (fun j ->
+      match Compiled.tern_val s j with
+      | 2 -> s.Compiled.lits.(j)
+      | 1 -> lit_true env
+      | _ -> Lit.negate (lit_true env))
+    p.Compiled.outputs
+
+(* Encode every live X node in topological order; constants fold into
+   their readers and dead nodes are skipped.  Returns the number of gates
+   encoded and the output literals.  Port and output variables are
+   re-mentioned by later clauses (miters, DIP constraints, model
+   queries), so they are exempt from variable elimination; internal gate
+   variables stay eliminable. *)
+let walk env (p : Compiled.t) (s : Compiled.scratch) ~input_lits ~key_lits =
+  freeze_all env input_lits;
+  freeze_all env key_lits;
+  let lits = s.Compiled.lits and op = p.Compiled.op in
+  let encoded = ref 0 in
+  for i = 0 to p.Compiled.num_nodes - 1 do
+    if Compiled.tern_val s i = 2 && Compiled.is_live s i then begin
+      if op.(i) > Compiled.op_key then incr encoded;
+      lits.(i) <- encode_node env p s ~input_lits ~key_lits i
+    end
+  done;
+  let outs = output_lits env p s in
   freeze_all env outs;
+  (!encoded, outs)
+
+let check_ports name (p : Compiled.t) ~input_lits ~key_lits =
+  if Array.length input_lits <> p.Compiled.num_inputs then
+    invalid_arg (name ^ ": input literal count mismatch");
+  if Array.length key_lits <> p.Compiled.num_keys then
+    invalid_arg (name ^ ": key literal count mismatch")
+
+let encode_program env p s ~input_lits ~key_lits =
+  check_ports "Tseitin.encode_program" p ~input_lits ~key_lits;
+  snd (walk env p s ~input_lits ~key_lits)
+
+let encode env c ~input_lits ~key_lits =
+  let p = Compiled.compile c in
+  check_ports "Tseitin.encode" p ~input_lits ~key_lits;
+  let s = Compiled.scratch p in
+  Compiled.constants_into p s;
+  snd (walk env p s ~input_lits ~key_lits)
+
+(* The per-DIP path: primary inputs are pinned, so no input literal is
+   ever read. *)
+let encode_cofactored env (p : Compiled.t) s ~key_lits =
+  if Array.length key_lits <> p.Compiled.num_keys then
+    invalid_arg "Tseitin.encode_cofactored: key literal count mismatch";
+  Tel.span_begin "kernel.encode";
+  let encoded, outs = walk env p s ~input_lits:[||] ~key_lits in
   Tel.Metric.incr m_encodes;
-  Tel.span_end ~v:!encoded ();
+  Tel.span_end ~v:encoded ();
   outs

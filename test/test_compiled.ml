@@ -12,62 +12,6 @@ module Lit = LL.Sat.Lit
 module Simplify = LL.Synth.Simplify
 module Sweep = LL.Synth.Sweep
 
-(* Random circuits over every gate kind — including the n-ary gates,
-   [Mux] and [Lut], which the shared [random_circuit] helper never
-   emits. *)
-let random_all_gates ~seed ~num_inputs ~num_keys ~gates ~num_outputs () =
-  let g = Prng.create seed in
-  let nodes = ref [] and count = ref 0 in
-  let add nd =
-    nodes := nd :: !nodes;
-    incr count
-  in
-  for _ = 1 to num_inputs do
-    add Circuit.Input
-  done;
-  for _ = 1 to num_keys do
-    add Circuit.Key_input
-  done;
-  add (Circuit.Const false);
-  add (Circuit.Const true);
-  for _ = 1 to gates do
-    let pick () = Prng.int g !count in
-    let nary gate =
-      let k = 1 + Prng.int g 4 in
-      Circuit.Gate (gate, Array.init k (fun _ -> pick ()))
-    in
-    let nd =
-      match Prng.int g 10 with
-      | 0 -> nary Gate.And
-      | 1 -> nary Gate.Or
-      | 2 -> nary Gate.Nand
-      | 3 -> nary Gate.Nor
-      | 4 -> nary Gate.Xor
-      | 5 -> nary Gate.Xnor
-      | 6 -> Circuit.Gate (Gate.Not, [| pick () |])
-      | 7 -> Circuit.Gate (Gate.Buf, [| pick () |])
-      | 8 -> Circuit.Gate (Gate.Mux, [| pick (); pick (); pick () |])
-      | _ ->
-          let k = 1 + Prng.int g 3 in
-          let table = Bitvec.init (1 lsl k) (fun _ -> Prng.bool g) in
-          Circuit.Gate (Gate.Lut table, Array.init k (fun _ -> pick ()))
-    in
-    add nd
-  done;
-  let nodes = Array.of_list (List.rev !nodes) in
-  let node_names = Array.mapi (fun i _ -> Printf.sprintf "n%d" i) nodes in
-  let outputs =
-    Array.init num_outputs (fun o ->
-        (Printf.sprintf "out%d" o, Prng.int g (Array.length nodes)))
-  in
-  Circuit.create ~name:"rand_all" ~nodes ~node_names ~outputs
-
-(* Reference output values through the interpreter, which does not go
-   through the compiled kernel. *)
-let reference_outputs c ~inputs ~keys =
-  let values = Eval.eval_all_nodes c ~inputs ~keys in
-  Array.map (fun j -> values.(j)) (Circuit.output_nodes c)
-
 let bool_array = Alcotest.(array bool)
 
 let test_scalar_vs_reference () =

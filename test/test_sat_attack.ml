@@ -332,26 +332,31 @@ let test_minor_words_per_dip () =
    sweep of every program (its scratches are fresh), which gives the
    full-sweep cost per DIP.  On c432/SARLock K=8 (N=0, one domain) that
    is 525 nodes per DIP; the incremental passes evaluate 57.4 (about a
-   ninth).  The bound is a third. *)
+   ninth).  The bound is a third.  [kernel.encodes] counts the DIP
+   constraints alone, one per key copy: the miter's encoding goes through
+   the same walk without counting. *)
 let test_node_evals_per_dip () =
   let original = LL.Bench_suite.Iscas.get "c432" in
   let locked =
     (LL.Locking.Sarlock.lock ~prng:(Prng.create 1) ~key_size:8 original).LL.Locking.Locked.circuit
   in
-  let node_evals config =
+  let counters config =
     Tel.reset ();
     Tel.enable ();
     let r = Fun.protect ~finally:Tel.disable (fun () -> run_attack ~config original locked) in
     let counters = (Tel.snapshot ()).Tel.counters in
-    (r, Option.value ~default:0 (List.assoc_opt "kernel.node_evals" counters))
+    (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
   in
-  let first, full_per_dip =
-    node_evals { Sat_attack.default_config with max_iterations = Some 1 }
-  in
+  let first, count = counters { Sat_attack.default_config with max_iterations = Some 1 } in
+  let full_per_dip = count "kernel.node_evals" in
   Alcotest.(check int) "one DIP" 1 first.Sat_attack.num_dips;
+  Alcotest.(check int) "kernel.encodes of one DIP" 2 (count "kernel.encodes");
   (* Warm-up run: first-use initialisation is not per-DIP cost. *)
   ignore (run_attack original locked);
-  let r, evals = node_evals Sat_attack.default_config in
+  let r, count = counters Sat_attack.default_config in
+  let evals = count "kernel.node_evals" in
+  Alcotest.(check int) "kernel.encodes = 2 x attack.dips" (2 * r.Sat_attack.num_dips)
+    (count "kernel.encodes");
   let per_dip = float_of_int evals /. float_of_int r.Sat_attack.num_dips in
   Printf.printf "c432/sarlock8 N=0: %d nodes per DIP in full sweeps, %.1f evaluated\n"
     full_per_dip per_dip;

@@ -5,11 +5,13 @@ module Lit = Ll_sat.Lit
 
 (* The central property: for any circuit and any input/key assignment, the
    CNF under unit-forced ports is satisfiable and the output literals carry
-   the simulation values. *)
-let encodes_correctly ?(keys = 0) c seed =
+   the values of the interpreter, which shares no code with the encoder's
+   compiled program. *)
+let encodes_correctly c seed =
   let g = Prng.create seed in
   let solver = Solver.create () in
   let env = Tseitin.create solver in
+  let keys = Circuit.num_keys c in
   let input_lits = Tseitin.fresh_lits env (Circuit.num_inputs c) in
   let key_lits = Tseitin.fresh_lits env keys in
   let outs = Tseitin.encode env c ~input_lits ~key_lits in
@@ -20,7 +22,7 @@ let encodes_correctly ?(keys = 0) c seed =
   match Solver.solve solver with
   | Solver.Unsat -> false
   | Solver.Sat ->
-      let want = Eval.eval c ~inputs ~keys:key_vals in
+      let want = reference_outputs c ~inputs ~keys:key_vals in
       Array.for_all Fun.id (Array.mapi (fun i o -> Solver.value solver o = want.(i)) outs)
 
 let test_full_adder () =
@@ -133,11 +135,38 @@ let test_copy_reuses_memo () =
     (Invalid_argument "Tseitin.copy: inside with_batch") (fun () ->
       Tseitin.with_batch env (fun () -> ignore (Tseitin.copy env (Solver.copy solver))))
 
+(* [random_all_gates] (keys, [Const] nodes, LUTs, MUXes) with two more
+   outputs, a MUX whose branches are one node and a gate over a
+   constant, and a gate no output reads. *)
+let all_gates_circuit ~seed ~gates =
+  let num_inputs = 4 and num_keys = 2 in
+  let c = random_all_gates ~seed ~num_inputs ~num_keys ~gates ~num_outputs:3 () in
+  (* [random_all_gates] puts [Const false] and [Const true] after the ports. *)
+  let const_true = num_inputs + num_keys + 1 in
+  let n = Circuit.num_nodes c in
+  let g = Prng.create seed in
+  let pick () = Prng.int g n in
+  let a = pick () in
+  let extra =
+    [|
+      Circuit.Gate (Gate.Mux, [| pick (); a; a |]);
+      Circuit.Gate (Gate.And, [| pick (); const_true |]);
+      Circuit.Gate (Gate.Xor, [| pick (); pick () |]);
+    |]
+  in
+  Circuit.create ~name:"all_gates"
+    ~nodes:(Array.append c.Circuit.nodes extra)
+    ~node_names:(Array.init (n + 3) (fun i -> Printf.sprintf "n%d" i))
+    ~outputs:(Array.append c.Circuit.outputs [| ("mux_eq", n); ("and_const", n + 1) |])
+
 let prop_random_circuits =
   qcheck_case ~count:60 "random circuits encode correctly"
-    QCheck2.Gen.(pair (int_bound 100000) (int_bound 60))
-    (fun (seed, gates) ->
-      let c = random_circuit ~seed ~num_inputs:5 ~num_outputs:3 ~gates:(5 + gates) () in
+    QCheck2.Gen.(triple bool (int_bound 100000) (int_bound 60))
+    (fun (all_gates, seed, gates) ->
+      let c =
+        if all_gates then all_gates_circuit ~seed ~gates:(5 + gates)
+        else random_circuit ~seed ~num_inputs:5 ~num_outputs:3 ~gates:(5 + gates) ()
+      in
       encodes_correctly c (seed + 7))
 
 let suite =
