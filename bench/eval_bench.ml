@@ -155,52 +155,6 @@ let constraint_generation ~dips locked =
     kernel_minor /. float_of_int dips,
     node_evals )
 
-(* The batched-encode half of the attack pipeline in isolation: the same
-   kernel-path DIP constraints, grouped [q] at a time under
-   [Tseitin.with_batch] so each group's clauses land in one contiguous
-   arena append — the encode step of a [Sat_attack] batch round without
-   its solver.  Swept over the pipeline's q ladder. *)
-let batch_qs = [| 1; 4; 16; 64 |]
-
-let batched_constraint_generation ~dips locked =
-  let n_in = Circuit.num_inputs locked and n_key = Circuit.num_keys locked in
-  let g = Prng.create 0xD1F5 in
-  let dip_pats = Array.init dips (fun _ -> Array.init n_in (fun _ -> Prng.bool g)) in
-  let prog = Compiled.compile locked in
-  let responses =
-    Array.map
-      (fun dip -> Compiled.eval prog ~inputs:dip ~keys:(Array.make n_key false))
-      dip_pats
-  in
-  let run_q q =
-    let wall, _ =
-      timed (fun () ->
-          let solver = Solver.create () in
-          let env = Tseitin.create solver in
-          let key_lits = Tseitin.fresh_lits env n_key in
-          let scratch = Compiled.scratch prog in
-          let base = ref 0 in
-          while !base < dips do
-            let k = min q (dips - !base) in
-            let encode_one j =
-              let d = !base + j in
-              Compiled.cofactor_into prog scratch ~inputs:dip_pats.(d);
-              let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
-              Array.iteri (fun o l -> Tseitin.force env l responses.(d).(o)) outs
-            in
-            if k > 1 then
-              Tseitin.with_batch env (fun () ->
-                  for j = 0 to k - 1 do
-                    encode_one j
-                  done)
-            else encode_one 0;
-            base := !base + k
-          done)
-    in
-    float_of_int dips /. wall
-  in
-  Array.map run_q batch_qs
-
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -212,15 +166,10 @@ let bench ~name ~reps ~dips locked =
   let rebuild_dps, kernel_dps, rebuild_wpd, kernel_wpd, kernel_node_evals =
     constraint_generation ~dips locked
   in
-  let batch_dps = batched_constraint_generation ~dips locked in
   let bench_wall = Timer.monotonic () -. t0 in
   let m1 = Gc.minor_words () in
-  let last = Array.length batch_dps - 1 in
   let packed_vs_scalar = packed_ps /. scalar_ps in
   let kernel_vs_rebuild = kernel_dps /. rebuild_dps in
-  let batch_q64_vs_q1 =
-    if batch_dps.(0) > 0.0 then batch_dps.(last) /. batch_dps.(0) else 0.0
-  in
   let record =
     Bench_record.
       [
@@ -239,25 +188,15 @@ let bench ~name ~reps ~dips locked =
         ("rebuild_minor_words_per_dip", fixed 1 rebuild_wpd);
         ("kernel_minor_words_per_dip", fixed 1 kernel_wpd);
         ("kernel_node_evals", int kernel_node_evals);
-        ("batch_qs", ints batch_qs);
-        ("batch_encode_dips_per_s", fixeds 1 batch_dps);
-        ("batch_q64_vs_q1", fixed 3 batch_q64_vs_q1);
       ]
     @ Bench_gc.json_fields ~minor_words:(m1 -. m0) ~wall_s:bench_wall
   in
   records := record :: !records;
   Printf.printf
     "  %-20s %8.0f interp/s %9.0f scalar/s %11.0f packed/s (%5.1fx)\n\
-    \  %-20s %8.1f rebuild dips/s %8.1f kernel dips/s (%5.1fx), minor w/dip %8.0f -> %7.0f\n\
-    \  %-20s batched encode dips/s %s (q64/q1 x%.2f)\n%!"
+    \  %-20s %8.1f rebuild dips/s %8.1f kernel dips/s (%5.1fx), minor w/dip %8.0f -> %7.0f\n%!"
     name interp_ps scalar_ps packed_ps packed_vs_scalar "" rebuild_dps kernel_dps
-    kernel_vs_rebuild rebuild_wpd kernel_wpd ""
-    (String.concat " "
-       (Array.to_list
-          (Array.mapi
-             (fun i q -> Printf.sprintf "q%d=%.0f" q batch_dps.(i))
-             batch_qs)))
-    batch_q64_vs_q1
+    kernel_vs_rebuild rebuild_wpd kernel_wpd
 
 let sarlock name ~key_size =
   let c = LL.Bench_suite.Iscas.get name in

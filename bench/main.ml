@@ -40,17 +40,13 @@ let sections =
   (* Selectable but not part of a default run: "satsmoke" is the tiny
      SAT-core suite behind the [bench-sat-smoke] CI alias, a subset of
      "sat"; "evalsmoke" likewise for the compiled-kernel suite behind
-     [bench-eval-smoke]; "satsimp" is the inprocessing on/off comparison
-     behind [bench-sat-simp-smoke] (BENCH_sat_simp.json); "dipbatch" is
-     the batched-DIP q sweep behind [bench-dip-batch-smoke]
-     (BENCH_dip_batch.json); "cube" is the adaptive cube-and-conquer vs
+     [bench-eval-smoke]; "cube" is the adaptive cube-and-conquer vs
      fixed-N comparison (BENCH_cube.json), "cubesmoke" its seconds-scale
      subset behind [bench-cube-smoke]; "keypop"/"keypopsmoke" is the exact
      key-population grid behind [bench-keypop-smoke] (BENCH_keypop.json). *)
   let extras =
     [
-      "satsmoke"; "evalsmoke"; "satsimp"; "dipbatch"; "cube"; "cubesmoke";
-      "keypop"; "keypopsmoke";
+      "satsmoke"; "evalsmoke"; "cube"; "cubesmoke"; "keypop"; "keypopsmoke";
     ]
   in
   (* "full" is a modifier, not a section.  A typo must not fall through
@@ -165,67 +161,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
   Tel.disable ();
   let num_tasks = Array.length steal.Split_attack.tasks in
   let traj = dip_trajectories snap steal.Split_attack.tasks in
-  (* Batched-DIP sweep over the same workload: the serial runner with the
-     pipeline pinned at each q.  The q = 1 run must be byte-identical to
-     the plain serial run above (same DIP sequences per task) — that is
-     the pipeline's compatibility invariant, recorded as a boolean. *)
-  let dip_qs = [| 1; 4; 16; 64 |] in
-  let batch_runs =
-    Array.map
-      (fun q ->
-        let config =
-          { Sat_attack.default_config with
-            dip_batch =
-              { Sat_attack.q; q_max = q; adaptive = false }
-          }
-        in
-        let r, wall, _, _ = time (fun () -> Split_attack.run ~config ~n locked ~oracle) in
-        (wall, r))
-      dip_qs
-  in
-  let total f (s : Split_attack.t) =
-    Array.fold_left (fun acc t -> acc + f t.Split_attack.result) 0 s.Split_attack.tasks
-  in
-  let batch_wall = Array.map fst batch_runs in
-  let batch_dips =
-    Array.map (fun (_, s) -> total (fun r -> r.Sat_attack.num_dips) s) batch_runs
-  in
-  let batch_rounds =
-    Array.map (fun (_, s) -> total (fun r -> r.Sat_attack.rounds) s) batch_runs
-  in
-  let batch_dips_s =
-    Array.init (Array.length batch_runs) (fun i ->
-        if batch_wall.(i) > 0.0 then float_of_int batch_dips.(i) /. batch_wall.(i)
-        else 0.0)
-  in
-  let dip_sequences (s : Split_attack.t) =
-    Array.map
-      (fun (t : Split_attack.task) ->
-        t.result.Sat_attack.dips |> List.map Bitvec.to_string |> String.concat ",")
-      s.Split_attack.tasks
-  in
-  let q1_matches_serial = dip_sequences (snd batch_runs.(0)) = dip_sequences serial in
-  (* Cross-q key equality is NOT an invariant here: a cofactor sub-space
-     usually has several unlocking keys and different DIP sets may settle
-     on different ones.  What must hold is that every sub-attack at every
-     q still closes with a key. *)
-  let batch_all_broken =
-    Array.for_all
-      (fun (_, s) ->
-        Array.for_all
-          (fun (t : Split_attack.task) ->
-            t.result.Sat_attack.status = Sat_attack.Broken)
-          s.Split_attack.tasks)
-      batch_runs
-  in
-  Printf.printf "  %-16s dip batch:%s  q1==serial %b, all broken %b\n%!" name
-    (String.concat ""
-       (Array.to_list
-          (Array.mapi
-             (fun i q ->
-               Printf.sprintf " q%d %.3fs/%dr" q batch_wall.(i) batch_rounds.(i))
-             dip_qs)))
-    q1_matches_serial batch_all_broken;
   let task_dips =
     Array.map (fun (t : Split_attack.task) -> t.result.Sat_attack.num_dips) traced.Split_attack.tasks
   in
@@ -277,13 +212,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
         ("trace_dropped_events", int snap.Tel.dropped_events);
         ("task_dips", ints task_dips);
         ("task_iters_s", J.Arr (Array.to_list (Array.map (fixeds 6) traj)));
-        ("dip_batch_qs", ints dip_qs);
-        ("dip_batch_wall_s", fixeds 6 batch_wall);
-        ("dip_batch_dips", ints batch_dips);
-        ("dip_batch_rounds", ints batch_rounds);
-        ("dip_batch_dips_per_s", fixeds 6 batch_dips_s);
-        ("dip_batch_q1_matches_serial", bool q1_matches_serial);
-        ("dip_batch_all_broken", bool batch_all_broken);
       ]
     @ Bench_gc.json_fields ~minor_words:serial_minor ~wall_s:serial_wall
   in
@@ -650,18 +578,6 @@ let sat_core ~smoke =
      else "SAT core: miter suite + DIMACS replays");
   Sat_bench.run ~smoke
 
-let sat_simp ~smoke =
-  header
-    (if smoke then "SAT inprocessing: on/off smoke comparison (fast CI check)"
-     else "SAT inprocessing: on/off comparison");
-  Sat_bench.run_simp ~smoke
-
-let sat_dip_batch ~smoke =
-  header
-    (if smoke then "Batched DIP pipeline: q sweep (fast CI check)"
-     else "Batched DIP pipeline: q sweep");
-  Sat_bench.run_dip_batch ~smoke
-
 (* ------------------------------------------------------------------ *)
 (* Compiled netlist kernel: simulation + constraint-generation rates   *)
 (* (BENCH_eval.json).                                                  *)
@@ -706,12 +622,9 @@ let () =
   if want "exact" then exact ();
   if want "ablation" then ablation ();
   if want "smoke" then smoke ();
-  (* "sat" already includes the inprocessing on/off suite via
-     [Sat_bench.run]; "satsimp" runs just that suite standalone. *)
+  (* "sat" and "satsmoke" include the inprocessing on/off suite. *)
   if want "sat" then sat_core ~smoke:false;
   if want "satsmoke" then sat_core ~smoke:true;
-  if want "satsimp" then sat_simp ~smoke:true;
-  if want "dipbatch" then sat_dip_batch ~smoke:true;
   if want "eval" then eval_core ~smoke:false;
   if want "evalsmoke" then eval_core ~smoke:true;
   if want "cube" then cube ~smoke:false;

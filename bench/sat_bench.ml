@@ -299,9 +299,7 @@ let dimacs_suite ~smoke =
 (*   inprocessing pays for itself; the DIPs/s speedup is the headline  *)
 (*   number.                                                           *)
 (*                                                                     *)
-(* The records land in BENCH_sat.json next to the solver records (and  *)
-(* also standalone in BENCH_sat_simp.json via the bench-sat-simp-smoke *)
-(* alias).                                                             *)
+(* The records land in BENCH_sat.json next to the solver records.     *)
 (* ------------------------------------------------------------------ *)
 
 (* One side of a comparison: the same workload run with the inprocessing
@@ -529,117 +527,6 @@ let simp_suite ~smoke =
       simp_attack_compare ~name locked ~oracle:(Oracle.of_circuit (iscas base)))
     attack
 
-let run_simp ~smoke =
-  simp_suite ~smoke;
-  Bench_record.write "BENCH_sat_simp.json" (List.rev !simp_records)
-
-(* ------------------------------------------------------------------ *)
-(* Batched DIP pipeline: q sweep                                       *)
-(*                                                                     *)
-(* The full oracle-guided SAT attack run at fixed batch sizes          *)
-(* q in {1, 4, 16, 64} (adaptation off, so each run measures exactly   *)
-(* one batch size).  One record per instance, kind "dip_batch", with   *)
-(* per-q arrays: wall time, DIPs found, batch rounds (main solves),    *)
-(* DIPs/s and the DIPs/s speedup over the classic q = 1 loop.  The     *)
-(* records land in BENCH_sat.json next to the solver records (and also *)
-(* standalone in BENCH_dip_batch.json via the bench-dip-batch-smoke    *)
-(* alias).                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let dip_batch_qs = [| 1; 4; 16; 64 |]
-
-let dip_batch_records : Bench_record.record list ref = ref []
-
-let dip_batch_sweep ~name locked ~oracle =
-  let attack q =
-    let config =
-      { Sat_attack.default_config with
-        dip_batch = { Sat_attack.q; q_max = q; adaptive = false }
-      }
-    in
-    let t0 = Timer.monotonic () in
-    let r = Sat_attack.run ~config locked ~oracle in
-    (Timer.monotonic () -. t0, r)
-  in
-  let m0 = Gc.minor_words () in
-  let runs = Array.map attack dip_batch_qs in
-  let m1 = Gc.minor_words () in
-  let rate w n = if w > 0.0 then float_of_int n /. w else 0.0 in
-  let wall = Array.map fst runs in
-  let dips = Array.map (fun (_, r) -> r.Sat_attack.num_dips) runs in
-  let rounds = Array.map (fun (_, r) -> r.Sat_attack.rounds) runs in
-  let dips_s = Array.init (Array.length runs) (fun i -> rate wall.(i) dips.(i)) in
-  let speedup =
-    Array.map (fun d -> if dips_s.(0) > 0.0 then d /. dips_s.(0) else 0.0) dips_s
-  in
-  let keys_match =
-    (* All runs must recover a functionally interchangeable key; on the
-       seed-fixed instances here the correct key is unique, so the
-       comparison can be literal. *)
-    Array.for_all
-      (fun (_, r) ->
-        r.Sat_attack.status = Sat_attack.Broken
-        && r.Sat_attack.key = (snd runs.(0)).Sat_attack.key)
-      runs
-  in
-  Array.iteri
-    (fun i q ->
-      Printf.printf
-        "  %-26s q=%-2d %8.3f s %5d dips %5d rounds %8.1f dips/s (x%.2f)\n%!" name q
-        wall.(i) dips.(i) rounds.(i) dips_s.(i) speedup.(i))
-    dip_batch_qs;
-  if not keys_match then Printf.printf "  %-26s KEY MISMATCH across q\n%!" name;
-  let record =
-    Bench_record.
-      [
-        ("name", str name);
-        ("kind", str "dip_batch");
-        ("qs", ints dip_batch_qs);
-        ("wall_s", fixeds 6 wall);
-        ("dips", ints dips);
-        ("rounds", ints rounds);
-        ("dips_per_s", fixeds 2 dips_s);
-        ("speedup_vs_q1", fixeds 3 speedup);
-        ("keys_match", bool keys_match);
-      ]
-    @ Bench_gc.json_fields
-        ~minor_words:(m1 -. m0)
-        ~wall_s:(Array.fold_left ( +. ) 0.0 wall)
-  in
-  dip_batch_records := record :: !dip_batch_records
-
-let dip_batch_suite ~smoke =
-  Printf.printf "\nbatched DIP pipeline (full SAT attack, q sweep):\n";
-  let iscas = LL.Bench_suite.Iscas.get in
-  let sarlock seed k c =
-    (LL.Locking.Sarlock.lock ~prng:(Prng.create seed) ~key_size:k c).LL.Locking.Locked.circuit
-  in
-  let xorlock seed k c =
-    (LL.Locking.Xor_lock.lock ~prng:(Prng.create seed) ~num_keys:k c).LL.Locking.Locked.circuit
-  in
-  let suite =
-    if smoke then
-      [
-        ("c880/xor16", "c880", xorlock 5 16 (iscas "c880"));
-        ("c432/sarlock8", "c432", sarlock 11 8 (iscas "c432"));
-      ]
-    else
-      [
-        ("c880/xor16", "c880", xorlock 5 16 (iscas "c880"));
-        ("c432/sarlock8", "c432", sarlock 11 8 (iscas "c432"));
-        ("c880/sarlock10", "c880", sarlock 7 10 (iscas "c880"));
-        ("c1908/xor16", "c1908", xorlock 5 16 (iscas "c1908"));
-      ]
-  in
-  List.iter
-    (fun (name, base, locked) ->
-      dip_batch_sweep ~name locked ~oracle:(Oracle.of_circuit (iscas base)))
-    suite
-
-let run_dip_batch ~smoke =
-  dip_batch_suite ~smoke;
-  Bench_record.write "BENCH_dip_batch.json" (List.rev !dip_batch_records)
-
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -648,9 +535,6 @@ let run ~smoke =
   miter_suite ~smoke;
   dimacs_suite ~smoke;
   simp_suite ~smoke;
-  dip_batch_suite ~smoke;
   (* Solver records first, then the simp on/off comparison pairs (kind
-     "simp_compare") and the batched-DIP q sweeps (kind "dip_batch") in
-     one array. *)
-  Bench_record.write "BENCH_sat.json"
-    (List.rev !records @ List.rev !simp_records @ List.rev !dip_batch_records)
+     "simp_compare") in one array. *)
+  Bench_record.write "BENCH_sat.json" (List.rev !records @ List.rev !simp_records)

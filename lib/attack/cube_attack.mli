@@ -71,9 +71,9 @@ type config = {
           no budget *)
   base : Sat_attack.config;
       (** per-cube attack configuration.  [solver_seed] and [stop] are
-          managed by the engine and ignored; [interrupt], limits and
-          [dip_batch] apply to every cube, and the limits count from each
-          cube's own start *)
+          managed by the engine and ignored; [interrupt], the limits
+          and [solver_simp] apply to every cube, and the limits count
+          from each cube's own start *)
 }
 
 val default_config : config

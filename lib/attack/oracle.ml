@@ -5,24 +5,19 @@ type t = {
   num_inputs : int;
   num_outputs : int;
   behaviour : bool array -> bool array;
-  (* 64-lane packed behaviour (bit [l] of every word is pattern [l]);
-     [None] for function-backed oracles, which fall back to scalar calls. *)
-  lanes : (int64 array -> int64 array) option;
-  (* Account [k] queries on this oracle and every ancestor it was
-     restricted from — the single point through which both the scalar and
-     the packed query paths bump the counters, so batched and one-at-a-time
-     querying are indistinguishable to the accounting. *)
-  record : int -> unit;
+  (* Account one query on this oracle and every ancestor it was
+     restricted from. *)
+  record : unit -> unit;
   queries : int Atomic.t;
 }
 
-let make ~num_inputs ~num_outputs ~behaviour ~lanes ~parent_record =
+let make ~num_inputs ~num_outputs ~behaviour ~parent_record =
   let queries = Atomic.make 0 in
-  let record k =
-    ignore (Atomic.fetch_and_add queries k);
-    parent_record k
+  let record () =
+    Atomic.incr queries;
+    parent_record ()
   in
-  { num_inputs; num_outputs; behaviour; lanes; record; queries }
+  { num_inputs; num_outputs; behaviour; record; queries }
 
 let of_circuit c =
   if Circuit.num_keys c > 0 then invalid_arg "Oracle.of_circuit: circuit has key ports";
@@ -34,59 +29,15 @@ let of_circuit c =
     ~num_inputs:(Circuit.num_inputs c)
     ~num_outputs:(Circuit.num_outputs c)
     ~behaviour:(fun inputs -> Compiled.eval prog ~inputs ~keys:[||])
-    ~lanes:(Some (fun inputs -> Compiled.eval_lanes prog ~inputs ~keys:[||]))
-    ~parent_record:(fun _ -> ())
+    ~parent_record:ignore
 
 let of_function ~num_inputs ~num_outputs behaviour =
-  make ~num_inputs ~num_outputs ~behaviour ~lanes:None ~parent_record:(fun _ -> ())
+  make ~num_inputs ~num_outputs ~behaviour ~parent_record:ignore
 
 let query o inputs =
   if Array.length inputs <> o.num_inputs then invalid_arg "Oracle.query: pattern length";
-  o.record 1;
+  o.record ();
   o.behaviour inputs
-
-let query_batch o patterns =
-  Array.iter
-    (fun p ->
-      if Array.length p <> o.num_inputs then
-        invalid_arg "Oracle.query_batch: pattern length")
-    patterns;
-  let k = Array.length patterns in
-  if k = 0 then [||]
-  else begin
-    o.record k;
-    match o.lanes with
-    | Some f when k > 1 ->
-        (* One packed sweep per 64 patterns: pack pattern [l] into bit [l]
-           of each input word, evaluate, then slice the output words back
-           into per-pattern responses.  Responses are bit-for-bit those of
-           the scalar path (the kernel is exact), in pattern order. *)
-        let out = Array.make k [||] in
-        let base = ref 0 in
-        while !base < k do
-          let w = min 64 (k - !base) in
-          let b = !base in
-          let lanes =
-            Array.init o.num_inputs (fun p ->
-                let word = ref 0L in
-                for l = 0 to w - 1 do
-                  if patterns.(b + l).(p) then
-                    word := Int64.logor !word (Int64.shift_left 1L l)
-                done;
-                !word)
-          in
-          let outs = f lanes in
-          for l = 0 to w - 1 do
-            out.(b + l) <-
-              Array.map
-                (fun word -> Int64.logand (Int64.shift_right_logical word l) 1L = 1L)
-                outs
-          done;
-          base := b + w
-        done;
-        out
-    | _ -> Array.map o.behaviour patterns
-  end
 
 let query_count o = Atomic.get o.queries
 
@@ -113,21 +64,6 @@ let restrict o condition =
     Array.iteri (fun j pos -> full.(pos) <- narrow.(j)) free;
     full
   in
-  (* Packed capability survives restriction: pinned positions broadcast
-     their constant to every lane. *)
-  let lanes =
-    match o.lanes with
-    | None -> None
-    | Some f ->
-        Some
-          (fun narrow ->
-            let full = Array.make o.num_inputs 0L in
-            Array.iteri
-              (fun i v -> match v with Some true -> full.(i) <- -1L | _ -> ())
-              pinned;
-            Array.iteri (fun j pos -> full.(pos) <- narrow.(j)) free;
-            f full)
-  in
   make ~num_inputs:(Array.length free) ~num_outputs:o.num_outputs
     ~behaviour:(fun narrow -> o.behaviour (widen narrow))
-    ~lanes ~parent_record:o.record
+    ~parent_record:o.record

@@ -16,13 +16,6 @@ val of_function : num_inputs:int -> num_outputs:int -> (bool array -> bool array
 val query : t -> bool array -> bool array
 (** Raises [Invalid_argument] on a wrong-length pattern. *)
 
-val query_batch : t -> bool array array -> bool array array
-(** Answer a batch of patterns in one 64-lane packed sweep per 64 patterns
-    (circuit-backed oracles; function-backed oracles fall back to scalar
-    calls).  Responses are bit-identical to, and counted exactly as, the
-    same patterns queried one at a time with {!query}, in pattern order.
-    Raises [Invalid_argument] on any wrong-length pattern. *)
-
 val query_count : t -> int
 (** Total queries served (across all domains). *)
 

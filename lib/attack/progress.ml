@@ -21,17 +21,14 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
 (* EWMA time constant for the DIP rate: samples older than ~tau stop
-   mattering.  Short enough to track phase changes (enumerate vs encode
-   heavy rounds), long enough to smooth per-batch jitter. *)
+   mattering.  Short enough to track phase changes (a cube engine moving
+   from cheap to hard cofactors), long enough to smooth per-DIP jitter. *)
 let rate_tau_s = 5.0
 
 type state = {
   mutable started_ns : int;
   mutable dips : int;
-  mutable rounds : int;
   mutable imported : int;
-  mutable blocking_clauses : int;
-  mutable cur_q : int;
   mutable key_bits : int;
   mutable last_dip_ns : int;
   mutable dip_rate : float;  (* EWMA dips/s *)
@@ -49,10 +46,7 @@ let st =
   {
     started_ns = 0;
     dips = 0;
-    rounds = 0;
     imported = 0;
-    blocking_clauses = 0;
-    cur_q = 1;
     key_bits = 0;
     last_dip_ns = 0;
     dip_rate = 0.0;
@@ -73,10 +67,7 @@ let reset () =
       let t = Timer.monotonic_ns () in
       st.started_ns <- t;
       st.dips <- 0;
-      st.rounds <- 0;
       st.imported <- 0;
-      st.blocking_clauses <- 0;
-      st.cur_q <- 1;
       st.key_bits <- 0;
       st.last_dip_ns <- t;
       st.dip_rate <- 0.0;
@@ -110,16 +101,8 @@ let add_dips k =
         st.last_dip_ns <- t;
         st.dips <- st.dips + k)
 
-let add_rounds k = if enabled () then locked (fun () -> st.rounds <- st.rounds + k)
-
 let add_imported k =
   if enabled () && k > 0 then locked (fun () -> st.imported <- st.imported + k)
-
-let add_blocking_clauses k =
-  if enabled () && k > 0 then
-    locked (fun () -> st.blocking_clauses <- st.blocking_clauses + k)
-
-let set_q q = if enabled () then locked (fun () -> st.cur_q <- q)
 
 let set_key_bits k =
   if enabled () then locked (fun () -> if k > st.key_bits then st.key_bits <- k)
@@ -162,10 +145,7 @@ let cube_stopped ~depth =
 type view = {
   v_elapsed_s : float;
   v_dips : int;
-  v_rounds : int;
   v_imported : int;
-  v_blocking_clauses : int;
-  v_q : int;
   v_dip_rate : float;
   v_key_bits : int;
   v_keyspace_log2 : float;
@@ -177,11 +157,11 @@ type view = {
   v_eta_s : float;
 }
 
-(* Remaining-key-space upper bound: every recorded blocking constraint
-   (one per distinct DIP, local or imported) eliminates at least one
-   wrong key, so at most 2^K - constraints keys survive.  Reported as a
-   log2 so 512-bit keys don't overflow; beyond 62 bits the subtraction
-   is invisible in float anyway and K is returned unchanged. *)
+(* Remaining-key-space upper bound: every DIP constraint (local or
+   imported) eliminates at least one wrong key, so at most
+   2^K - constraints keys survive.  Reported as a log2 so 512-bit keys
+   don't overflow; beyond 62 bits the subtraction is invisible in float
+   anyway and K is returned unchanged. *)
 let keyspace_log2 ~key_bits ~constraints =
   if key_bits <= 0 then -1.0
   else if key_bits > 62 then float_of_int key_bits
@@ -209,14 +189,11 @@ let view () =
         else if coverage >= 1.0 then 0.0
         else -1.0
       in
-      let constraints = st.blocking_clauses + st.imported in
+      let constraints = st.dips + st.imported in
       {
         v_elapsed_s = elapsed;
         v_dips = st.dips;
-        v_rounds = st.rounds;
         v_imported = st.imported;
-        v_blocking_clauses = st.blocking_clauses;
-        v_q = st.cur_q;
         v_dip_rate = st.dip_rate;
         v_key_bits = st.key_bits;
         v_keyspace_log2 = keyspace_log2 ~key_bits:st.key_bits ~constraints;
@@ -241,10 +218,12 @@ let jsonl_line ?(t_ns = Timer.monotonic_ns ()) v =
          ("t_ns", int t_ns);
          ("elapsed_s", J.Num v.v_elapsed_s);
          ("dips", int v.v_dips);
-         ("rounds", int v.v_rounds);
+         (* One DIP per round, one constraint per DIP: [rounds] and
+            [blocking_clauses] are [dips], [q] is 1. *)
+         ("rounds", int v.v_dips);
          ("imported", int v.v_imported);
-         ("blocking_clauses", int v.v_blocking_clauses);
-         ("q", int v.v_q);
+         ("blocking_clauses", int v.v_dips);
+         ("q", int 1);
          ("dip_rate", J.Num v.v_dip_rate);
          ("key_bits", int v.v_key_bits);
          ("keyspace_log2", J.Num v.v_keyspace_log2);
@@ -279,5 +258,5 @@ let status_line v =
     if v.v_keyspace_log2 < 0.0 then ""
     else Printf.sprintf " | keys <= 2^%.1f" v.v_keyspace_log2
   in
-  Printf.sprintf "[%7.1fs] dips %d (%.1f/s, q=%d) rounds %d imported %d%s%s"
-    v.v_elapsed_s v.v_dips v.v_dip_rate v.v_q v.v_rounds v.v_imported keyspace cubes
+  Printf.sprintf "[%7.1fs] dips %d (%.1f/s) imported %d%s%s" v.v_elapsed_s v.v_dips
+    v.v_dip_rate v.v_imported keyspace cubes

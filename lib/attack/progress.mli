@@ -32,17 +32,9 @@ val add_dips : int -> unit
 (** [k] new distinguishing inputs found; also advances the EWMA DIP
     rate. *)
 
-val add_rounds : int -> unit
-
 val add_imported : int -> unit
 (** DIP constraints a re-split cube inherited: the ancestor DIPs already
     in the forked solver session it continues. *)
-
-val add_blocking_clauses : int -> unit
-(** Model-blocking / DIP constraints added to the solver. *)
-
-val set_q : int -> unit
-(** The current batch width of the adaptive multi-DIP pipeline. *)
 
 val set_key_bits : int -> unit
 (** Key width of the attacked instance (max over concurrent attacks). *)
@@ -63,15 +55,13 @@ val cube_stopped : depth:int -> unit
 type view = {
   v_elapsed_s : float;
   v_dips : int;
-  v_rounds : int;
   v_imported : int;
-  v_blocking_clauses : int;
-  v_q : int;
   v_dip_rate : float;  (** EWMA, dips per second (tau = 5 s) *)
   v_key_bits : int;
   v_keyspace_log2 : float;
-      (** log2 upper bound on surviving keys ([2^K] minus one per
-          blocking constraint), or [-1] when the key width is unknown *)
+      (** log2 upper bound on surviving keys ([2^K] minus one per DIP
+          constraint, local or imported), or [-1] when the key width is
+          unknown *)
   v_cubes_pending : int;
   v_cubes_running : int;
   v_cubes_solved : int;

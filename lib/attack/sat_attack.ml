@@ -13,20 +13,6 @@ let m_oracle_queries = Tel.Metric.counter "attack.oracle_queries"
 
 let h_dip_solve = Tel.Metric.histogram "attack.dip_solve_s"
 
-let h_batch_dips = Tel.Metric.histogram "attack.batch_dips"
-
-type dip_batch = {
-  q : int;
-  q_max : int;
-  adaptive : bool;
-}
-
-let default_dip_batch = { q = 1; q_max = 1; adaptive = false }
-
-let batched ?(adaptive = true) ?(q_max = 64) q =
-  if q < 1 || q > 64 then invalid_arg "Sat_attack.batched: q must be in [1, 64]";
-  { q; q_max = min 64 (max q q_max); adaptive }
-
 type progress = {
   pg_dips : int;
   pg_conflicts : int;
@@ -40,7 +26,6 @@ type config = {
   interrupt : (unit -> bool) option;
   solver_seed : int;
   solver_simp : bool;
-  dip_batch : dip_batch;
   stop : (progress -> bool) option;
 }
 
@@ -51,7 +36,6 @@ let default_config =
     interrupt = None;
     solver_seed = 0;
     solver_simp = true;
-    dip_batch = default_dip_batch;
     stop = None;
   }
 
@@ -186,40 +170,6 @@ let add_dip_constraint env prog scratch ~key_lits ~cone_response =
   Array.iteri (fun i o -> Tseitin.force env o cone_response.(i)) outs
 
 (* ------------------------------------------------------------------ *)
-(* The batched DIP pipeline                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* One round of the attack is an explicit four-phase state machine:
-
-     Solve -> Enumerate -> Oracle_sweep -> Encode -> Solve -> ...
-
-   [Solve] runs the main miter solve under the activation assumption and
-   either finishes the attack (Unsat: extract the key) or hands its model
-   to [Enumerate], which blocks each found input assignment under a fresh
-   per-round guard literal and re-solves until up to [q] distinct DIPs are
-   in hand.  [Oracle_sweep] answers all of them in one packed pass and
-   runs the per-DIP ternary cofactor sweeps, and [Encode] appends every
-   model-blocking constraint as one arena batch, retires the round's
-   guard and updates the adaptive [q].  Each phase is a [step_*] function over the mutable session below:
-   the driver is a trivial loop, and a future resumable-job daemon can
-   interleave sessions at phase granularity. *)
-
-type round_state = {
-  mutable b_dips : bool array array;  (** models found this round, [0..b_k) *)
-  mutable b_k : int;
-  mutable b_budget : int;  (** enumeration target for this round *)
-  mutable b_en : Lit.t option;  (** per-round enumeration guard *)
-  mutable b_early_unsat : bool;  (** enumeration ran dry before the budget *)
-  mutable b_enum_time : float;  (** time in enumeration solves *)
-  mutable b_main_dt : float;  (** time of this round's main solve *)
-  mutable b_wit1 : bool array array;  (** witness key A per model (adaptive) *)
-  mutable b_wit2 : bool array array;  (** witness key B per model (adaptive) *)
-  mutable b_responses : bool array array;
-}
-
-type phase = Solve | Enumerate | Oracle_sweep | Encode | Finished of result
-
-(* ------------------------------------------------------------------ *)
 (* Sessions                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -244,15 +194,12 @@ let check_pin prep condition (pos, _) =
   if pos < 0 || pos >= prep.p_n_in then invalid_arg "Sat_attack.run: condition position";
   if List.mem_assoc pos condition then invalid_arg "Sat_attack.run: duplicate condition"
 
-let check_run config prep oracle =
+let check_run prep oracle =
   let locked = prep.p_locked in
   if Circuit.num_inputs locked <> Oracle.num_inputs oracle then
     invalid_arg "Sat_attack.run: oracle input count mismatch";
   if Circuit.num_outputs locked <> Oracle.num_outputs oracle then
-    invalid_arg "Sat_attack.run: oracle output count mismatch";
-  let db = config.dip_batch in
-  if db.q < 1 || db.q > 64 || db.q_max < db.q || db.q_max > 64 then
-    invalid_arg "Sat_attack.run: dip_batch q must satisfy 1 <= q <= q_max <= 64"
+    invalid_arg "Sat_attack.run: oracle output count mismatch"
 
 let open_session config prep ~condition =
   ignore
@@ -303,13 +250,13 @@ let fork ?seed session =
 
 let arena_words session = (Solver.stats session.s_solver).Solver.arena_words
 
-(* Drive [session] through the DIP loop.  Every count of the result, and
-   every budget, starts at zero here: a forked session reports only what
-   it did itself. *)
+(* Drive [session] through the DIP loop, one DIP per round: check the
+   limits, solve the miter, query the oracle on the DIP, cofactor the key
+   cone under it and encode its constraint.  Every count of the result,
+   and every budget, starts at zero here: a forked session reports only
+   what it did itself. *)
 let drive config session ~oracle ~started =
   let prep = session.s_prep in
-  let locked = prep.p_locked in
-  let db = config.dip_batch in
   let solver = session.s_solver and env = session.s_env in
   let input_lits = session.s_input_lits in
   let key1 = session.s_key1 and key2 = session.s_key2 and act = session.s_act in
@@ -323,18 +270,9 @@ let drive config session ~oracle ~started =
   let conflicts0 = (Solver.stats solver).Solver.conflicts in
   let conflicts () = (Solver.stats solver).Solver.conflicts - conflicts0 in
   Progress.set_key_bits n_key;
-  (* Scratches for the in-place ternary cofactor sweeps — one per in-flight
-     DIP of a batch, grown on demand, owned by this run's domain. *)
-  let scratches = ref [||] in
-  let scratch_for i =
-    if i >= Array.length !scratches then begin
-      let old = !scratches in
-      scratches :=
-        Array.init (i + 1) (fun j ->
-            if j < Array.length old then old.(j) else Compiled.scratch prep.p_cone_prog)
-    end;
-    (!scratches).(i)
-  in
+  (* Scratch for the in-place ternary cofactor sweep of the current DIP,
+     owned by this run's domain. *)
+  let scratch = Compiled.scratch prep.p_cone_prog in
   let indep =
     match prep.p_indep with
     | None -> None
@@ -369,10 +307,10 @@ let drive config session ~oracle ~started =
      key: poison the solver so the attack reports Broken with no
      surviving key, as the unrestricted encoding would have.  Both key
      copies are constrained to reproduce the response; the DIP's
-     cofactor must already sit in [scratch_for j]. *)
-  let add_dip j dip response =
+     cofactor must already sit in [scratch]. *)
+  let add_dip dip response =
     if not (indep_outputs_match dip response) then Solver.add_clause solver [];
-    let prog = prep.p_cone_prog and scratch = scratch_for j in
+    let prog = prep.p_cone_prog in
     let cone_response = cone_response_of response in
     add_dip_constraint env prog scratch ~key_lits:key1 ~cone_response;
     add_dip_constraint env prog scratch ~key_lits:key2 ~cone_response
@@ -382,7 +320,7 @@ let drive config session ~oracle ~started =
     let r, dt = Timer.time (fun () -> Solver.solve ~assumptions solver) in
     solve_time := !solve_time +. dt;
     if Tel.enabled () then Tel.Metric.observe h_dip_solve dt;
-    (r, dt)
+    r
   in
   let over_time () =
     match config.time_limit with
@@ -400,30 +338,11 @@ let drive config session ~oracle ~started =
      functionally correct. *)
   let extract_key () =
     match timed_solve [ Lit.negate act ] with
-    | Solver.Sat, _ -> Some (Bitvec.init n_key (fun k -> Solver.value solver key1.(k)))
-    | Solver.Unsat, _ -> None
+    | Solver.Sat -> Some (Bitvec.init n_key (fun k -> Solver.value solver key1.(k)))
+    | Solver.Unsat -> None
   in
-  let queries_made = ref 0 in
-  (* Session state of the machine. *)
   let dips_rev = ref [] in
   let num_dips = ref 0 in
-  let rounds = ref 0 in
-  let cur_q = ref (min db.q db.q_max) in
-  let batching = db.q_max > 1 in
-  let round =
-    {
-      b_dips = [||];
-      b_k = 0;
-      b_budget = 1;
-      b_en = None;
-      b_early_unsat = false;
-      b_enum_time = 0.0;
-      b_main_dt = 0.0;
-      b_wit1 = [||];
-      b_wit2 = [||];
-      b_responses = [||];
-    }
-  in
   (* The [stop] hook, polled between rounds like the other limits.
      Conflict counts are deterministic for a fixed seed, so budgets
      expressed in them make re-split decisions reproducible; wall-clock
@@ -440,26 +359,21 @@ let drive config session ~oracle ~started =
             pg_candidate = extract_key;
           }
   in
-  let phase = ref Solve in
   let finish status key =
-    phase :=
-      Finished
-        {
-          status;
-          key;
-          dips = List.rev !dips_rev;
-          num_dips = !num_dips;
-          rounds = !rounds;
-          oracle_queries = !queries_made;
-          total_time = Timer.monotonic () -. started;
-          solve_time = !solve_time;
-          solver_conflicts = conflicts ();
-          imported = session.s_inherited;
-        }
+    {
+      status;
+      key;
+      dips = List.rev !dips_rev;
+      num_dips = !num_dips;
+      rounds = !num_dips;
+      oracle_queries = !num_dips;
+      total_time = Timer.monotonic () -. started;
+      solve_time = !solve_time;
+      solver_conflicts = conflicts ();
+      imported = session.s_inherited;
+    }
   in
-  let model_of lits = Array.map (fun l -> Solver.value solver l) lits in
-  (* --- Solve: the main miter solve under the activation guard. --- *)
-  let step_solve () =
+  let rec round () =
     if over_iterations !num_dips then finish Iteration_limit None
     else if over_time () then finish Time_limit None
     else if interrupted () then finish Cancelled None
@@ -468,252 +382,51 @@ let drive config session ~oracle ~started =
       (* One span per round: a0 = round index; closed with v = the
          cofactored cone's symbolic (key-dependent) node count (Sat) or -1
          (Unsat, i.e. the final solve that proves no DIP remains). *)
-      if Tel.enabled () then Tel.span_begin ~a0:!rounds "attack.dip";
+      if Tel.enabled () then Tel.span_begin ~a0:!num_dips "attack.dip";
       match timed_solve [ act ] with
-      | Solver.Unsat, _ ->
+      | Solver.Unsat ->
           (* No DIP left: extract any surviving key. *)
           let key = extract_key () in
           if Tel.enabled () then Tel.span_end ~v:(-1) ();
           finish Broken key
-      | Solver.Sat, dt ->
-          let budget =
-            match config.max_iterations with
-            | Some m -> max 1 (min !cur_q (m - !num_dips))
-            | None -> !cur_q
+      | Solver.Sat ->
+          let dip = Array.map (fun l -> Solver.value solver l) input_lits in
+          let response = Oracle.query oracle dip in
+          Compiled.cofactor_into prep.p_cone_prog scratch ~inputs:dip;
+          Tel.Metric.add m_oracle_queries 1;
+          add_dip dip response;
+          Tel.Metric.add m_dips 1;
+          incr num_dips;
+          if Tel.enabled () then
+            Tel.log_line
+              (Printf.sprintf "iter %d: dip=%s response=%s" !num_dips
+                 (Bitvec.to_string (Bitvec.of_bool_array dip))
+                 (Bitvec.to_string (Bitvec.of_bool_array response)));
+          (* Sub-attacks report DIPs over their free inputs, in original
+             relative order — the cube part is implied by the condition. *)
+          let narrow =
+            if Array.length free_pos = n_in then dip else Array.map (fun p -> dip.(p)) free_pos
           in
-          round.b_dips <- Array.make budget [||];
-          round.b_dips.(0) <- model_of input_lits;
-          round.b_k <- 1;
-          round.b_budget <- budget;
-          round.b_en <- None;
-          round.b_early_unsat <- false;
-          round.b_enum_time <- 0.0;
-          round.b_main_dt <- dt;
-          if db.adaptive && budget > 1 then begin
-            round.b_wit1 <- Array.make budget [||];
-            round.b_wit2 <- Array.make budget [||];
-            round.b_wit1.(0) <- model_of key1;
-            round.b_wit2.(0) <- model_of key2
-          end;
-          phase := Enumerate
+          dips_rev := Bitvec.of_bool_array narrow :: !dips_rev;
+          Progress.add_dips 1;
+          if Tel.enabled () then Tel.span_end ~v:(Compiled.unknown_count scratch) ();
+          round ()
     end
   in
-  (* --- Enumerate: block each model under a per-round guard and re-solve
-     until the budget is met or the miter runs dry. --- *)
-  let block en model =
-    let cl = Array.make (Array.length free_pos + 1) (Lit.negate en) in
-    Array.iteri
-      (fun j p ->
-        cl.(j + 1) <- (if model.(p) then Lit.negate input_lits.(p) else input_lits.(p)))
-      free_pos;
-    Solver.add_clause_a solver cl
-  in
-  let step_enumerate () =
-    if round.b_budget > 1 then begin
-      if Tel.enabled () then Tel.span_begin ~a0:round.b_budget "attack.enumerate";
-      (* The guard is an assumption of every enumeration solve, so it gets
-         the same frozen-literal protocol as [act]; it is released (and
-         unfrozen) when the round's constraints are encoded. *)
-      let en = (Tseitin.fresh_lits env 1).(0) in
-      Solver.freeze_var solver (Lit.var en);
-      round.b_en <- Some en;
-      block en round.b_dips.(0);
-      let continue_enum = ref true in
-      while
-        !continue_enum && round.b_k < round.b_budget
-        && not (over_time ())
-        && not (interrupted ())
-      do
-        match timed_solve [ act; en ] with
-        | Solver.Unsat, dt ->
-            round.b_enum_time <- round.b_enum_time +. dt;
-            round.b_early_unsat <- true;
-            continue_enum := false
-        | Solver.Sat, dt ->
-            round.b_enum_time <- round.b_enum_time +. dt;
-            let d = model_of input_lits in
-            round.b_dips.(round.b_k) <- d;
-            if db.adaptive then begin
-              round.b_wit1.(round.b_k) <- model_of key1;
-              round.b_wit2.(round.b_k) <- model_of key2
-            end;
-            block en d;
-            round.b_k <- round.b_k + 1
-      done;
-      if round.b_k < Array.length round.b_dips then begin
-        round.b_dips <- Array.sub round.b_dips 0 round.b_k;
-        if db.adaptive then begin
-          round.b_wit1 <- Array.sub round.b_wit1 0 round.b_k;
-          round.b_wit2 <- Array.sub round.b_wit2 0 round.b_k
-        end
-      end;
-      if Tel.enabled () then Tel.span_end ~v:round.b_k ()
-    end
-    else if round.b_k < Array.length round.b_dips then
-      round.b_dips <- Array.sub round.b_dips 0 round.b_k;
-    phase := Oracle_sweep
-  in
-  (* --- Oracle_sweep: one packed pass answers the whole batch, then the
-     per-DIP ternary cofactor sweeps fill the scratches [Encode] reads. --- *)
-  let step_oracle () =
-    let k = round.b_k in
-    if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.oracle_batch";
-    let responses = Oracle.query_batch oracle round.b_dips in
-    for j = 0 to k - 1 do
-      Compiled.cofactor_into prep.p_cone_prog (scratch_for j) ~inputs:round.b_dips.(j)
-    done;
-    queries_made := !queries_made + k;
-    Tel.Metric.add m_oracle_queries k;
-    if batching && Tel.enabled () then Tel.span_end ~v:k ();
-    round.b_responses <- responses;
-    phase := Encode
-  in
-  (* --- Adaptive q: a batch member is useful when its witness key pair
-     still reproduces the oracle on every earlier DIP of the same batch —
-     i.e. the enumeration produced information the earlier constraints
-     would not already have ruled out.  Low yield (or running dry) shrinks
-     q; high yield with enumeration cheap relative to the main solve grows
-     it. --- *)
-  let batch_yield () =
-    let k = round.b_k in
-    let prog = Compiled.cached locked in
-    let scratch = Compiled.scratch prog in
-    let n_out = Circuit.num_outputs locked in
-    let pack get =
-      Array.init n_in (fun p ->
-          let w = ref 0L in
-          for l = 0 to k - 1 do
-            if get l p then w := Int64.logor !w (Int64.shift_left 1L l)
-          done;
-          !w)
-    in
-    let in_lanes = pack (fun l p -> round.b_dips.(l).(p)) in
-    let resp_lanes =
-      Array.init n_out (fun o ->
-          let w = ref 0L in
-          for l = 0 to k - 1 do
-            if round.b_responses.(l).(o) then w := Int64.logor !w (Int64.shift_left 1L l)
-          done;
-          !w)
-    in
-    let useful = ref 1 in
-    for j = 1 to k - 1 do
-      let mask = Int64.sub (Int64.shift_left 1L j) 1L in
-      let agrees key =
-        let key_lanes = Array.map (fun b -> if b then -1L else 0L) key in
-        Compiled.eval_lanes_into prog scratch ~inputs:in_lanes ~keys:key_lanes;
-        let ok = ref true in
-        for o = 0 to n_out - 1 do
-          if
-            Int64.logand
-              (Int64.logxor (Compiled.output_lanes prog scratch o) resp_lanes.(o))
-              mask
-            <> 0L
-          then ok := false
-        done;
-        !ok
-      in
-      if agrees round.b_wit1.(j) && agrees round.b_wit2.(j) then incr useful
-    done;
-    !useful
-  in
-  let adapt () =
-    if db.adaptive then begin
-      let k = round.b_k in
-      let useful = if k <= 1 then k else batch_yield () in
-      if round.b_early_unsat then cur_q := max 1 ((k + 1) / 2)
-      else if 2 * useful < k then cur_q := max 1 (!cur_q / 2)
-      else begin
-        let mean_enum =
-          if k > 1 then round.b_enum_time /. float_of_int (k - 1) else 0.0
-        in
-        if 4 * useful >= 3 * k && mean_enum <= round.b_main_dt then
-          cur_q := min db.q_max (!cur_q * 2)
-      end
-    end
-  in
-  (* --- Encode: consistency-check and append every DIP constraint of the
-     round; the whole batch flushes as one arena append. --- *)
-  let step_encode () =
-    let k = round.b_k in
-    if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.encode_batch";
-    let encode_one j = add_dip j round.b_dips.(j) round.b_responses.(j) in
-    if k > 1 then
-      Tseitin.with_batch env (fun () ->
-          for j = 0 to k - 1 do
-            encode_one j
-          done)
-    else encode_one 0;
-    (* Retire the round's guard: a unit kills every blocking clause, and
-       unfreezing lets inprocessing reclaim the variable. *)
-    (match round.b_en with
-    | Some en ->
-        Solver.add_clause solver [ Lit.negate en ];
-        Solver.unfreeze_var solver (Lit.var en);
-        round.b_en <- None
-    | None -> ());
-    Tel.Metric.add m_dips k;
-    if Tel.enabled () then
-      for j = 0 to k - 1 do
-        Tel.log_line
-          (Printf.sprintf "iter %d: dip=%s response=%s"
-             (!num_dips + j + 1)
-             (Bitvec.to_string (Bitvec.of_bool_array round.b_dips.(j)))
-             (Bitvec.to_string (Bitvec.of_bool_array round.b_responses.(j))))
-      done;
-    for j = 0 to k - 1 do
-      (* Sub-attacks report DIPs over their free inputs, in original
-         relative order — the cube part is implied by the condition. *)
-      let d = round.b_dips.(j) in
-      let narrow =
-        if Array.length free_pos = n_in then d else Array.map (fun p -> d.(p)) free_pos
-      in
-      dips_rev := Bitvec.of_bool_array narrow :: !dips_rev
-    done;
-    num_dips := !num_dips + k;
-    rounds := !rounds + 1;
-    Progress.add_dips k;
-    Progress.add_rounds 1;
-    Progress.add_blocking_clauses k;
-    if batching && Tel.enabled () then Tel.span_end ~v:k ();
-    if Tel.enabled () then begin
-      if batching then Tel.Metric.observe h_batch_dips (float_of_int k);
-      Tel.span_end ~v:(Compiled.unknown_count (scratch_for (k - 1))) ()
-    end;
-    adapt ();
-    Progress.set_q !cur_q;
-    phase := Solve
-  in
-  let rec loop () =
-    match !phase with
-    | Finished r -> r
-    | Solve ->
-        step_solve ();
-        loop ()
-    | Enumerate ->
-        step_enumerate ();
-        loop ()
-    | Oracle_sweep ->
-        step_oracle ();
-        loop ()
-    | Encode ->
-        step_encode ();
-        loop ()
-  in
-  let r = loop () in
-  (* [stop] is polled only between rounds, so a stopped session holds no
-     round guard and no pending batch: it is safe to fork. *)
+  let r = round () in
+  (* [stop] is polled only between rounds, so a stopped session holds a
+     whole number of DIP constraints: it is safe to fork. *)
   match r.status with
   | Stopped -> (r, Some { session with s_inherited = session.s_inherited + r.num_dips })
   | Broken | Iteration_limit | Time_limit | Cancelled -> (r, None)
 
 let run_prepared ?(config = default_config) prep ~condition ~oracle =
-  check_run config prep oracle;
+  check_run prep oracle;
   let started = Timer.monotonic () in
   drive config (open_session config prep ~condition) ~oracle ~started
 
 let resume ?(config = default_config) session ~pin ~oracle =
-  check_run config session.s_prep oracle;
+  check_run session.s_prep oracle;
   check_pin session.s_prep session.s_condition pin;
   let started = Timer.monotonic () in
   let pos, b = pin in

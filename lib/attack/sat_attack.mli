@@ -14,35 +14,8 @@
     literal, so the final key extraction reuses the same incremental solver
     with the guard released.
 
-    {2 Batched DIP pipeline}
-
-    Each round of the DIP loop may extract up to [q] distinct DIPs from
-    one solver session (AppSAT-style model enumeration under a per-round
-    guard assumption), answer all of them in one 64-lane packed oracle
-    sweep, and append all their key constraints as one contiguous arena
-    batch — amortizing oracle and encoding cost across the batch while
-    the set of eliminated keys per round only grows.  At [q = 1] the
-    pipeline is the classic loop, byte-identical to earlier releases
-    (same clause stream, same DIP sequence). *)
-
-type dip_batch = {
-  q : int;  (** DIPs enumerated per round (initial value when adaptive) *)
-  q_max : int;  (** upper bound for adaptive growth; [q <= q_max <= 64] *)
-  adaptive : bool;
-      (** shrink [q] when enumerated DIPs stop being distinguishing (their
-          witness keys were already ruled out by earlier members of the
-          same batch) or the miter runs dry mid-batch; grow it when the
-          batch yield is high and enumeration solves are cheap relative to
-          the round's main solve *)
-}
-
-val default_dip_batch : dip_batch
-(** [q = 1], non-adaptive: the classic one-DIP-per-solve loop. *)
-
-val batched : ?adaptive:bool -> ?q_max:int -> int -> dip_batch
-(** [batched q] — a batched configuration starting at [q] DIPs per round,
-    adaptive by default, [q_max] defaulting to 64.  Raises
-    [Invalid_argument] unless [1 <= q <= 64]. *)
+    Each round of the DIP loop finds one DIP: one miter solve, one
+    oracle query, one cofactor and one encoded constraint per key copy. *)
 
 type progress = {
   pg_dips : int;  (** DIPs accumulated so far *)
@@ -74,9 +47,7 @@ type config = {
       (** enable the solver's inprocessing engine (subsumption, bounded
           variable elimination, vivification) on the attack's incremental
           CNF (default [true]; disable for A/B comparison — see the
-          [bench-sat-simp-smoke] alias). *)
-  dip_batch : dip_batch;
-      (** batched DIP pipeline control (default {!default_dip_batch}). *)
+          [simp_compare] records of [BENCH_sat.json]). *)
   stop : (progress -> bool) option;
       (** stopping rule, polled before every round after the other
           limits; returning [true] ends the session with status
@@ -89,7 +60,7 @@ type config = {
 }
 
 val default_config : config
-(** No limits, classic pipeline — byte-identical to earlier releases. *)
+(** No limits, solver seed 0, inprocessing on. *)
 
 type status =
   | Broken  (** miter proved UNSAT; the returned key is functionally correct *)
@@ -103,9 +74,7 @@ type result = {
   key : Ll_util.Bitvec.t option;  (** present when [status = Broken] *)
   dips : Ll_util.Bitvec.t list;  (** in discovery order *)
   num_dips : int;
-  rounds : int;
-      (** batch rounds executed (main solves that found a DIP); equals
-          [num_dips] at [q = 1] *)
+  rounds : int;  (** main solves that found a DIP: [= num_dips] *)
   oracle_queries : int;
   total_time : float;
   solve_time : float;  (** time inside the SAT solver *)
@@ -160,9 +129,8 @@ val run_prepared :
     the pinned values.  Reported [dips] contain only the free input
     positions, in their original relative order.  The session comes
     back with a [Stopped] result ([None] with any other), for
-    {!resume}.  Raises [Invalid_argument] on oracle port mismatches,
-    out-of-range or duplicate condition positions, or an invalid
-    [dip_batch]. *)
+    {!resume}.  Raises [Invalid_argument] on oracle port mismatches or
+    out-of-range or duplicate condition positions. *)
 
 (** {2 Forkable sessions}
 

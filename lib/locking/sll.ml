@@ -15,6 +15,7 @@ let lockable_nodes c =
   |> Array.of_list
 
 let lock ?(prng = Prng.create 1) ?base_key ~num_keys c =
+  if num_keys < 1 then invalid_arg "Sll.lock: bad key count";
   let base = Compose_key.base_of ?base_key c in
   let candidates = lockable_nodes c in
   if Array.length candidates < num_keys then

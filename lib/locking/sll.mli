@@ -18,8 +18,8 @@ val lock :
   num_keys:int ->
   Ll_netlist.Circuit.t ->
   Locked.t
-(** Raises [Invalid_argument] when the circuit has fewer lockable wires
-    than [num_keys]. *)
+(** Raises [Invalid_argument] when [num_keys < 1] or the circuit has
+    fewer lockable wires than [num_keys]. *)
 
 val interference_edges : Ll_netlist.Circuit.t -> int
 (** Diagnostic: the number of ordered key-gate pairs (g1, g2) of a locked

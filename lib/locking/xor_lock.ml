@@ -5,6 +5,7 @@ module Bitvec = Ll_util.Bitvec
 module Prng = Ll_util.Prng
 
 let lock ?(prng = Prng.create 1) ?base_key ~num_keys c =
+  if num_keys < 1 then invalid_arg "Xor_lock.lock: bad key count";
   let base = Compose_key.base_of ?base_key c in
   let lockable =
     Array.to_list c.Circuit.nodes

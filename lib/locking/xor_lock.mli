@@ -13,5 +13,6 @@ val lock :
   Locked.t
 (** [base_key] supplies the correct bits of any key ports the circuit
     already carries (see {!Compose_key}); it is mandatory when re-locking a
-    locked circuit.  Raises [Invalid_argument] when the circuit has fewer
-    lockable wires (gate and primary-input nodes) than [num_keys]. *)
+    locked circuit.  Raises [Invalid_argument] when [num_keys < 1] or the
+    circuit has fewer lockable wires (gate and primary-input nodes) than
+    [num_keys]. *)

@@ -73,8 +73,6 @@ let ensure t extra =
     t.a <- fresh
   end
 
-let reserve = ensure
-
 let alloc t lits n ~learnt ~lbd =
   ensure t (n + 2);
   let c = t.len in

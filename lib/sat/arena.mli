@@ -40,12 +40,6 @@ val copy : t -> t
 (** An independent arena with the same words, offsets and hole
     accounting, so every cref stays valid in the copy. *)
 
-val reserve : t -> int -> unit
-(** [reserve t words] grows the backing array once so the next [words]
-    words of allocation proceed without reallocation — a batch of clauses
-    then lands as one contiguous append.  Like {!alloc}, may reallocate
-    [t.a]: never cache it across a [reserve]. *)
-
 val alloc : t -> Lit.t array -> int -> learnt:bool -> lbd:int -> int
 (** [alloc t lits n] appends the clause [lits.(0 .. n-1)] (callers pass a
     reusable buffer), growing the backing array as needed; returns its

@@ -888,17 +888,6 @@ let add_clause_a s lits = ignore (add_clause_core s lits 0 (Array.length lits))
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
-(* Batched root-level addition: the arena words for the whole batch are
-   reserved up front, so the clauses land as one contiguous append with at
-   most one backing-array growth instead of up to [length css] of them.
-   The clauses are then attached in list order through the exact same
-   absorption/propagation path as sequential {!add_clause} calls — the
-   resulting clause database and trail are identical. *)
-let add_clause_batch s css =
-  let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
-  Arena.reserve s.ar words;
-  List.iter (fun c -> add_clause_a s c) css
-
 (* --- Simplification host operations --- *)
 
 (* Commit a derived root unit: enqueue and propagate, or record the

@@ -101,13 +101,6 @@ val add_clause : t -> Lit.t list -> unit
 
 val add_clause_a : t -> Lit.t array -> unit
 
-val add_clause_batch : t -> Lit.t array list -> unit
-(** Add a batch of clauses as one contiguous arena append: the words for
-    the whole batch are reserved up front (at most one backing-array
-    growth), then the clauses are attached in list order.  Semantically
-    identical to calling {!add_clause_a} on each element in turn — same
-    absorption, same propagation, same final clause database. *)
-
 val freeze_var : t -> int -> unit
 (** Exempt a variable from elimination.  Call before the solve that could
     eliminate it; freezing is the caller's promise registry for variables
@@ -140,9 +133,9 @@ val value : t -> Lit.t -> bool
     this model (counted by the [sat.model_extensions] telemetry counter),
     and later queries read the result.  Queries about surviving variables
     never trigger the replay.  The model, and its extension, stay valid
-    until the next {!solve}, {!add_clause}, {!add_clause_a} or
-    {!add_clause_batch}; after that a query about an unassigned or
-    eliminated variable raises [Invalid_argument]. *)
+    until the next {!solve}, {!add_clause} or {!add_clause_a}; after
+    that a query about an unassigned or eliminated variable raises
+    [Invalid_argument]. *)
 
 val model_var : t -> int -> bool
 

@@ -61,9 +61,6 @@ type env = {
   probe : Key.t;  (* lookup key, refilled by every gate constructor *)
   mutable fanins : int array;  (* fanin literals of {!encode_node} *)
   mutable xpos : int array;  (* unknown LUT fanin positions of {!encode_node} *)
-  (* When [Some acc], emitted clauses are buffered (in reverse) instead of
-     added, and flushed by {!with_batch} as one contiguous arena append. *)
-  mutable pending : Lit.t array list option;
 }
 
 let create solver =
@@ -75,7 +72,6 @@ let create solver =
     probe = { Key.tag = 0; tbl = ""; fan = Array.make 16 0; len = 0 };
     fanins = [||];
     xpos = [||];
-    pending = None;
   }
 
 (* The memo is not copied: [env]'s table joins the frozen layers, which
@@ -83,7 +79,6 @@ let create solver =
    of its own.  A copy therefore costs nothing per memo entry, and the
    memos of a tree of copies share every ancestor's entries. *)
 let copy env solver =
-  if env.pending <> None then invalid_arg "Tseitin.copy: inside with_batch";
   if Cache.length env.cache > 0 then begin
     env.frozen <- env.cache :: env.frozen;
     env.cache <- Cache.create 256
@@ -96,27 +91,11 @@ let copy env solver =
     probe = { env.probe with Key.fan = Array.copy env.probe.Key.fan };
     fanins = [||];
     xpos = [||];
-    pending = None;
   }
 
 let solver env = env.solver
 
-let emit env lits =
-  match env.pending with
-  | None -> Solver.add_clause_a env.solver lits
-  | Some acc -> env.pending <- Some (lits :: acc)
-
-let with_batch env f =
-  match env.pending with
-  | Some _ -> f () (* already inside a batch: nest transparently *)
-  | None ->
-      env.pending <- Some [];
-      Fun.protect
-        ~finally:(fun () ->
-          let acc = match env.pending with Some a -> a | None -> [] in
-          env.pending <- None;
-          Solver.add_clause_batch env.solver (List.rev acc))
-        f
+let emit env lits = Solver.add_clause_a env.solver lits
 
 let fresh_lits env n = Array.init n (fun _ -> Lit.pos (Solver.new_var env.solver))
 

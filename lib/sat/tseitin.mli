@@ -33,7 +33,7 @@ val copy : env -> Solver.t -> env
     emits no clause.  The memo as it stands is shared read-only by both
     envs (it is never written again, so the envs may be used from
     different domains); what either encodes afterwards goes to a table
-    of its own.  Raises [Invalid_argument] inside {!with_batch}. *)
+    of its own. *)
 
 val solver : env -> Solver.t
 
@@ -122,15 +122,3 @@ val force : env -> Lit.t -> bool -> unit
 
 val force_equal : env -> Lit.t -> Lit.t -> unit
 (** Add clauses making two literals equal. *)
-
-val with_batch : env -> (unit -> 'a) -> 'a
-(** [with_batch env f] buffers every clause emitted by [f] (through this
-    env: the walk, the gate constructors, {!force}) and flushes them
-    on exit — exception included — as one {!Solver.add_clause_batch}
-    contiguous arena append, in emission order.  Nested calls are
-    transparent: only the outermost batch flushes.
-
-    Unit clauses emitted inside the batch do not propagate until the
-    flush, so a batch may retain clauses that immediate emission would
-    have absorbed as root-satisfied; the formula is the same but the
-    clause stream can differ.  Do not solve inside [f]. *)

@@ -355,18 +355,15 @@ let with_progress f =
 let test_progress_counters () =
   with_progress (fun () ->
       Progress.add_dips 5;
-      Progress.add_rounds 2;
       Progress.add_imported 3;
-      Progress.add_blocking_clauses 7;
-      Progress.set_q 16;
       Progress.set_key_bits 12;
       let v = Progress.view () in
       Alcotest.(check int) "dips" 5 v.Progress.v_dips;
-      Alcotest.(check int) "rounds" 2 v.Progress.v_rounds;
       Alcotest.(check int) "imported" 3 v.Progress.v_imported;
-      Alcotest.(check int) "blocking" 7 v.Progress.v_blocking_clauses;
-      Alcotest.(check int) "q" 16 v.Progress.v_q;
       Alcotest.(check int) "key bits" 12 v.Progress.v_key_bits;
+      Alcotest.(check (float 1e-9)) "keyspace counts dips and imports"
+        (Progress.keyspace_log2 ~key_bits:12 ~constraints:8)
+        v.Progress.v_keyspace_log2;
       Alcotest.(check bool) "dip rate moving" true (v.Progress.v_dip_rate > 0.0))
 
 let test_progress_disabled_feeders_noop () =

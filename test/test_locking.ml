@@ -63,6 +63,18 @@ let test_xor_too_many_keys () =
        false
      with Invalid_argument _ -> true)
 
+(* A lock with no key bit is no lock: both wire-insertion schemes
+   reject a count below one, as [Sarlock.lock] does. *)
+let test_bad_key_count () =
+  let c = full_adder_circuit () in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises "xor" (Invalid_argument "Xor_lock.lock: bad key count")
+        (fun () -> ignore (Xor_lock.lock ~num_keys:n c));
+      Alcotest.check_raises "sll" (Invalid_argument "Sll.lock: bad key count")
+        (fun () -> ignore (LL.Locking.Sll.lock ~num_keys:n c)))
+    [ 0; -1 ]
+
 let test_xor_deterministic_with_prng () =
   let c = base_circuit () in
   let l1 = Xor_lock.lock ~prng:(Prng.create 5) ~num_keys:4 c in
@@ -312,6 +324,7 @@ let suite =
     Alcotest.test_case "xor wrong bits detected" `Quick test_xor_every_wrong_bit_detected;
     Alcotest.test_case "xor ports preserved" `Quick test_xor_ports_preserved;
     Alcotest.test_case "xor too many keys" `Quick test_xor_too_many_keys;
+    Alcotest.test_case "xor/sll bad key count" `Quick test_bad_key_count;
     Alcotest.test_case "xor deterministic" `Quick test_xor_deterministic_with_prng;
     Alcotest.test_case "sll correct key" `Quick test_sll_correct_key;
     Alcotest.test_case "sll interference" `Quick test_sll_interferes_more_than_random;

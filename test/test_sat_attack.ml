@@ -81,7 +81,23 @@ let test_oracle_query_accounting () =
   let c = random_circuit ~seed:108 () in
   let locked = LL.Locking.Xor_lock.lock ~num_keys:4 c in
   let r = run_attack c locked.circuit in
-  Alcotest.(check int) "one query per dip" r.Sat_attack.num_dips r.oracle_queries
+  Alcotest.(check int) "one query per dip" r.Sat_attack.num_dips r.oracle_queries;
+  (* [bench/perf] reads [rounds]: one round per DIP. *)
+  Alcotest.(check int) "one round per dip" r.Sat_attack.num_dips r.rounds
+
+let test_key_free_outputs_lock () =
+  (* Degenerate lock: Lut_lock on this instance replaces gates outside
+     every output cone, so no output is key-dependent.  [prepare] must
+     fall back to the whole-circuit path instead of building an empty
+     key cone, and the attack closes immediately — any key unlocks. *)
+  let original = random_circuit ~seed:222 ~num_inputs:7 ~num_outputs:2 ~gates:50 () in
+  let locked =
+    (LL.Locking.Lut_lock.lock ~stage1_luts:2 ~stage1_inputs:2 original).circuit
+  in
+  let r = run_attack original locked in
+  Alcotest.(check bool) "broken" true (r.Sat_attack.status = Sat_attack.Broken);
+  Alcotest.(check int) "no dips" 0 r.Sat_attack.num_dips;
+  Alcotest.(check bool) "key unlocks" true (key_is_correct original locked r.key)
 
 (* With telemetry on, every DIP lands in the trace as one
    "iter N: dip=... response=..." log event, numbered from 1. *)
@@ -377,6 +393,7 @@ let suite =
     Alcotest.test_case "iteration limit" `Quick test_iteration_limit;
     Alcotest.test_case "time limit" `Quick test_time_limit;
     Alcotest.test_case "oracle query accounting" `Quick test_oracle_query_accounting;
+    Alcotest.test_case "key-free-outputs lock" `Quick test_key_free_outputs_lock;
     Alcotest.test_case "trace logs each dip" `Quick test_trace_logs_each_dip;
     Alcotest.test_case "stop hook budget" `Quick test_stop_hook_budget;
     Alcotest.test_case "stop hook candidate consistent" `Quick

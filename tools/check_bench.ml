@@ -11,8 +11,8 @@
    Usage: check_bench [--require f1,f2,...] FORMAT.mld FILE.json[=SECTION]...
 
    SECTION defaults to the basename of FILE.json; passing an explicit
-   section maps artifacts that share a record shape (BENCH_sat_simp.json,
-   BENCH_dip_batch.json) onto the section that documents it.
+   section maps an artifact that shares a record shape (a truncated copy
+   of BENCH_cube.json, say) onto the section that documents it.
 
    --require lists fields every checked artifact must carry (in at least
    one record); it fails an emitter that silently stops writing a field
