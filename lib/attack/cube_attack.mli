@@ -15,7 +15,11 @@
     each child pins its one new input and continues.  A child keeps
     every DIP constraint its ancestors paid solves and oracle queries
     for, their learnt clauses and their simplified clause database; it
-    re-encodes nothing.  Only the seed cubes build fresh sessions.
+    re-encodes nothing.  The seed cubes, too, start from a session: the
+    attack encodes the miter and runs the first simplification once, in
+    a root session ({!Sat_attack.root}), and each seed cube forks it
+    when it starts (a lone seed cube, [n0 = 0], runs on the root
+    itself).
     Budgets scale by [growth] per extra depth, so the recursion
     terminates; at [n0 + max_extra_depth] a cube runs to completion with
     no budget.
@@ -32,8 +36,9 @@
 
     {b Determinism.} A cube's solver seed is a pure function of the root
     [seed] and its pin path; conflict/DIP budgets read deterministic
-    solver counters; a re-split forks both children's sessions before
-    either runs, so each child's state depends only on its path.  Serial
+    solver counters; every seed fork of the root is reseeded with its
+    cube's seed, and a re-split forks both children's sessions before
+    either runs, so each cube's state depends only on its path.  Serial
     and parallel runs therefore produce byte-identical cube trees, DIP
     sequences and keys under any domain count or stealing (unless a
     wall-clock budget [wall_s] is set). *)

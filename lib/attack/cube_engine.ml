@@ -156,6 +156,20 @@ let budget_hook cfg ~depth =
         match wall with Some w -> pg.Sat_attack.pg_elapsed > w | None -> false)
   end
 
+(* The seed cubes' parent: the attack's root session
+   ({!Sat_attack.root}), built once when the attack starts.  Each seed
+   cube takes its session from it when its task starts, so only running
+   cubes hold copies.  A lone seed cube ([n0 = 0]) takes the root
+   itself; otherwise each takes a fork reseeded with its own cube seed,
+   so no copy depends on which cube forks first.  Forks are taken under
+   [lock] because a copy writes into its source.  The last seed cube to
+   start, or to be cancelled before it starts, drops the root. *)
+type root = {
+  lock : Mutex.t;
+  mutable session : Sat_attack.session option;
+  mutable waiting : int;  (** seed cubes that have not started *)
+}
+
 (* Every cube's pinned positions are a prefix of [sh_rank] (the fan-out
    rank unless a split order is given): the seed set pins rank[0..n0)
    and each re-split pins the next ranked input, so the cube tree is a
@@ -164,6 +178,7 @@ let budget_hook cfg ~depth =
 type shared = {
   sh_cfg : config;
   sh_prep : Sat_attack.prep;
+  sh_root : root;
   sh_oracle : Oracle.t;
   sh_rank : int array;
   sh_max_depth : int;
@@ -177,9 +192,32 @@ type shared = {
 
 let aborted sh = match sh.sh_abort with Some a -> Atomic.get a | None -> false
 
+(* Count one seed cube out of the root, under its lock. *)
+let leave_root r =
+  let root = Option.get r.session in
+  r.waiting <- r.waiting - 1;
+  if r.waiting = 0 then r.session <- None;
+  root
+
+let take_root sh ~condition =
+  let r = sh.sh_root in
+  Mutex.protect r.lock @@ fun () ->
+  let root = leave_root r in
+  if sh.sh_cfg.n0 = 0 then root
+  else begin
+    let copy =
+      Sat_attack.fork ~seed:(Cube_prep.cube_seed ~seed:sh.sh_seed condition) root
+    in
+    if Tel.enabled () then
+      Tel.instant ~a0:(Sat_attack.arena_words copy)
+        ~note:(Cube_prep.condition_string condition) "cube.fork";
+    copy
+  end
+
 (* Attack one cube; when its difficulty budget preempts it, return the
    two child cubes (next ranked input pinned both ways), each with the
-   session it continues.  Child 1 gets a copy of the stopped session,
+   session it continues.  A seed cube ([session = None]) takes its
+   session from the root.  Child 1 gets a copy of the stopped session,
    reseeded with its own cube seed, and child 0 takes the original: both
    states are fixed here, before either child runs, so the tree does not
    depend on scheduling. *)
@@ -187,7 +225,12 @@ let attack_cube sh ~condition ~session ~priority =
   let cfg = sh.sh_cfg in
   let depth = List.length condition in
   let cube ?resplit_input task = { task; depth; resplit_input; priority } in
-  if aborted sh then (cube (Cube_prep.cancelled_task ~prep:sh.sh_prep condition), None)
+  if aborted sh then begin
+    (* A cancelled seed cube makes no copy of the root. *)
+    if Option.is_none session then
+      Mutex.protect sh.sh_root.lock (fun () -> ignore (leave_root sh.sh_root));
+    (cube (Cube_prep.cancelled_task ~prep:sh.sh_prep condition), None)
+  end
   else begin
     let can_split = depth < sh.sh_max_depth in
     let config =
@@ -202,7 +245,10 @@ let attack_cube sh ~condition ~session ~priority =
       }
     in
     let task, stopped =
-      Cube_prep.run_task ~config ~prep:sh.sh_prep ~oracle:sh.sh_oracle ?session condition
+      Cube_prep.run_task ~config ~prep:sh.sh_prep ~oracle:sh.sh_oracle
+        ~session:(fun () ->
+          match session with Some s -> s | None -> take_root sh ~condition)
+        condition
     in
     Tel.Metric.add m_imported task.Cube_prep.result.Sat_attack.imported;
     (match sh.sh_abort with
@@ -250,9 +296,17 @@ let make_shared cfg ?rank ~abort locked ~oracle ~seed =
   let n_in = Circuit.num_inputs locked in
   let rank = match rank with Some r -> r | None -> Fanout.rank locked in
   validate cfg ~n_in ~rank;
+  let prep = Sat_attack.prepare locked in
+  let root_config = { cfg.base with Sat_attack.solver_seed = Cube_prep.cube_seed ~seed [] } in
   {
     sh_cfg = cfg;
-    sh_prep = Sat_attack.prepare locked;
+    sh_prep = prep;
+    sh_root =
+      {
+        lock = Mutex.create ();
+        session = Some (Sat_attack.root ~config:root_config prep);
+        waiting = 1 lsl cfg.n0;
+      };
     sh_oracle = oracle;
     sh_rank = rank;
     sh_max_depth =

@@ -31,10 +31,12 @@ let cube_seed ~seed condition =
 
 (* One cofactor sub-attack over the shared preparation: the miter is
    synthesized, analysed and compiled exactly once per split attack (in
-   {!Sat_attack.prepare}).  A seed cube pins its inputs as root units in
-   a fresh solver; a re-split child continues its parent's forked
-   session under the one pin it adds. *)
-let run_task ~config ~prep ~oracle ?session condition =
+   {!Sat_attack.prepare}) and encoded and first simplified once (in
+   {!Sat_attack.root}).  The cube takes its session from its parent
+   inside the task's span and timer, then pins the inputs of [condition]
+   that the session does not pin yet: all of them on a fork of the root,
+   the one new pin on a re-split parent's session. *)
+let run_task ~config ~prep ~oracle ~session condition =
   let t0 = Timer.monotonic () in
   let depth = List.length condition in
   if Tel.enabled () then
@@ -42,13 +44,10 @@ let run_task ~config ~prep ~oracle ?session condition =
   Tel.Metric.incr m_subtasks;
   Progress.cube_started ~depth;
   match
-    let result, stopped =
-      match session with
-      | None -> Sat_attack.run_prepared ~config prep ~condition ~oracle
-      | Some s ->
-          let pin = List.nth condition (depth - 1) in
-          Sat_attack.resume ~config s ~pin ~oracle
-    in
+    let s = session () in
+    let pinned = List.length (Sat_attack.condition s) in
+    let pins = List.filteri (fun i _ -> i >= pinned) condition in
+    let result, stopped = Sat_attack.resume ~config s ~pins ~oracle in
     ( {
         condition;
         sub_inputs = Sat_attack.prep_inputs prep - depth;

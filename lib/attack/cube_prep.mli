@@ -32,16 +32,17 @@ val run_task :
   config:Sat_attack.config ->
   prep:Sat_attack.prep ->
   oracle:Oracle.t ->
-  ?session:Sat_attack.session ->
+  session:(unit -> Sat_attack.session) ->
   (int * bool) list ->
   task * Sat_attack.session option
 (** Run one cube session under a ["split.task"] telemetry span: [a0] is
-    the cube's depth, the note its {!condition_string}.  Without
-    [session] the cube starts a fresh session ({!Sat_attack.run_prepared});
-    with it, [session] is the parent cube's (forked) session, whose
-    condition [condition] extends by its last pin, and the cube
-    {!Sat_attack.resume}s it.  The session comes back when the task
-    ended [Stopped]. *)
+    the cube's depth, the note its {!condition_string}.  [session ()],
+    called inside the span and the task's timer, hands the cube the
+    session it continues: a fork of the attack's root session for a
+    seed cube, the (forked) session of its parent for a re-split child.
+    Its {!Sat_attack.condition} must be a prefix of [condition]; the
+    cube pins the rest and {!Sat_attack.resume}s it.  The session comes
+    back when the task ended [Stopped]. *)
 
 val cancelled_task : prep:Sat_attack.prep -> (int * bool) list -> task
 (** Placeholder for a sub-task cancelled before it started. *)

@@ -174,10 +174,13 @@ let add_dip_constraint env prog scratch ~key_lits ~cone_response =
 (* ------------------------------------------------------------------ *)
 
 (* A session is one cube's live solver: the miter encoded once, the
-   cube's pins as root units, the guarded difference clause and every
-   DIP constraint added so far.  The DIP loop below drives a session
-   until it ends; a [Stopped] one is handed back so the cube engine can
-   fork it into the children of a re-split instead of rebuilding them. *)
+   guarded difference clause, the cube's pins as root units and every
+   DIP constraint added so far.  An attack builds one unpinned root
+   session ({!root}) and every cube continues a session taken from its
+   parent: a seed cube forks the root, a re-split child its parent's
+   stopped session.  The DIP loop below drives a session until it ends;
+   a [Stopped] one is handed back so the cube engine can fork it into
+   the children of a re-split instead of rebuilding them. *)
 type session = {
   s_prep : prep;
   s_solver : Solver.t;
@@ -190,9 +193,15 @@ type session = {
   s_inherited : int;  (** DIPs ancestors added to the solver *)
 }
 
-let check_pin prep condition (pos, _) =
-  if pos < 0 || pos >= prep.p_n_in then invalid_arg "Sat_attack.run: condition position";
-  if List.mem_assoc pos condition then invalid_arg "Sat_attack.run: duplicate condition"
+let check_pins prep condition pins =
+  ignore
+    (List.fold_left
+       (fun seen ((pos, _) as pin) ->
+         if pos < 0 || pos >= prep.p_n_in then
+           invalid_arg "Sat_attack.run: condition position";
+         if List.mem_assoc pos seen then invalid_arg "Sat_attack.run: duplicate condition";
+         pin :: seen)
+       condition pins)
 
 let check_run prep oracle =
   let locked = prep.p_locked in
@@ -201,13 +210,7 @@ let check_run prep oracle =
   if Circuit.num_outputs locked <> Oracle.num_outputs oracle then
     invalid_arg "Sat_attack.run: oracle output count mismatch"
 
-let open_session config prep ~condition =
-  ignore
-    (List.fold_left
-       (fun seen pin ->
-         check_pin prep seen pin;
-         pin :: seen)
-       [] condition);
+let root ?(config = default_config) prep =
   let n_in = prep.p_n_in and n_key = prep.p_n_key in
   let solver = Solver.create ~seed:config.solver_seed ~simp:config.solver_simp () in
   let env = Tseitin.create solver in
@@ -221,17 +224,22 @@ let open_session config prep ~condition =
     | [| d |] -> d
     | _ -> assert false
   in
-  (* The cofactor cube: pinned primary inputs become root units, so the
-     shared miter encoding — built once by {!prepare} for all cubes — is
-     specialised by the solver instead of by re-synthesizing and
-     re-encoding a cofactored circuit per cube. *)
-  List.iter (fun (pos, b) -> Tseitin.force env input_lits.(pos) b) condition;
   (* Guarded difference clause: act -> diff.  The activation variable is
      used as an assumption on every solve, so it must survive variable
      elimination. *)
   let act = (Tseitin.fresh_lits env 1).(0) in
   Solver.freeze_var solver (Lit.var act);
   Solver.add_clause solver [ Lit.negate act; diff ];
+  (* The session the first solve would open, run now, so that every
+     cube forked from this root shares it instead of repeating it.  The
+     encoder froze the input ports, so no input a cube pins later has
+     been eliminated. *)
+  if Tel.enabled () then begin
+    Tel.span_begin ~a0:(Solver.num_clauses solver) "attack.root";
+    Solver.simplify solver;
+    Tel.span_end ~v:(Solver.num_clauses solver) ()
+  end
+  else Solver.simplify solver;
   {
     s_prep = prep;
     s_solver = solver;
@@ -240,9 +248,11 @@ let open_session config prep ~condition =
     s_key1 = Array.sub key_lits 0 n_key;
     s_key2 = Array.sub key_lits n_key n_key;
     s_act = act;
-    s_condition = condition;
+    s_condition = [];
     s_inherited = 0;
   }
+
+let condition session = session.s_condition
 
 let fork ?seed session =
   let solver = Solver.copy ?seed session.s_solver in
@@ -420,20 +430,22 @@ let drive config session ~oracle ~started =
   | Stopped -> (r, Some { session with s_inherited = session.s_inherited + r.num_dips })
   | Broken | Iteration_limit | Time_limit | Cancelled -> (r, None)
 
-let run_prepared ?(config = default_config) prep ~condition ~oracle =
-  check_run prep oracle;
-  let started = Timer.monotonic () in
-  drive config (open_session config prep ~condition) ~oracle ~started
-
-let resume ?(config = default_config) session ~pin ~oracle =
+(* Pin [pins] on [session] (cubes pin the shared miter's inputs as root
+   units instead of re-synthesizing a cofactored circuit) and run the
+   DIP loop on it, timing budgets from [started]. *)
+let continue config session ~pins ~oracle ~started =
   check_run session.s_prep oracle;
-  check_pin session.s_prep session.s_condition pin;
-  let started = Timer.monotonic () in
-  let pos, b = pin in
-  Tseitin.force session.s_env session.s_input_lits.(pos) b;
+  check_pins session.s_prep session.s_condition pins;
+  List.iter
+    (fun (pos, b) -> Tseitin.force session.s_env session.s_input_lits.(pos) b)
+    pins;
   Progress.add_imported session.s_inherited;
-  drive config { session with s_condition = session.s_condition @ [ pin ] } ~oracle ~started
+  drive config { session with s_condition = session.s_condition @ pins } ~oracle ~started
+
+let resume ?(config = default_config) session ~pins ~oracle =
+  continue config session ~pins ~oracle ~started:(Timer.monotonic ())
 
 let run ?(config = default_config) locked ~oracle =
   if Circuit.num_keys locked = 0 then invalid_arg "Sat_attack.run: circuit has no keys";
-  fst (run_prepared ~config (prepare locked) ~condition:[] ~oracle)
+  let started = Timer.monotonic () in
+  fst (continue config (root ~config (prepare locked)) ~pins:[] ~oracle ~started)

@@ -81,8 +81,8 @@ type result = {
   solver_conflicts : int;
   imported : int;
       (** DIPs the session's solver inherited from its ancestors when it
-          was forked from a stopped cube (see {!resume}); 0 for a session
-          that started fresh.  Their constraints are in the solver but
+          was forked from a stopped cube (see {!resume}); 0 for a
+          session taken from the root.  Their constraints are in the solver but
           they count nowhere else in this result. *)
 }
 
@@ -95,9 +95,7 @@ val run : ?config:config -> Ll_netlist.Circuit.t -> oracle:Oracle.t -> result
     The cofactor sub-attacks of {!Split_attack} all work on the same
     locked circuit: the synthesized key-duplicated miter, the output
     key-dependence split and the compiled key cone are identical across
-    cubes.  {!prepare} computes them once; {!run_prepared} runs one attack
-    instance against a prepared circuit, pinning a cube's inputs as root
-    units in the (shared, immutable) miter encoding. *)
+    cubes.  {!prepare} computes them once. *)
 
 type prep
 (** Immutable per-circuit preparation, safe to share across domains. *)
@@ -111,61 +109,70 @@ val prep_inputs : prep -> int
 val prep_gates : prep -> int
 (** Gate count of the shared synthesized miter. *)
 
-type session
-(** A cube's live solver session (see "Forkable sessions" below):
-    mutable, owned by one caller at a time.  Use {!fork} to obtain an independent
-    copy before handing it to another domain. *)
+(** {2 Sessions}
 
-val run_prepared :
-  ?config:config ->
-  prep ->
-  condition:(int * bool) list ->
-  oracle:Oracle.t ->
-  result * session option
-(** [run_prepared prep ~condition ~oracle] attacks the cofactor of the
-    prepared circuit under [condition] (primary input positions pinned to
-    constants; [[]] is the full attack, identical to {!run}).  The oracle
-    is the {e full-width} oracle of the original circuit — queries carry
-    the pinned values.  Reported [dips] contain only the free input
-    positions, in their original relative order.  The session comes
-    back with a [Stopped] result ([None] with any other), for
-    {!resume}.  Raises [Invalid_argument] on oracle port mismatches or
-    out-of-range or duplicate condition positions. *)
-
-(** {2 Forkable sessions}
-
-    A session is one cube's live solver: the miter, the cube's pins, the
-    guarded difference clause and every DIP constraint added so far.  A
-    session the [stop] hook ends is returned to the caller, who may copy
-    it with {!fork} and continue each copy under one more pinned input
-    with {!resume}.  This is how the cube engine re-splits a cube: the
-    children keep the parent's DIP constraints, learnt clauses and
-    simplified clause database instead of rebuilding them.
+    A session is one cube's live solver: the miter, the guarded
+    difference clause, the cube's pins and every DIP constraint added so
+    far.  An attack opens one unpinned {e root} session ({!root}): the
+    miter is encoded and the solver's first simplification session runs
+    once per attack.  Every cube then continues a session it takes from
+    its parent, pinning its inputs as root units with {!resume}: a seed
+    cube takes a {!fork} of the root (or the root itself when it is the
+    only seed cube), and the two children of a re-split take the stopped
+    session of their parent and a fork of it.  So the children keep the
+    parent's DIP constraints, learnt clauses and simplified clause
+    database instead of rebuilding them, and no seed cube repeats the
+    root's encoding or first simplification.
 
     A child also keeps the constraints of parent DIPs that lie outside
     its cube.  The correct key satisfies them as well, so they only
     narrow the keys that survive; the key a child returns is still
     correct inside its cube. *)
 
+type session
+(** Mutable, owned by one caller at a time.  Use {!fork} to obtain an
+    independent copy before handing it to another domain. *)
+
+val root : ?config:config -> prep -> session
+(** [root prep] opens the unpinned session of [prep] and runs its
+    solver's first simplification session ({!Ll_sat.Solver.simplify})
+    under an ["attack.root"] telemetry span ([a0] = clauses before the
+    session, [v] = after).  [config.solver_seed] seeds its solver and
+    [config.solver_simp] enables its inprocessing; the other fields are
+    ignored.  [resume (root prep) ~pins:[]] searches exactly as a fresh
+    solver whose first solve ran the session. *)
+
+val condition : session -> (int * bool) list
+(** The inputs [session] pins, in pin order; [[]] for a root. *)
+
 val resume :
   ?config:config ->
   session ->
-  pin:int * bool ->
+  pins:(int * bool) list ->
   oracle:Oracle.t ->
   result * session option
-(** [resume session ~pin ~oracle] pins one more input of a stopped
-    session and runs the DIP loop on.  The result counts only what this
-    run did: [dips], [num_dips], [rounds], [oracle_queries],
-    [solver_conflicts], [total_time] and the [max_iterations],
-    [time_limit] and [stop] budgets all start from zero, and [imported]
-    is the number of DIPs the session inherited.  [config.solver_seed]
-    and [solver_simp] are ignored: they were fixed when the session was
-    created or forked.  [Invalid_argument] as for {!run_prepared}, also
-    when [pin]'s position is already pinned. *)
+(** [resume session ~pins ~oracle] pins [pins] (primary input positions
+    and their constants) on top of the session's own {!condition} and
+    runs the DIP loop on.  The oracle is the {e full-width} oracle of
+    the original circuit — queries carry the pinned values — and the
+    reported [dips] contain only the free input positions, in their
+    original relative order.  The result counts only what this run did:
+    [dips], [num_dips], [rounds], [oracle_queries], [solver_conflicts],
+    [total_time] and the [max_iterations], [time_limit] and [stop]
+    budgets all start from zero, and [imported] is the number of DIPs
+    the session inherited.  [config.solver_seed] and [solver_simp] are
+    ignored: they were fixed when the session was opened or forked.
+    The session comes back with a [Stopped] result ([None] with any
+    other), for {!fork} and another [resume].  Raises
+    [Invalid_argument] on oracle port mismatches and on out-of-range,
+    repeated or already pinned positions. *)
 
 val fork : ?seed:int -> session -> session
-(** An independent copy of a stopped session ({!Ll_sat.Solver.copy} and
-    {!Ll_sat.Tseitin.copy}); [seed] reseeds the copy's decision PRNG. *)
+(** An independent copy of a root or stopped session
+    ({!Ll_sat.Solver.copy} and {!Ll_sat.Tseitin.copy}); [seed] reseeds
+    the copy's decision PRNG.  Copying writes into the source (see
+    {!Ll_sat.Solver.copy}), so forks of one session must not be taken
+    concurrently. *)
 
 val arena_words : session -> int
 (** Live words in the session solver's clause arena: what a {!fork}

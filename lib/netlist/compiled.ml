@@ -197,18 +197,25 @@ let scratch p =
     tern_full = false;
   }
 
-let scratch_cache : (int, scratch) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* Each domain's scratches, held weakly by their program: a scratch
+   refers to its program only by [for_id], so it dies with the program. *)
+module Scratch_table = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash p = Hashtbl.hash p.id
+end)
+
+let scratch_cache : scratch Scratch_table.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Scratch_table.create 16)
 
 let local_scratch p =
   let tbl = Domain.DLS.get scratch_cache in
-  match Hashtbl.find_opt tbl p.id with
+  match Scratch_table.find_opt tbl p with
   | Some s -> s
   | None ->
-      (* Unbounded program churn (e.g. fuzzing) must not leak scratches. *)
-      if Hashtbl.length tbl > 128 then Hashtbl.reset tbl;
       let s = scratch p in
-      Hashtbl.add tbl p.id s;
+      Scratch_table.replace tbl p s;
       s
 
 let check_scratch p s =

@@ -136,7 +136,8 @@ val scratch : t -> scratch
 
 val local_scratch : t -> scratch
 (** The calling domain's cached scratch for this program (allocated on
-    first use per domain). *)
+    first use per domain).  The cache holds it weakly by the program, so
+    it is freed with the program. *)
 
 (** {1 Simulation kernels} *)
 

@@ -23,19 +23,19 @@ type stats = {
 }
 
 type config = {
-  mutable session_growth : int;
-  mutable session_min_conflicts : int;
-  mutable subsumption_budget : int;
-  mutable subsume_occ_limit : int;
-  mutable bve_grow : int;
-  mutable bve_max_occ : int;
-  mutable bve_max_clause : int;
-  mutable vivify_budget : int;
-  mutable vivify_max_clauses : int;
-  mutable inprocess_interval : int;
+  session_growth : int;
+  session_min_conflicts : int;
+  subsumption_budget : int;
+  subsume_occ_limit : int;
+  bve_grow : int;
+  bve_max_occ : int;
+  bve_max_clause : int;
+  vivify_budget : int;
+  vivify_max_clauses : int;
+  inprocess_interval : int;
 }
 
-let default_config () =
+let default_config =
   {
     session_growth = 5;
     session_min_conflicts = 100;
@@ -75,7 +75,6 @@ type host = {
 }
 
 type t = {
-  config : config;
   stats : stats;
   mutable occs : int Vec.t array;  (* per variable: problem crefs containing it *)
   queue : int Vec.t;
@@ -104,9 +103,8 @@ type t = {
   mutable viv_cursor : int;  (* rotating start into the problem-clause vector *)
 }
 
-let create ?(config = default_config ()) () =
+let create () =
   {
-    config;
     stats =
       {
         subsumed = 0;
@@ -136,20 +134,19 @@ let create ?(config = default_config ()) () =
     viv_cursor = 0;
   }
 
-(* Only the state that outlives a session is copied: the configuration,
-   the statistics, the eliminated-clause stack and the cursors.  The
-   occurrence lists, queues and buffers are scratch that every session
-   rebuilds, so the copy starts them empty.  [lit_mark] may start zeroed
-   because the next generation is [mark_gen + 1 >= 1].  The stack is the
-   bulk of the state; it is frozen into a chunk both engines share
-   instead of being copied. *)
+(* Only the state that outlives a session is copied: the statistics,
+   the eliminated-clause stack and the cursors.  The occurrence lists, queues and buffers are
+   scratch that every session rebuilds, so the copy starts them empty.
+   [lit_mark] may start zeroed because the next generation is
+   [mark_gen + 1 >= 1].  The stack is the bulk of the state; it is
+   frozen into a chunk both engines share instead of being copied. *)
 let copy t =
   if Vec.length t.elim > 0 then begin
     t.elim_frozen <- Array.init (Vec.length t.elim) (Vec.get t.elim) :: t.elim_frozen;
     t.elim <- Vec.create ~dummy:0
   end;
   {
-    (create ~config:{ t.config with session_growth = t.config.session_growth } ()) with
+    (create ()) with
     stats = { t.stats with subsumed = t.stats.subsumed };
     elim_frozen = t.elim_frozen;
     mark_gen = t.mark_gen;
@@ -157,8 +154,6 @@ let copy t =
     processed_trail = t.processed_trail;
     viv_cursor = t.viv_cursor;
   }
-
-let config t = t.config
 
 let stats t = t.stats
 
@@ -360,7 +355,7 @@ let forward_step t host c =
     (* Over-shared variables are skipped (see [subsume_occ_limit]): the
        scan is only a heuristic completeness/cost trade, and a candidate
        missed here is still found when IT is queued and runs backward. *)
-    if Vec.length ws <= t.config.subsume_occ_limit then begin
+    if Vec.length ws <= default_config.subsume_occ_limit then begin
       (* snapshot: strengthenings triggered below mutate this list *)
       let base = push_snapshot t ws in
       let top = Vec.length t.snap in
@@ -393,7 +388,7 @@ let backward_step t host c =
   let sc = signature host c in
   let b = best_var t host c in
   let ws = t.occs.(b) in
-  if Vec.length ws <= t.config.subsume_occ_limit then begin
+  if Vec.length ws <= default_config.subsume_occ_limit then begin
     (* snapshot: removals and strengthenings mutate the list *)
     let base = push_snapshot t ws in
     let top = Vec.length t.snap in
@@ -474,7 +469,7 @@ let merge_resolvent t host p q v ~top =
       end;
     incr k
   done;
-  if !taut || !count > t.config.bve_max_clause then -1 else !count
+  if !taut || !count > default_config.bve_max_clause then -1 else !count
 
 (* Sort the live occurrences of [v] into [t.pos] / [t.neg] by polarity;
    false when one is longer than [bve_max_clause] (no elimination). *)
@@ -490,7 +485,7 @@ let split_occurrences t host v =
     incr i;
     if live host c then begin
       let n = Arena.size ar c in
-      if n > t.config.bve_max_clause then fits := false
+      if n > default_config.bve_max_clause then fits := false
       else begin
         let polarity = ref (-1) in
         for k = 0 to n - 1 do
@@ -521,11 +516,11 @@ let try_eliminate t host v =
     t.budget <- t.budget - Vec.length t.occs.(v);
     let fits = split_occurrences t host v in
     let npos = Vec.length t.pos and nneg = Vec.length t.neg in
-    if fits && (npos > 0 || nneg > 0) && npos <= t.config.bve_max_occ
-       && nneg <= t.config.bve_max_occ
+    if fits && (npos > 0 || nneg > 0) && npos <= default_config.bve_max_occ
+       && nneg <= default_config.bve_max_occ
     then begin
       (* Count (and build) non-tautological resolvents; abort on growth. *)
-      let limit = npos + nneg + t.config.bve_grow in
+      let limit = npos + nneg + default_config.bve_grow in
       Vec.clear t.res_ofs;
       let top = ref 0 in
       let aborted = ref false in
@@ -548,7 +543,7 @@ let try_eliminate t host v =
             top := !top + len
           end
         end
-        else if np + nq - 2 > t.config.bve_max_clause then
+        else if np + nq - 2 > default_config.bve_max_clause then
           (* over-long resolvents veto the elimination; tautologies just
              don't count *)
           aborted := true
@@ -619,7 +614,7 @@ let session t host ~new_from =
   t.qhead <- 0;
   Vec.clear t.touched;
   Bytes.fill t.touched_mark 0 (Bytes.length t.touched_mark) '\000';
-  t.budget <- t.config.subsumption_budget;
+  t.budget <- default_config.subsumption_budget;
   for v = 0 to host.nvars - 1 do
     Vec.clear t.occs.(v)
   done;
@@ -684,7 +679,7 @@ let vivify t host =
   if host.solver_ok () then begin
     let ar = host.ar in
     let p0 = host.propagation_count () in
-    let within_budget () = host.propagation_count () - p0 < t.config.vivify_budget in
+    let within_budget () = host.propagation_count () - p0 < default_config.vivify_budget in
     let cand_ok c = live host c && Arena.size ar c >= 3 && Arena.size ar c <= 64 in
     (* High-activity learnt clauses first. *)
     let learnt_cands = Vec.create ~dummy:Arena.no_cref in
@@ -695,14 +690,14 @@ let vivify t host =
         if d <> 0 then d else compare a b)
       learnt_cands;
     let cands = Vec.create ~dummy:Arena.no_cref in
-    let nl = min (Vec.length learnt_cands) t.config.vivify_max_clauses in
+    let nl = min (Vec.length learnt_cands) default_config.vivify_max_clauses in
     for i = 0 to nl - 1 do
       Vec.push cands (Vec.get learnt_cands i)
     done;
     (* Plus a rotating sample of problem clauses. *)
     let ncl = Vec.length host.clauses in
     if ncl > 0 then begin
-      let want = t.config.vivify_max_clauses / 2 in
+      let want = default_config.vivify_max_clauses / 2 in
       let got = ref 0 and scanned = ref 0 in
       while !got < want && !scanned < ncl do
         let c = Vec.get host.clauses (t.viv_cursor mod ncl) in

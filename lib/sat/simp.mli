@@ -40,35 +40,36 @@ type stats = {
 }
 
 type config = {
-  mutable session_growth : int;
+  session_growth : int;
       (** percent of problem-clause growth (new clauses + new root units
           since the previous session) that schedules the next session; a
           session rebuilds the occurrence index in O(formula), so tiny
           increments — e.g. one blocking clause per incremental solve —
           must accumulate before paying for another full pass *)
-  mutable session_min_conflicts : int;
+  session_min_conflicts : int;
       (** conflicts since the previous session required before another
           one runs: simplification effort is scaled to search effort, so
           incremental workloads whose solves are trivial (a handful of
           conflicts per call) never pay for repeated passes they cannot
           amortise, while conflict-heavy instances inprocess eagerly *)
-  mutable subsumption_budget : int;
+  subsumption_budget : int;
       (** occurrence-list entries and literal comparisons per session *)
-  mutable subsume_occ_limit : int;
+  subsume_occ_limit : int;
       (** skip occurrence lists longer than this during subsumption
           scans; variables shared by very many clauses (e.g. circuit
           inputs mentioned by every model-blocking clause) would
           otherwise make each queued clause pay a scan linear in the
           whole database for candidates that almost never subsume *)
-  mutable bve_grow : int;  (** max clause-count growth per eliminated variable *)
-  mutable bve_max_occ : int;  (** skip variables with more occurrences per polarity *)
-  mutable bve_max_clause : int;  (** skip resolutions involving longer clauses *)
-  mutable vivify_budget : int;  (** propagations per vivification round *)
-  mutable vivify_max_clauses : int;  (** learnt candidates per round *)
-  mutable inprocess_interval : int;  (** restarts between vivification rounds *)
+  bve_grow : int;  (** max clause-count growth per eliminated variable *)
+  bve_max_occ : int;  (** skip variables with more occurrences per polarity *)
+  bve_max_clause : int;  (** skip resolutions involving longer clauses *)
+  vivify_budget : int;  (** propagations per vivification round *)
+  vivify_max_clauses : int;  (** learnt candidates per round *)
+  inprocess_interval : int;  (** restarts between vivification rounds *)
 }
 
-val default_config : unit -> config
+val default_config : config
+(** The only configuration: every engine reads this record. *)
 
 (** Callbacks into the owning solver.  All clause mutation goes through
     the host so watches, reasons, the proof log and hole accounting stay
@@ -105,17 +106,14 @@ type host = {
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val copy : t -> t
-(** An independent engine in the same state: configuration and
-    statistics are copied.  The eliminated-clause stack as it stands is
-    frozen into a chunk that both engines share read-only (neither ever
-    writes it again), so the copy costs nothing per stored clause.  Only
-    meaningful together with a copy of the host's clause database (see
-    [Solver.copy]). *)
-
-val config : t -> config
+(** An independent engine in the same state: statistics are copied.  The
+    eliminated-clause stack as it stands is frozen into a chunk that
+    both engines share read-only (neither ever writes it again), so the
+    copy costs nothing per stored clause.  Only meaningful together with
+    a copy of the host's clause database (see [Solver.copy]). *)
 
 val stats : t -> stats
 

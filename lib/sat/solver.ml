@@ -1075,7 +1075,7 @@ let maybe_simplify s =
   let grown =
     nc - s.clause_cursor + (Vec.length s.trail - s.last_trail_simp)
   in
-  let cfg = Simp.config s.simp in
+  let cfg = Simp.default_config in
   if
     s.simp_enabled && s.ok && grown > 0
     && (s.clause_cursor = 0
@@ -1103,7 +1103,7 @@ let maybe_simplify s =
 let maybe_inprocess s =
   if
     s.simp_enabled && s.ok
-    && s.n_restarts - s.last_viv_restart >= (Simp.config s.simp).Simp.inprocess_interval
+    && s.n_restarts - s.last_viv_restart >= Simp.default_config.Simp.inprocess_interval
   then begin
     s.last_viv_restart <- s.n_restarts;
     let run () =
@@ -1287,17 +1287,41 @@ let solve_core ~assumptions ~conflict_limit s =
     end
   end
 
+(* Returns a flush that adds the inprocessing counters' growth since
+   this call to telemetry. *)
+let simp_counters s =
+  let st = Simp.stats s.simp in
+  let sub0 = st.Simp.subsumed
+  and ssub0 = st.Simp.self_subsumed
+  and el0 = st.Simp.eliminated_vars
+  and viv0 = st.Simp.vivified in
+  fun () ->
+    Tel.Metric.add m_simp_subsumed (st.Simp.subsumed - sub0);
+    Tel.Metric.add m_simp_self_subsumed (st.Simp.self_subsumed - ssub0);
+    Tel.Metric.add m_simp_eliminated (st.Simp.eliminated_vars - el0);
+    Tel.Metric.add m_simp_vivified (st.Simp.vivified - viv0)
+
+(* The root session the next [solve] would start with, run now: a solve
+   right after it finds nothing new to simplify. *)
+let simplify s =
+  if s.ok then begin
+    s.extension <- No_model;
+    cancel_until s 0;
+    if Tel.enabled () then begin
+      let flush = simp_counters s in
+      maybe_simplify s;
+      flush ()
+    end
+    else maybe_simplify s
+  end
+
 let solve ?(assumptions = []) ?(conflict_limit = 0) s =
   if Tel.enabled () then begin
     let c0 = s.n_conflicts
     and d0 = s.n_decisions
     and p0 = s.n_propagations
     and r0 = s.n_restarts in
-    let st = Simp.stats s.simp in
-    let sub0 = st.Simp.subsumed
-    and ssub0 = st.Simp.self_subsumed
-    and el0 = st.Simp.eliminated_vars
-    and viv0 = st.Simp.vivified in
+    let flush_simp = simp_counters s in
     Tel.span_begin ~a0:(Vec.length s.clauses) ~a1:s.nvars "sat.solve";
     let flush () =
       Tel.Metric.incr m_solves;
@@ -1305,10 +1329,7 @@ let solve ?(assumptions = []) ?(conflict_limit = 0) s =
       Tel.Metric.add m_decisions (s.n_decisions - d0);
       Tel.Metric.add m_propagations (s.n_propagations - p0);
       Tel.Metric.add m_restarts (s.n_restarts - r0);
-      Tel.Metric.add m_simp_subsumed (st.Simp.subsumed - sub0);
-      Tel.Metric.add m_simp_self_subsumed (st.Simp.self_subsumed - ssub0);
-      Tel.Metric.add m_simp_eliminated (st.Simp.eliminated_vars - el0);
-      Tel.Metric.add m_simp_vivified (st.Simp.vivified - viv0);
+      flush_simp ();
       Tel.Metric.observe h_conflicts_per_solve (float_of_int (s.n_conflicts - c0));
       Tel.Metric.set g_arena_words (float_of_int s.ar.Arena.len)
     in

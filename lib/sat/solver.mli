@@ -79,7 +79,9 @@ val copy : ?seed:int -> t -> t
     extended and solved apart, also from different domains.  Without
     [seed] the copy's decision PRNG continues [s]'s stream and the copy
     behaves exactly as [s] would; [seed] restarts it from that seed.
-    The cost is one pass over the solver's arrays. *)
+    The cost is one pass over the solver's arrays.  [copy] writes into
+    [s] too (it freezes the eliminated-clause stack and leaves [s] an
+    empty one), so copies of one solver must not be taken concurrently. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
@@ -123,6 +125,17 @@ val solve : ?assumptions:Lit.t list -> ?conflict_limit:int -> t -> result
     the limit raises {!Conflict_limit}).  Assumption variables are frozen
     for the duration of the call (and restored first if previously
     eliminated). *)
+
+val simplify : t -> unit
+(** Run now the root simplification session that the next {!solve}
+    would start with (on a fresh solver, a full preprocessing pass; later,
+    only once the database has grown enough).  A solve right after it
+    finds nothing new and runs no session of its own, so [simplify]
+    followed by [solve] searches exactly as [solve] alone, provided the
+    solve's assumption variables are frozen (a session inside {!solve}
+    protects them; this one cannot know them).  Like any mutation it
+    drops the current model.  Runs no session when the solver was
+    created with [~simp:false] or is already inconsistent. *)
 
 exception Conflict_limit
 

@@ -288,6 +288,25 @@ let test_cached_memo () =
   let p1 = Compiled.cached c and p2 = Compiled.cached c in
   Alcotest.(check bool) "same compiled program" true (p1 == p2)
 
+(* The domain's scratch cache holds each scratch weakly by its program:
+   a live program keeps getting the same scratch, a dropped one takes its
+   scratch with it. *)
+let test_local_scratch_dies_with_program () =
+  let c = random_all_gates ~seed:4 ~num_inputs:3 ~num_keys:1 ~gates:10 ~num_outputs:2 () in
+  let live = Compiled.compile c in
+  let s = Compiled.local_scratch live in
+  Alcotest.(check bool) "same scratch for a live program" true (Compiled.local_scratch live == s);
+  let slot = Weak.create 1 in
+  let[@inline never] use_and_drop () =
+    let p = Compiled.compile c in
+    Weak.set slot 0 (Some (Compiled.local_scratch p));
+    Compiled.eval_into p (Compiled.local_scratch p) ~inputs:[| true; false; true |] ~keys:[| true |]
+  in
+  use_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "scratch of a dropped program collected" false (Weak.check slot 0);
+  Alcotest.(check bool) "live program keeps its scratch" true (Compiled.local_scratch live == s)
+
 let suite =
   [
     Alcotest.test_case "scalar kernel vs interpreter" `Quick test_scalar_vs_reference;
@@ -298,5 +317,7 @@ let suite =
     Alcotest.test_case "mux liveness" `Quick test_mux_liveness;
     Alcotest.test_case "scratch rules" `Quick test_scratch_rules;
     Alcotest.test_case "cached memo" `Quick test_cached_memo;
+    Alcotest.test_case "local scratch dies with its program" `Quick
+      test_local_scratch_dies_with_program;
     test_incremental_exact;
   ]

@@ -131,17 +131,18 @@ let test_pinned_digests () =
       match Compose.of_attack ~optimize locked.circuit attack with
       | None -> Alcotest.failf "N=%d: no composition" n
       | Some composed ->
-          Alcotest.(check string)
-            (Printf.sprintf "N=%d optimize=%b" n optimize)
-            expected
+          let name = Printf.sprintf "N=%d optimize=%b" n optimize in
+          Alcotest.(check bool) (name ^ " equivalent") true
+            (Equiv.check c composed = Equiv.Equivalent);
+          Alcotest.(check string) name expected
             (Digest.to_hex (Digest.string (LL.Netlist.Bench_io.to_string composed))))
     [
       (1, true, "65b7b4ce6db30722d9e6bb3e287b8711");
       (1, false, "398b3fc6e51686749c199655acd0dfc9");
-      (2, true, "15b8b3ce90ee9a895eb48ae80b1ccb50");
-      (2, false, "81979c3fd723ac5d7586b390472d452f");
-      (3, true, "87885f2a68e8f34b704049b83fc7562a");
-      (3, false, "3dc55852a6b1e5a76f867bf31e1b8c73");
+      (2, true, "38f17adf808e66f620b286235325ab29");
+      (2, false, "12d8d504f0909a0d6cfa0fa8854c8936");
+      (3, true, "aaf127768a80fae7b2e53a63be3e6a33");
+      (3, false, "9bf63abc92d91aabd61a24267ee62f41");
     ]
 
 let suite =

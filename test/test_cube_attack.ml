@@ -12,6 +12,7 @@ module Split_attack = LL.Attack.Split_attack
 module Cube_attack = LL.Attack.Cube_attack
 module Compose = LL.Attack.Compose
 module Equiv = LL.Attack.Equiv
+module Cofactor = LL.Synth.Cofactor
 
 let status_name (r : Sat_attack.result) =
   match r.Sat_attack.status with
@@ -67,11 +68,11 @@ let sarlock_fixture () =
    per-cube DIP and inherited-DIP counts, re-split inputs) for sarlock6 under
    seed 0 and a dips=4 budget. *)
 let sarlock_golden =
-  "1=0|stopped|4|0|2;1=0,2=0|stopped|8|4|4;1=0,2=0,4=0|broken|5|12|-;\
-   1=0,2=0,4=1|broken|2|12|-;1=0,2=1|stopped|8|4|4;1=0,2=1,4=0|broken|4|12|-;\
-   1=0,2=1,4=1|broken|1|12|-;1=1|stopped|4|0|2;1=1,2=0|stopped|8|4|4;\
+  "1=0|stopped|4|0|2;1=0,2=0|stopped|8|4|4;1=0,2=0,4=0|broken|4|12|-;\
+   1=0,2=0,4=1|broken|1|12|-;1=0,2=1|stopped|8|4|4;1=0,2=1,4=0|broken|5|12|-;\
+   1=0,2=1,4=1|broken|2|12|-;1=1|stopped|4|0|2;1=1,2=0|stopped|8|4|4;\
    1=1,2=0,4=0|broken|4|12|-;1=1,2=0,4=1|broken|1|12|-;1=1,2=1|stopped|8|4|4;\
-   1=1,2=1,4=0|broken|4|12|-;1=1,2=1,4=1|broken|2|12|-"
+   1=1,2=1,4=0|broken|3|12|-;1=1,2=1,4=1|broken|3|12|-"
 
 let test_sarlock_adaptive_golden () =
   let c, locked, oracle = sarlock_fixture () in
@@ -481,12 +482,108 @@ let test_split_attack_verdict () =
         counts.Cube_prep.iteration_limit;
       Alcotest.(check int) "the rest were cancelled" 3 counts.Cube_prep.cancelled
 
+module Tel = LL.Telemetry.Telemetry
+
+let traced f =
+  Tel.reset ();
+  Tel.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tel.disable ();
+      Tel.reset ())
+    (fun () ->
+      let r = f () in
+      (r, (Tel.snapshot ()).Tel.events))
+
+let count_events events ~kind name =
+  Array.fold_left
+    (fun n (e : Tel.event) -> if e.Tel.er_kind = kind && e.Tel.er_name = name then n + 1 else n)
+    0 events
+
+(* Seed cubes take their sessions from the attack's root session: one
+   ["attack.root"] span per attack, and one ["cube.fork"] copy per seed
+   cube when there are several.  Each seed cube pins its inputs on its
+   copy and ends Broken with a key that [Equiv] proves correct inside
+   its cube, and pooled runs find the serial runs' DIP sequences. *)
+let test_seed_cubes_fork_the_root () =
+  let c = random_circuit ~seed:150 ~num_inputs:8 () in
+  let locked = (LL.Locking.Xor_lock.lock ~prng:(Prng.create 3) ~num_keys:8 c).circuit in
+  let oracle = Oracle.of_circuit c in
+  let dips (t : Split_attack.t) =
+    Array.to_list t.tasks
+    |> List.map (fun (task : Split_attack.task) ->
+           List.map Bitvec.to_string task.result.Sat_attack.dips |> String.concat ",")
+  in
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "n0=%d" n in
+      let serial, events = traced (fun () -> Split_attack.run ~n locked ~oracle) in
+      Alcotest.(check int) (name ^ ": one root") 1
+        (count_events events ~kind:Tel.kind_begin "attack.root");
+      Alcotest.(check int) (name ^ ": one fork per seed cube") (1 lsl n)
+        (count_events events ~kind:Tel.kind_instant "cube.fork");
+      Array.iter
+        (fun (task : Split_attack.task) ->
+          let cond = task.condition in
+          let cube = name ^ " cube " ^ Cube_prep.condition_string cond in
+          match task.result.Sat_attack.key with
+          | Some key when task.result.Sat_attack.status = Sat_attack.Broken ->
+              let bound = LL.Netlist.Instantiate.bind_keys locked key in
+              Alcotest.(check bool) (cube ^ ": key correct inside the cube") true
+                (Equiv.check (Cofactor.apply c cond) (Cofactor.apply bound cond)
+                = Equiv.Equivalent)
+          | _ -> Alcotest.failf "%s: not broken" cube)
+        serial.tasks;
+      let pooled = Split_attack.run_parallel ~num_domains:2 ~n locked ~oracle in
+      Alcotest.(check (list string)) (name ^ ": pooled dips == serial") (dips serial)
+        (dips pooled))
+    [ 1; 2 ]
+
+(* A lone seed cube runs on the root itself, with no copy. *)
+let test_lone_seed_cube_takes_the_root () =
+  let c, locked, oracle = sarlock_fixture () in
+  ignore c;
+  let _, events =
+    traced (fun () -> Cube_attack.run ~config:{ sarlock_config with n0 = 0 } locked ~oracle)
+  in
+  Alcotest.(check int) "one root" 1 (count_events events ~kind:Tel.kind_begin "attack.root");
+  Alcotest.(check int) "forks only at re-splits"
+    (count_events events ~kind:Tel.kind_instant "cube.resplit")
+    (count_events events ~kind:Tel.kind_instant "cube.fork")
+
+(* With [cancel_on_failure], a seed cube cancelled before it starts
+   makes no copy of the root: forks are counted only for started
+   cubes. *)
+let test_cancelled_seed_cube_makes_no_copy () =
+  let c = random_circuit ~seed:155 ~num_inputs:8 () in
+  let locked = (LL.Locking.Sarlock.lock ~key_size:8 c).circuit in
+  let oracle = Oracle.of_circuit c in
+  let config = { Sat_attack.default_config with max_iterations = Some 1 } in
+  let t, events =
+    traced (fun () ->
+        Split_attack.run_parallel ~config ~num_domains:1 ~cancel_on_failure:true ~n:2 locked
+          ~oracle)
+  in
+  let started =
+    Array.fold_left
+      (fun n (task : Split_attack.task) -> if task.sub_gates > 0 then n + 1 else n)
+      0 t.tasks
+  in
+  Alcotest.(check bool) "some seed cube never started" true (started < Array.length t.tasks);
+  Alcotest.(check int) "one fork per started seed cube" started
+    (count_events events ~kind:Tel.kind_instant "cube.fork")
+
 let suite =
   [
     Alcotest.test_case "sarlock adaptive golden" `Quick test_sarlock_adaptive_golden;
     Alcotest.test_case "xor adaptive deterministic" `Quick
       test_xor_adaptive_deterministic;
     Alcotest.test_case "serial matches parallel" `Quick test_serial_matches_parallel;
+    Alcotest.test_case "seed cubes fork the root" `Quick test_seed_cubes_fork_the_root;
+    Alcotest.test_case "lone seed cube takes the root" `Quick
+      test_lone_seed_cube_takes_the_root;
+    Alcotest.test_case "cancelled seed cube makes no copy" `Quick
+      test_cancelled_seed_cube_makes_no_copy;
     Alcotest.test_case "no budget matches split attack" `Quick
       test_no_budget_matches_split_attack;
     Alcotest.test_case "children inherit ancestor dips" `Quick

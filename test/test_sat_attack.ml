@@ -215,14 +215,13 @@ let test_fork_resumes_stopped_session () =
   let locked = (LL.Locking.Sarlock.lock ~key_size:8 c).circuit in
   let oracle = Oracle.of_circuit c in
   let stop_at n = { Sat_attack.default_config with stop = Some (fun pg -> pg.pg_dips >= n) } in
-  let r, session =
-    Sat_attack.run_prepared ~config:(stop_at 3) (Sat_attack.prepare locked) ~condition:[] ~oracle
-  in
+  let root = Sat_attack.root (Sat_attack.prepare locked) in
+  let r, session = Sat_attack.resume ~config:(stop_at 3) root ~pins:[] ~oracle in
   Alcotest.(check bool) "parent stopped" true (r.Sat_attack.status = Sat_attack.Stopped);
   let session = Option.get session in
   let copy = Sat_attack.fork ~seed:7 session in
   (* The stop budget counts from the child's own start. *)
-  let r1, s1 = Sat_attack.resume ~config:(stop_at 2) copy ~pin:(0, true) ~oracle in
+  let r1, s1 = Sat_attack.resume ~config:(stop_at 2) copy ~pins:[ (0, true) ] ~oracle in
   Alcotest.(check bool) "child stopped" true (r1.Sat_attack.status = Sat_attack.Stopped);
   Alcotest.(check int) "child budget from zero" 2 r1.num_dips;
   Alcotest.(check int) "child inherited the parent's DIPs" 3 r1.imported;
@@ -251,11 +250,11 @@ let test_fork_resumes_stopped_session () =
           parent_dips)
       r.dips
   in
-  let r0, s0 = Sat_attack.resume session ~pin:(0, false) ~oracle in
+  let r0, s0 = Sat_attack.resume session ~pins:[ (0, false) ] ~oracle in
   Alcotest.(check bool) "finished session not returned" true (s0 = None);
   Alcotest.(check int) "child 0 inherited" 3 r0.imported;
   check_cube "child 0" r0 ~fixed:[ (0, false) ];
-  let r11, _ = Sat_attack.resume (Option.get s1) ~pin:(1, false) ~oracle in
+  let r11, _ = Sat_attack.resume (Option.get s1) ~pins:[ (1, false) ] ~oracle in
   Alcotest.(check int) "grandchild inherited" 5 r11.imported;
   check_cube "grandchild" r11 ~fixed:[ (0, true); (1, false) ]
 
@@ -265,23 +264,25 @@ let test_resume_rejects_bad_pin () =
   let oracle = Oracle.of_circuit c in
   let config = { Sat_attack.default_config with stop = Some (fun pg -> pg.pg_dips >= 1) } in
   let stopped () =
-    match Sat_attack.run_prepared ~config (Sat_attack.prepare locked) ~condition:[ (2, true) ] ~oracle with
+    let root = Sat_attack.root (Sat_attack.prepare locked) in
+    match Sat_attack.resume ~config root ~pins:[ (2, true) ] ~oracle with
     | _, Some s -> s
     | _, None -> Alcotest.fail "expected a stopped session"
   in
   List.iter
-    (fun (name, pin, msg) ->
+    (fun (name, pins, msg) ->
       Alcotest.check_raises name (Invalid_argument msg) (fun () ->
-          ignore (Sat_attack.resume (stopped ()) ~pin ~oracle)))
+          ignore (Sat_attack.resume (stopped ()) ~pins ~oracle)))
     [
-      ("pinned twice", (2, false), "Sat_attack.run: duplicate condition");
-      ("negative position", (-1, true), "Sat_attack.run: condition position");
-      ("past the inputs", (6, true), "Sat_attack.run: condition position");
+      ("pinned twice", [ (2, false) ], "Sat_attack.run: duplicate condition");
+      ("repeated in one list", [ (0, true); (0, false) ], "Sat_attack.run: duplicate condition");
+      ("negative position", [ (-1, true) ], "Sat_attack.run: condition position");
+      ("past the inputs", [ (6, true) ], "Sat_attack.run: condition position");
     ];
   Alcotest.check_raises "foreign oracle"
     (Invalid_argument "Sat_attack.run: oracle input count mismatch") (fun () ->
       ignore
-        (Sat_attack.resume (stopped ()) ~pin:(0, true)
+        (Sat_attack.resume (stopped ()) ~pins:[ (0, true) ]
            ~oracle:(Oracle.of_circuit (full_adder_circuit ()))))
 
 let test_recovered_key_exact_zero_error () =

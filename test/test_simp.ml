@@ -312,6 +312,49 @@ let chain () =
   Solver.add_clause s [ Lit.neg x; Lit.pos b ];
   (s, a, x, b)
 
+(* [Solver.simplify] runs the session the first solve would start with.
+   Pinning a variable that session eliminated, on a copy, restores it in
+   the copy alone: the simplified original is left as it was. *)
+let test_pin_eliminated_on_copy () =
+  let s, a, x, _ = chain () in
+  Solver.simplify s;
+  Alcotest.(check bool) "x eliminated before any solve" true (Solver.is_eliminated s x);
+  let copy = Solver.copy ~seed:3 s in
+  Solver.add_clause copy [ Lit.neg x ];
+  Alcotest.(check bool) "x restored in the copy" false (Solver.is_eliminated copy x);
+  Alcotest.(check bool) "a -> x refutes a in the copy" true
+    (Solver.solve ~assumptions:[ Lit.pos a ] copy = Solver.Unsat);
+  Alcotest.(check bool) "copy sat without a" true (Solver.solve copy = Solver.Sat);
+  Alcotest.(check bool) "pin holds" false (Solver.model_var copy x);
+  Alcotest.(check bool) "original keeps x eliminated" true (Solver.is_eliminated s x);
+  Alcotest.(check bool) "original sat under a" true
+    (Solver.solve ~assumptions:[ Lit.pos a ] s = Solver.Sat);
+  Alcotest.(check bool) "x follows a in the original" true (Solver.model_var s x)
+
+(* [simplify] followed by [solve] searches exactly as [solve] alone: the
+   solve finds nothing new to simplify, so the counters and the model
+   match a twin that only solved. *)
+let test_simplify_then_solve_is_solve () =
+  let instances = eliminating_instances () in
+  Alcotest.(check bool) "instances with eliminated variables exist" true (instances <> []);
+  List.iter
+    (fun (make, nvars, _) ->
+      let trace s =
+        let r = Solver.solve s in
+        let st = Solver.stats s in
+        ( r,
+          (st.Solver.conflicts, st.Solver.decisions, st.Solver.propagations),
+          st.Solver.simp_eliminated_vars,
+          List.init nvars (Solver.model_var s) )
+      in
+      let simplified = make () in
+      Solver.simplify simplified;
+      let eliminated = (Solver.stats simplified).Solver.simp_eliminated_vars in
+      let ((_, _, eliminated_after, _) as t) = trace simplified in
+      Alcotest.(check int) "the solve ran no session of its own" eliminated eliminated_after;
+      Alcotest.(check bool) "same search and model" true (t = trace (make ())))
+    instances
+
 let test_extension_per_model () =
   let s, a, x, b = chain () in
   let snap =
@@ -399,6 +442,8 @@ let suite =
     Alcotest.test_case "frozen not eliminated" `Quick test_frozen_not_eliminated;
     Alcotest.test_case "restore on mention" `Quick test_restore_on_mention;
     Alcotest.test_case "restore on assumption" `Quick test_restore_on_assumption;
+    Alcotest.test_case "pin eliminated on a simplified copy" `Quick test_pin_eliminated_on_copy;
+    Alcotest.test_case "simplify then solve is solve" `Quick test_simplify_then_solve_is_solve;
     Alcotest.test_case "drup mode: no elimination, proof verifies" `Quick
       test_drup_mode_no_elimination;
     Alcotest.test_case "extension independent of query order" `Quick test_extension_query_order;
