@@ -88,7 +88,9 @@ type result = {
 
 val run : ?config:config -> Ll_netlist.Circuit.t -> oracle:Oracle.t -> result
 (** [run locked ~oracle] — [locked] must carry key ports and match the
-    oracle's input/output counts.  Raises [Invalid_argument] otherwise. *)
+    oracle's input/output counts.  Raises [Invalid_argument] otherwise.
+    It runs [resume (root (prepare locked)) ~pins:[]], with
+    [total_time] counting the root's construction too. *)
 
 (** {2 Shared preparation}
 

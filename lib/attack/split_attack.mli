@@ -25,8 +25,9 @@ type task = Cube_prep.task = {
           task, 0 for a task cancelled before it started *)
   result : Sat_attack.result;
   task_time : float;
-      (** wall clock of the task's attack session; cubes pin their inputs
-          in the shared miter, so no cofactor circuit is built *)
+      (** wall clock of the task's attack session, taking its session
+          (a seed cube's fork of the root) included; cubes pin their
+          inputs in the shared miter, so no cofactor circuit is built *)
 }
 
 type t = {

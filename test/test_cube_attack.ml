@@ -541,8 +541,7 @@ let test_seed_cubes_fork_the_root () =
 
 (* A lone seed cube runs on the root itself, with no copy. *)
 let test_lone_seed_cube_takes_the_root () =
-  let c, locked, oracle = sarlock_fixture () in
-  ignore c;
+  let _, locked, oracle = sarlock_fixture () in
   let _, events =
     traced (fun () -> Cube_attack.run ~config:{ sarlock_config with n0 = 0 } locked ~oracle)
   in
